@@ -299,13 +299,20 @@ def main(argv=None, stdout=None) -> int:
     except SystemExit as exc:
         return EXIT_PARSE if exc.code not in (0, None) else EXIT_OK
 
-    # Global precision knobs apply to every certified-interval computation
-    # below this point; the command layer is single-threaded.
+    # The precision knobs apply to every certified-interval computation of
+    # this call only; the command layer is single-threaded.
+    saved = dict(exact_linalg.DEFAULTS)
     exact_linalg.DEFAULTS["tolerance"] = Fraction(args.tol).limit_denominator(
         10**24
     )
     exact_linalg.DEFAULTS["max_bits"] = max(64, args.precision)
+    try:
+        return _run(args, out)
+    finally:
+        exact_linalg.DEFAULTS.update(saved)
 
+
+def _run(args, out) -> int:
     if args.cmd == "selftest":
         rc = run_selftest(
             name_filter=args.filter,

@@ -8,8 +8,14 @@ largest Jordan block size among that part's roots, so ``rho`` and ``s``
 can be read off from the squarefree structure plus certified root-modulus
 comparisons.
 
-All values are exact ``fractions.Fraction`` scalars; floating point only
-appears in reported approximations, never in the decision path.
+Arithmetic is exact.  An ``ExactMatrix`` is one int numerator matrix over
+one positive common denominator, normalised so that the representation is
+unique; products, powers, determinants, inverses and the characteristic
+and minimal polynomials run on Python ints (fraction-free elimination,
+exact integer division).  ``fractions.Fraction`` appears only at the
+edges: matrix entries read out through ``rows`` and ``entry``, and the
+coefficients of ``ExactPoly``.  Floating point only appears in reported
+approximations, never in the decision path.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,6 +34,7 @@ import mpmath
 from .errors import (
     DimensionMismatch,
     DomainError,
+    InternalInconsistency,
     NilpotentInput,
     NonIntegerEntries,
     PrecisionExhausted,
@@ -296,35 +304,67 @@ def euler_phi(k: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class ExactMatrix:
-    """Immutable square matrix of Fractions with an integer fast-path flag."""
+    """Immutable square rational matrix, stored as ``num / den``.
 
-    rows: tuple[tuple[Fraction, ...], ...]
+    ``num`` is a tuple of rows of Python ints and ``den`` one positive int
+    with ``gcd(den, every entry of num) == 1``, so each matrix has exactly
+    one representation and an integer matrix is its int rows over
+    ``den == 1``.  All arithmetic runs on these ints.  ``rows`` and
+    ``entry`` give the ``Fraction`` view, built only when asked for.
+    """
 
-    def __post_init__(self):
-        n = len(self.rows)
-        if n < 1:
+    __slots__ = ("num", "den", "_rows")
+
+    def __init__(self, num: tuple[tuple[int, ...], ...], den: int = 1):
+        """Wrap int rows over ``den`` (any nonzero int), normalising the
+        sign and the common factor.  Nonempty rows are trusted to be
+        square; ``from_rows`` is the checked constructor."""
+        if not num:
             raise DimensionMismatch("matrix must have dimension >= 1")
-        for row in self.rows:
-            if len(row) != n:
-                raise DimensionMismatch("matrix must be square; got ragged rows")
+        if den != 1:
+            if den < 0:
+                num = tuple(tuple(-x for x in row) for row in num)
+                den = -den
+            g = math.gcd(den, *(x for row in num for x in row))
+            if g > 1:
+                num = tuple(tuple(x // g for x in row) for row in num)
+                den //= g
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "_rows", None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ExactMatrix is immutable")
+
+    def __reduce__(self):
+        return ExactMatrix, (self.num, self.den)
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[Rat]]) -> "ExactMatrix":
-        return ExactMatrix(tuple(tuple(_to_fraction(x) for x in r) for r in rows))
+        n = len(rows)
+        for row in rows:
+            if len(row) != n:
+                raise DimensionMismatch("matrix must be square; got ragged rows")
+        fracs = [[_to_fraction(x) for x in row] for row in rows]
+        den = math.lcm(*(x.denominator for row in fracs for x in row))
+        return ExactMatrix(
+            tuple(
+                tuple(x.numerator * (den // x.denominator) for x in row)
+                for row in fracs
+            ),
+            den,
+        )
 
     @staticmethod
     def identity(n: int) -> "ExactMatrix":
-        one, zero = Fraction(1), Fraction(0)
         return ExactMatrix(
-            tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
+            tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
         )
 
     @staticmethod
     def zeros(n: int) -> "ExactMatrix":
-        zero = Fraction(0)
-        return ExactMatrix(tuple(tuple(zero for _ in range(n)) for _ in range(n)))
+        return ExactMatrix(tuple((0,) * n for _ in range(n)))
 
     @staticmethod
     def companion(p: ExactPoly) -> "ExactMatrix":
@@ -343,62 +383,91 @@ class ExactMatrix:
     @staticmethod
     def block_diag(*blocks: "ExactMatrix") -> "ExactMatrix":
         n = sum(b.n for b in blocks)
-        rows = [[Fraction(0)] * n for _ in range(n)]
+        den = math.lcm(*(b.den for b in blocks))
+        rows = [[0] * n for _ in range(n)]
         off = 0
         for b in blocks:
-            for i in range(b.n):
-                for j in range(b.n):
-                    rows[off + i][off + j] = b.rows[i][j]
+            f = den // b.den
+            for i, row in enumerate(b.num):
+                rows[off + i][off : off + b.n] = [f * x for x in row]
             off += b.n
-        return ExactMatrix.from_rows(rows)
+        return ExactMatrix(tuple(map(tuple, rows)), den)
 
     @property
     def n(self) -> int:
-        return len(self.rows)
+        return len(self.num)
 
     @property
     def is_integer(self) -> bool:
-        return all(x.denominator == 1 for row in self.rows for x in row)
+        return self.den == 1
+
+    @property
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The entries as ``Fraction``s (built once, on first use)."""
+        if self._rows is None:
+            den = self.den
+            object.__setattr__(
+                self,
+                "_rows",
+                tuple(tuple(Fraction(x, den) for x in row) for row in self.num),
+            )
+        return self._rows
 
     def entry(self, i: int, j: int) -> Fraction:
-        return self.rows[i][j]
+        return Fraction(self.num[i][j], self.den)
+
+    def __eq__(self, other):
+        if not isinstance(other, ExactMatrix):
+            return NotImplemented
+        return self.den == other.den and self.num == other.num
+
+    def __hash__(self):
+        return hash((self.num, self.den))
 
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
-        self._same_size(other)
-        return ExactMatrix(
-            tuple(
-                tuple(a + b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.rows, other.rows)
-            )
-        )
+        return self._combine(other, operator.add)
 
     def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
+        return self._combine(other, operator.sub)
+
+    def _combine(self, other: "ExactMatrix", op) -> "ExactMatrix":
+        """Entrywise ``op`` of both numerators over the least common
+        denominator."""
         self._same_size(other)
+        den = math.lcm(self.den, other.den)
+        fa, fb = den // self.den, den // other.den
         return ExactMatrix(
             tuple(
-                tuple(a - b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.rows, other.rows)
-            )
+                tuple(op(fa * x, fb * y) for x, y in zip(ra, rb))
+                for ra, rb in zip(self.num, other.num)
+            ),
+            den,
         )
 
     def __neg__(self) -> "ExactMatrix":
-        return ExactMatrix(tuple(tuple(-a for a in row) for row in self.rows))
+        return ExactMatrix(tuple(tuple(-x for x in row) for row in self.num), self.den)
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         self._same_size(other)
-        cols = tuple(zip(*other.rows))
+        cols = tuple(zip(*other.num))
+        mul = operator.mul
         return ExactMatrix(
             tuple(
-                tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
-                for row in self.rows
-            )
+                tuple([sum(map(mul, row, col)) for col in cols])
+                for row in self.num
+            ),
+            self.den * other.den,
         )
 
     __mul__ = __matmul__
 
     def scale(self, c: Rat) -> "ExactMatrix":
         c = _to_fraction(c)
-        return ExactMatrix(tuple(tuple(a * c for a in row) for row in self.rows))
+        a = c.numerator
+        return ExactMatrix(
+            tuple(tuple(a * x for x in row) for row in self.num),
+            self.den * c.denominator,
+        )
 
     def __pow__(self, m: int) -> "ExactMatrix":
         base = self if m >= 0 else self.inverse()
@@ -415,60 +484,57 @@ class ExactMatrix:
         if len(v) != self.n:
             raise DimensionMismatch("vector length does not match matrix size")
         vf = [_to_fraction(x) for x in v]
-        return tuple(sum(a * b for a, b in zip(row, vf)) for row in self.rows)
+        vden = math.lcm(*(x.denominator for x in vf))
+        vn = [x.numerator * (vden // x.denominator) for x in vf]
+        den = self.den * vden
+        mul = operator.mul
+        return tuple(Fraction(sum(map(mul, row, vn)), den) for row in self.num)
 
     def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(tuple(zip(*self.rows)))
+        return ExactMatrix(tuple(zip(*self.num)), self.den)
 
     def trace(self) -> Fraction:
-        return sum(self.rows[i][i] for i in range(self.n))
+        return Fraction(sum(row[i] for i, row in enumerate(self.num)), self.den)
 
     @property
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self.rows for x in row)
+        return not any(map(any, self.num))
 
     def det(self) -> Fraction:
         """Determinant by fraction-free Bareiss elimination."""
-        n = self.n
-        a = [list(row) for row in self.rows]
-        sign = 1
-        prev = Fraction(1)
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                for i in range(k + 1, n):
-                    if a[i][k] != 0:
-                        a[k], a[i] = a[i], a[k]
-                        sign = -sign
-                        break
-                else:
-                    return Fraction(0)
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[k][k] * a[i][j] - a[i][k] * a[k][j]) / prev
-                a[i][k] = Fraction(0)
-            prev = a[k][k]
-        return sign * a[n - 1][n - 1]
+        return Fraction(_bareiss_det(self.num), self.den**self.n)
 
     def inverse(self) -> "ExactMatrix":
+        """Inverse by fraction-free Gauss-Jordan elimination on ``[num | I]``.
+
+        Every division by the previous pivot is exact, and the left block
+        ends as ``D * I`` with the right block ``R`` satisfying
+        ``R @ num == D * I``; so ``inverse == den * R / D``.
+        """
         n = self.n
-        a = [list(row) + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
-             for i, row in enumerate(self.rows)]
+        a = [
+            list(row) + [int(i == j) for j in range(n)]
+            for i, row in enumerate(self.num)
+        ]
+        prev = 1
         for k in range(n):
             piv = next((i for i in range(k, n) if a[i][k] != 0), None)
             if piv is None:
                 raise DomainError("matrix is singular")
             a[k], a[piv] = a[piv], a[k]
-            d = a[k][k]
-            a[k] = [x / d for x in a[k]]
+            pivot_row = a[k]
+            p = pivot_row[k]
             for i in range(n):
-                if i != k and a[i][k] != 0:
+                if i != k:
                     f = a[i][k]
-                    a[i] = [x - f * y for x, y in zip(a[i], a[k])]
-        return ExactMatrix.from_rows([row[n:] for row in a])
+                    a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], pivot_row)]
+            prev = p
+        den = self.den
+        return ExactMatrix(tuple(tuple(den * x for x in row[n:]) for row in a), prev)
 
     def entry_abs_sum(self) -> Fraction:
         """Sum of absolute values of all entries (an exact matrix norm)."""
-        return sum(abs(x) for row in self.rows for x in row)
+        return Fraction(sum(sum(map(abs, row)) for row in self.num), self.den)
 
     def _same_size(self, other: "ExactMatrix"):
         if self.n != other.n:
@@ -476,26 +542,52 @@ class ExactMatrix:
                 "matrix sizes differ: %d vs %d" % (self.n, other.n)
             )
 
+    def __repr__(self) -> str:
+        return "ExactMatrix(%s)" % self
+
     def __str__(self) -> str:
         return "[" + "; ".join(
             " ".join(str(x) for x in row) for row in self.rows
         ) + "]"
 
 
+def _bareiss_det(rows: Sequence[Sequence[int]]) -> int:
+    """Determinant of an int matrix; every Bareiss division is exact."""
+    n = len(rows)
+    a = [list(row) for row in rows]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pivot_row = a[k]
+        p = pivot_row[k]
+        for i in range(k + 1, n):
+            row = a[i]
+            f = row[k]
+            for j in range(k + 1, n):
+                row[j] = (p * row[j] - f * pivot_row[j]) // prev
+            row[k] = 0
+        prev = p
+    return sign * a[n - 1][n - 1]
+
+
 def tensor_product(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     """Kronecker product, dimension ``a.n * b.n``, row-major block layout."""
-    n, m = a.n, b.n
-    rows = []
-    for i in range(n):
-        for k in range(m):
-            rows.append(
-                tuple(
-                    a.rows[i][j] * b.rows[k][l]
-                    for j in range(n)
-                    for l in range(m)
-                )
-            )
-    return ExactMatrix(tuple(rows))
+    return ExactMatrix(
+        tuple(
+            tuple(x * y for x in ra for y in rb)
+            for ra in a.num
+            for rb in b.num
+        ),
+        a.den * b.den,
+    )
 
 
 def exterior_power(m: ExactMatrix, k: int) -> ExactMatrix:
@@ -505,14 +597,16 @@ def exterior_power(m: ExactMatrix, k: int) -> ExactMatrix:
     if not 1 <= k <= n:
         raise DomainError("exterior power index must satisfy 1 <= k <= n")
     subsets = list(itertools.combinations(range(n), k))
-    rows = []
-    for rset in subsets:
-        row = []
-        for cset in subsets:
-            minor = [[m.rows[i][j] for j in cset] for i in rset]
-            row.append(ExactMatrix.from_rows(minor).det() if k > 1 else minor[0][0])
-        rows.append(tuple(row))
-    return ExactMatrix(tuple(rows))
+    return ExactMatrix(
+        tuple(
+            tuple(
+                _bareiss_det([[m.num[i][j] for j in cset] for i in rset])
+                for cset in subsets
+            )
+            for rset in subsets
+        ),
+        m.den**k,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -521,79 +615,68 @@ def exterior_power(m: ExactMatrix, k: int) -> ExactMatrix:
 
 
 def char_poly(m: ExactMatrix) -> ExactPoly:
-    """The monic characteristic polynomial det(xI - M), exactly.
+    """The monic characteristic polynomial det(xI - M), exactly, by the
+    Faddeev-LeVerrier trace recursion on the int numerator ``N = den * M``.
 
-    Integer matrices go through fraction-free Bareiss elimination over the
-    polynomial ring; rational matrices use the Faddeev-LeVerrier trace
-    recursion, which avoids intermediate-denominator blowup.
+    The coefficients c_k of det(xI - N) are ints, so each trace division
+    is exact; det(xI - M) has ``c_k / den**k`` at x^(n-k).
     """
-    if m.is_integer:
-        return _char_poly_bareiss(m)
-    return _char_poly_faddeev(m)
-
-
-def _char_poly_bareiss(m: ExactMatrix) -> ExactPoly:
     n = m.n
-    x = ExactPoly.x()
-    a = [
-        [
-            x - ExactPoly.from_coefficients([m.rows[i][j]])
-            if i == j
-            else ExactPoly.from_coefficients([-m.rows[i][j]])
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    # Leading principal minors of xI - M are monic, so no pivoting is needed
-    # and every Bareiss division is exact.
-    prev = ExactPoly.one()
-    for k in range(n - 1):
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[k][k] * a[i][j] - a[i][k] * a[k][j]).exact_div(prev)
-            a[i][k] = ExactPoly.zero()
-        prev = a[k][k]
-    return a[n - 1][n - 1]
-
-
-def _char_poly_faddeev(m: ExactMatrix) -> ExactPoly:
-    n = m.n
+    a = ExactMatrix(m.num)
     coeffs = [Fraction(0)] * (n + 1)
     coeffs[n] = Fraction(1)
-    mk = ExactMatrix.identity(n)
-    c = Fraction(1)
+    mk = a
+    c = 0
     for k in range(1, n + 1):
         if k > 1:
-            mk = m @ (mk + ExactMatrix.identity(n).scale(c))
-        else:
-            mk = m
-        c = -mk.trace() / k
-        coeffs[n - k] = c
+            mk = a @ (mk + ExactMatrix.identity(n).scale(c))
+        c, r = divmod(-sum(row[i] for i, row in enumerate(mk.num)), k)
+        if r:
+            raise InternalInconsistency(
+                "Faddeev-LeVerrier trace not divisible by %d" % k
+            )
+        coeffs[n - k] = Fraction(c, m.den**k)
     return ExactPoly.from_coefficients(coeffs)
 
 
 def min_poly(m: ExactMatrix) -> ExactPoly:
-    """Monic least-degree polynomial annihilating M, found by exact linear
-    dependency search over the flattened powers I, M, M^2, ..."""
+    """Monic least-degree polynomial annihilating M, found by fraction-free
+    linear dependency search over the flattened powers I, N, N^2, ... of
+    the int numerator ``N = den * M``.
+
+    Each stored vector ``vec`` is the int combination ``sum rep[i] N^i``
+    reduced against the earlier ones and divided by its content.  The
+    first vanishing ``vec`` gives ``p(N) = 0`` with ``p = sum rep[i] x^i``;
+    then ``p(den * x) / (rep[k] * den**k)`` is the min poly of M.
+    """
     n = m.n
-    basis: list[tuple[list[Fraction], list[Fraction], int]] = []
+    step = ExactMatrix(m.num)
+    basis: list[tuple[list[int], list[int], int]] = []
     power = ExactMatrix.identity(n)
     k = 0
     while True:
-        vec = [x for row in power.rows for x in row]
-        rep = [Fraction(0)] * (k + 1)
-        rep[k] = Fraction(1)
+        vec = [x for row in power.num for x in row]
+        rep = [0] * k + [1]
         for bvec, brep, piv in basis:
-            if vec[piv] != 0:
-                f = vec[piv] / bvec[piv]
-                vec = [a - f * b for a, b in zip(vec, bvec)]
-                for idx, b in enumerate(brep):
-                    rep[idx] -= f * b
+            c = vec[piv]
+            if c:
+                b = bvec[piv]
+                vec = [b * x - c * y for x, y in zip(vec, bvec)]
+                rep = [b * x - c * y for x, y in zip(rep, brep)] + [
+                    b * x for x in rep[len(brep):]
+                ]
+        g = math.gcd(*vec, *rep)
+        if g > 1:
+            vec = [x // g for x in vec]
+            rep = [x // g for x in rep]
         piv = next((i for i, a in enumerate(vec) if a != 0), None)
         if piv is None:
-            return ExactPoly.from_coefficients(rep)
+            lead = rep[k]
+            return ExactPoly.from_coefficients(
+                [Fraction(c, lead * m.den ** (k - i)) for i, c in enumerate(rep)]
+            )
         basis.append((vec, rep, piv))
-        power = power @ m
+        power = power @ step
         k += 1
 
 
@@ -609,20 +692,19 @@ def nilpotency_index(m: ExactMatrix) -> Optional[int]:
     return None
 
 
-def quasi_unipotent_order(m: ExactMatrix) -> Optional[int]:
-    """Smallest k with (M^k - I) nilpotent, or None.
+def _cyclotomic_order(
+    parts: Sequence[tuple[ExactPoly, int]], n: int
+) -> Optional[int]:
+    """The lcm of the orders d whose cyclotomic polynomials divide the
+    product of the squarefree parts of an n x n matrix's min poly, when
+    those polynomials exhaust it; None otherwise.
 
-    Candidate eigenvalue orders d are exactly those with phi(d) <= n (so
-    d <= 2 n^2); the returned k is their least common multiple, which can
-    exceed that per-order bound when several orders combine.
+    Candidate orders are exactly those with phi(d) <= n (so d <= 2 n^2);
+    the lcm can exceed that per-order bound when several orders combine.
     """
-    if not m.is_integer:
-        raise NonIntegerEntries("quasi-unipotence search needs integer entries")
-    n = m.n
-    radical = ExactPoly.one()
-    for h, _ in squarefree_decomposition(min_poly(m)):
-        radical = radical * h
-    rest = radical
+    rest = ExactPoly.one()
+    for h, _ in parts:
+        rest = rest * h
     k = 1
     for d in range(1, 2 * n * n + 1):
         if rest.degree == 0:
@@ -636,10 +718,18 @@ def quasi_unipotent_order(m: ExactMatrix) -> Optional[int]:
         if r.is_zero:
             rest = q
             k = k * d // math.gcd(k, d)
-    if rest.degree != 0:
-        return None
-    if nilpotency_index(m**k - ExactMatrix.identity(n)) is None:
-        raise AssertionError("cyclotomic factor search produced a wrong order")
+    return k if rest.degree == 0 else None
+
+
+def quasi_unipotent_order(m: ExactMatrix) -> Optional[int]:
+    """Smallest k with (M^k - I) nilpotent, or None."""
+    if not m.is_integer:
+        raise NonIntegerEntries("quasi-unipotence search needs integer entries")
+    k = _cyclotomic_order(squarefree_decomposition(min_poly(m)), m.n)
+    if k is not None and nilpotency_index(m**k - ExactMatrix.identity(m.n)) is None:
+        raise InternalInconsistency(
+            "cyclotomic factor search produced a wrong order"
+        )
     return k
 
 
@@ -866,8 +956,11 @@ def _build_classes(
     positions = []  # (z, r) in mpmath types, parallel to numeric_boxes
     for idx, h in numeric_parts:
         for z, r in _isolate_numeric(h, bits):
-            rf = _mpf_to_fraction(mpmath.mpf(r))
-            a = _mpf_to_fraction(mpmath.mpf(abs(z)))
+            # |z| must be rounded at the working precision: at mpmath's
+            # global 53 bits its error would exceed the slack below.
+            with mpmath.workprec(bits + 64):
+                rf = _mpf_to_fraction(mpmath.mpf(r))
+                a = _mpf_to_fraction(abs(z))
             slack = a / Fraction(2 ** (bits + 40)) + Fraction(1, 2 ** (bits + 8))
             lo = max(Fraction(0), a - slack - rf)
             hi = a + slack + rf
@@ -1109,8 +1202,8 @@ class GrowthSignature:
         return math.log(self.rho_float)
 
 
-#: Process-wide defaults, overridable per call; the CLI sets them once at
-#: dispatch (its command layer is single-threaded).
+#: Process-wide defaults, overridable per call; the CLI sets them for the
+#: duration of one command and restores them after it.
 DEFAULTS = {"tolerance": DEFAULT_TOLERANCE, "max_bits": MAX_BITS}
 
 
@@ -1136,12 +1229,16 @@ def growth_signature(
         raise NilpotentInput("growth data is undefined for nilpotent matrices")
 
     if m.is_integer:
-        k = quasi_unipotent_order(m)
+        k = _cyclotomic_order(parts, m.n)
         if k is not None:
             idx = nilpotency_index(m**k - ExactMatrix.identity(m.n))
+            if idx is None:
+                raise InternalInconsistency(
+                    "cyclotomic factor search produced a wrong order"
+                )
             s = idx - 1
             if s != max(mult for _, mult in parts) - 1:
-                raise AssertionError(
+                raise InternalInconsistency(
                     "quasi-unipotent fast path disagrees with min-poly multiplicities"
                 )
             return GrowthSignature(

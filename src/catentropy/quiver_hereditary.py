@@ -23,12 +23,7 @@ from .errors import (
     NotAnIsometry,
 )
 from .exact_linalg import ExactMatrix, GrowthSignature, growth_signature
-from .growth_estimator import (
-    EstimatedSignature,
-    PositiveSequence,
-    fit_growth,
-    pairing_values,
-)
+from .growth_estimator import EstimatedSignature, PositiveSequence, fit_growth
 
 
 @dataclass(frozen=True)
@@ -168,30 +163,25 @@ def hereditary_report(
     h_pol = sig.s
 
     n = f.n
-    basis = [
-        tuple(Fraction(1) if k == i else Fraction(0) for k in range(n))
-        for i in range(n)
-    ]
     # Stop exact iteration before float conversion can overflow.
     steps = n_max
     if sig.rho_float > 1:
         steps = min(n_max, max(32, int(640 / math.log(sig.rho_float))))
 
-    per_pair = {}
-    skipped: list[tuple[int, int]] = []
-    for i in range(n):
-        for j in range(n):
-            vals = pairing_values(lat.gram, f, basis[i], basis[j], steps)
-            per_pair[(i, j)] = vals
-            if any(v == 0 for v in vals):
-                skipped.append((i, j))
-    fallback = len(skipped) == n * n
-    totals = [Fraction(0)] * steps
-    for key, vals in per_pair.items():
-        if not fallback and key in skipped:
-            continue
-        for k, v in enumerate(vals):
-            totals[k] += v
+    # The pair value |e_i^T G F^k e_j| is entry (i, j) of G F^k, so one
+    # matrix product per step gives all n^2 pairs.  Each step keeps the
+    # absolute int numerators (row-major) and the common denominator.
+    steps_abs = []
+    power = lat.gram
+    for _ in range(steps):
+        power = power @ f
+        steps_abs.append(([abs(x) for row in power.num for x in row], power.den))
+    pairs = [(i, j) for i in range(n) for j in range(n)]
+    has_zero = [not all(vals[p] for vals, _ in steps_abs) for p in range(n * n)]
+    skipped = [pair for pair, z in zip(pairs, has_zero) if z]
+    fallback = all(has_zero)
+    kept = [p for p in range(n * n) if fallback or not has_zero[p]]
+    totals = [Fraction(sum(vals[p] for p in kept), den) for vals, den in steps_abs]
     if any(v == 0 for v in totals):
         raise AllPairingsDegenerate(
             "summed pairing sequence vanishes; no growth crosscheck possible"

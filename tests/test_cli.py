@@ -6,6 +6,7 @@ import math
 import subprocess
 import sys
 
+from catentropy import exact_linalg
 from catentropy.cli import main
 from catentropy.jsonio import canonical_json, format_float
 
@@ -62,6 +63,28 @@ def test_growth_accepts_rational_strings(tmp_path):
     assert code == 0
     doc = json.loads(out)
     assert doc["results"]["s"] == 1  # 2x2 Jordan block at 1/3
+
+
+def test_growth_internal_inconsistency_exits_4(tmp_path, monkeypatch, capsys):
+    # Force the quasi-unipotent fast path to disagree with the min poly.
+    monkeypatch.setattr(exact_linalg, "nilpotency_index", lambda m: 3)
+    path = tmp_path / "m.json"
+    path.write_text('{"rows": [[1, 1], [0, 1]]}')
+    code, out = run_inproc(["--json", "growth", str(path)])
+    assert code == 4
+    assert out == ""
+    assert "internal inconsistency" in capsys.readouterr().err
+
+
+def test_precision_flags_do_not_outlive_the_call(tmp_path):
+    before = dict(exact_linalg.DEFAULTS)
+    path = tmp_path / "m.json"
+    path.write_text('{"rows": [[2, 1], [1, 1]]}')
+    code, _ = run_inproc(
+        ["--tol", "1e-3", "--precision", "128", "--json", "growth", str(path)]
+    )
+    assert code == 0
+    assert exact_linalg.DEFAULTS == before
 
 
 def test_growth_rejects_ragged_rows(tmp_path):

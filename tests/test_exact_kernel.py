@@ -1,0 +1,293 @@
+"""Equivalence of the int/common-denominator ``ExactMatrix`` kernel with
+plain ``Fraction`` arithmetic.
+
+Every operation is compared against a reference written here on lists of
+``Fraction`` rows, over random integer and rational matrices of size 1-6.
+The example count is bounded and the search derandomised, so the module's
+run time and outcome are fixed.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+import pickle
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from catentropy.errors import DomainError
+from catentropy.exact_linalg import (
+    ExactMatrix,
+    char_poly,
+    exterior_power,
+    min_poly,
+    tensor_product,
+)
+
+SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+ints = st.integers(-9, 9)
+rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+
+
+@st.composite
+def matrices(draw, entries=st.one_of(ints, rationals), size=None):
+    n = size if size is not None else draw(st.integers(1, 6))
+    return [[draw(entries) for _ in range(n)] for _ in range(n)]
+
+
+@st.composite
+def matrix_pairs(draw):
+    n = draw(st.integers(1, 6))
+    return draw(matrices(size=n)), draw(matrices(size=n))
+
+
+# -- Fraction reference ------------------------------------------------------
+
+
+def ref(rows):
+    return [[Fraction(x) for x in row] for row in rows]
+
+
+def ref_matmul(a, b):
+    return [
+        [sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*b)]
+        for row in a
+    ]
+
+
+def ref_identity(n):
+    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+
+
+def ref_det(a):
+    """Gaussian elimination over the rationals."""
+    a = [list(row) for row in a]
+    n = len(a)
+    det = Fraction(1)
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            det = -det
+        det *= a[k][k]
+        for i in range(k + 1, n):
+            f = a[i][k] / a[k][k]
+            a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+    return det
+
+
+def ref_inverse(a):
+    """Gauss-Jordan over the rationals; None when singular."""
+    n = len(a)
+    aug = [list(row) + ident for row, ident in zip(a, ref_identity(n))]
+    for k in range(n):
+        piv = next((i for i in range(k, n) if aug[i][k] != 0), None)
+        if piv is None:
+            return None
+        aug[k], aug[piv] = aug[piv], aug[k]
+        aug[k] = [x / aug[k][k] for x in aug[k]]
+        for i in range(n):
+            if i != k and aug[i][k] != 0:
+                f = aug[i][k]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[k])]
+    return [row[n:] for row in aug]
+
+
+def ref_min_poly_degree(a):
+    """Rank of the flattened powers I, A, A^2, ...: the min poly degree."""
+    n = len(a)
+    basis = []
+    power = ref_identity(n)
+    for k in range(n + 1):
+        vec = [x for row in power for x in row]
+        for bvec, piv in basis:
+            if vec[piv] != 0:
+                f = vec[piv] / bvec[piv]
+                vec = [x - f * y for x, y in zip(vec, bvec)]
+        piv = next((i for i, x in enumerate(vec) if x != 0), None)
+        if piv is None:
+            return k
+        basis.append((vec, piv))
+        power = ref_matmul(power, a)
+    raise AssertionError("powers up to n are dependent by Cayley-Hamilton")
+
+
+def eval_poly_at_matrix(p, a):
+    n = len(a)
+    acc = [[Fraction(0)] * n for _ in range(n)]
+    for c in reversed(p.coefficients):
+        acc = ref_matmul(acc, a)
+        for i in range(n):
+            acc[i][i] += c
+    return acc
+
+
+def view(m: ExactMatrix):
+    assert all(type(x) is Fraction for row in m.rows for x in row)
+    return [list(row) for row in m.rows]
+
+
+# -- representation ----------------------------------------------------------
+
+
+@SETTINGS
+@given(matrices())
+def test_representation_is_normalised(rows):
+    m = ExactMatrix.from_rows(rows)
+    assert m.den >= 1
+    assert math.gcd(m.den, *(x for row in m.num for x in row)) == 1
+    assert all(type(x) is int for row in m.num for x in row)
+    f = ref(rows)
+    assert view(m) == f
+    assert all(m.entry(i, j) == x for i, row in enumerate(f) for j, x in enumerate(row))
+    assert m.is_integer == all(x.denominator == 1 for row in f for x in row)
+    assert m.is_zero == all(x == 0 for row in rows for x in row)
+
+
+@SETTINGS
+@given(matrices())
+def test_equal_matrices_built_differently_agree_in_eq_and_hash(rows):
+    m = ExactMatrix.from_rows(rows)
+    n = m.n
+    same = [
+        ExactMatrix.from_rows([[str(Fraction(x)) for x in row] for row in rows]),
+        m.scale(6).scale(Fraction(1, 6)),
+        m + ExactMatrix.zeros(n),
+        ExactMatrix.identity(n) @ m,
+        m.transpose().transpose(),
+        -(-m),
+        (m.scale(Fraction(1, 4)) + m.scale(Fraction(3, 4))),
+        pickle.loads(pickle.dumps(m)),
+    ]
+    for other in same:
+        assert other == m
+        assert hash(other) == hash(m)
+    assert len({m, *same}) == 1
+    assert (m + ExactMatrix.identity(n)) != m
+
+
+# -- arithmetic --------------------------------------------------------------
+
+
+@SETTINGS
+@given(matrix_pairs())
+def test_binary_operations_match_fraction_reference(pair):
+    ra, rb = pair
+    a, b = ExactMatrix.from_rows(ra), ExactMatrix.from_rows(rb)
+    fa, fb = ref(ra), ref(rb)
+    assert view(a @ b) == ref_matmul(fa, fb)
+    assert view(a * b) == ref_matmul(fa, fb)
+    assert view(a + b) == [[x + y for x, y in zip(r, s)] for r, s in zip(fa, fb)]
+    assert view(a - b) == [[x - y for x, y in zip(r, s)] for r, s in zip(fa, fb)]
+    assert view(tensor_product(a, b)) == [
+        [x * y for x in r for y in s] for r in fa for s in fb
+    ]
+
+
+@SETTINGS
+@given(matrices(), rationals, st.lists(st.one_of(ints, rationals), min_size=6))
+def test_unary_operations_match_fraction_reference(rows, c, vec):
+    m = ExactMatrix.from_rows(rows)
+    f = ref(rows)
+    n = m.n
+    v = vec[:n]
+    assert view(-m) == [[-x for x in row] for row in f]
+    assert view(m.scale(c)) == [[c * x for x in row] for row in f]
+    assert view(m.transpose()) == [list(col) for col in zip(*f)]
+    assert m.trace() == sum(f[i][i] for i in range(n))
+    assert m.entry_abs_sum() == sum(abs(x) for row in f for x in row)
+    assert m.matvec(v) == tuple(
+        sum(x * Fraction(y) for x, y in zip(row, v)) for row in f
+    )
+    assert all(type(x) is Fraction for x in m.matvec(v))
+    for result in (m.trace(), m.entry_abs_sum()):
+        assert type(result) is Fraction
+
+
+@SETTINGS
+@given(matrices(), st.integers(0, 5))
+def test_powers_match_fraction_reference(rows, k):
+    m = ExactMatrix.from_rows(rows)
+    expected = ref_identity(m.n)
+    for _ in range(k):
+        expected = ref_matmul(expected, ref(rows))
+    assert view(m**k) == expected
+    if ref_det(ref(rows)) != 0:
+        inv = ref_inverse(ref(rows))
+        expected = ref_identity(m.n)
+        for _ in range(k):
+            expected = ref_matmul(expected, inv)
+        assert view(m**-k) == expected
+
+
+# -- elimination and polynomials ---------------------------------------------
+
+
+@SETTINGS
+@given(st.one_of(matrices(entries=ints), matrices()))
+def test_det_and_inverse_match_fraction_reference(rows):
+    m = ExactMatrix.from_rows(rows)
+    f = ref(rows)
+    det = m.det()
+    assert type(det) is Fraction
+    assert det == ref_det(f)
+    expected = ref_inverse(f)
+    if expected is None:
+        with pytest.raises(DomainError):
+            m.inverse()
+    else:
+        inv = m.inverse()
+        assert view(inv) == expected
+        assert inv @ m == ExactMatrix.identity(m.n)
+
+
+@SETTINGS
+@given(matrices(entries=st.integers(-3, 3), size=3))
+def test_singular_integer_matrices_keep_exact_types(rows):
+    # Rank-deficient inputs exercise the pivot search of both eliminations.
+    rows[2] = [x + y for x, y in zip(rows[0], rows[1])]
+    m = ExactMatrix.from_rows(rows)
+    assert type(m.det()) is Fraction and m.det() == 0
+    with pytest.raises(DomainError):
+        m.inverse()
+
+
+@SETTINGS
+@given(matrices(), st.integers(1, 3))
+def test_exterior_power_entries_are_minors(rows, k):
+    m = ExactMatrix.from_rows(rows)
+    if k > m.n:
+        return
+    subsets = list(itertools.combinations(range(m.n), k))
+    f = ref(rows)
+    expected = [
+        [ref_det([[f[i][j] for j in cset] for i in rset]) for cset in subsets]
+        for rset in subsets
+    ]
+    assert view(exterior_power(m, k)) == expected
+
+
+@SETTINGS
+@given(matrices())
+def test_char_and_min_poly_match_fraction_reference(rows):
+    m = ExactMatrix.from_rows(rows)
+    f = ref(rows)
+    n = m.n
+    p = char_poly(m)
+    assert p.degree == n and p.leading == 1
+    # det(xI - M) at n + 1 points determines a monic degree-n polynomial.
+    for x in range(n + 1):
+        shifted = [[x * (i == j) - f[i][j] for j in range(n)] for i in range(n)]
+        assert p(Fraction(x)) == ref_det(shifted)
+    q = min_poly(m)
+    assert q.leading == 1
+    assert all(type(c) is Fraction for c in q.coefficients)
+    assert q.degree == ref_min_poly_degree(f)
+    assert all(x == 0 for row in eval_poly_at_matrix(q, f) for x in row)
+    assert divmod(p, q)[1].is_zero

@@ -8,8 +8,10 @@ from fractions import Fraction
 import pytest
 
 from catentropy.corpus import random_quasi_unipotent, random_unimodular
+from catentropy import exact_linalg
 from catentropy.errors import (
     DomainError,
+    InternalInconsistency,
     NilpotentInput,
     NonIntegerEntries,
     PrecisionExhausted,
@@ -263,6 +265,36 @@ def test_quasi_unipotent_order_examples():
     assert quasi_unipotent_order(M([[0, -1], [1, 0]])) == 4
     assert quasi_unipotent_order(M([[1, 1], [0, 1]])) == 1
     assert quasi_unipotent_order(M([[2, 1], [1, 1]])) is None
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [[[1, 1], [1, 0]], [[2, 1], [1, 0]], [[3, 1], [1, 0]], [[2, 1], [1, 1]]],
+)
+def test_rho_interval_contains_quadratic_root_exactly(rows):
+    # rho is the larger root of the char poly x^2 - t*x + d, which
+    # increases beyond t/2: the interval contains rho iff both ends lie
+    # above t/2 and p(lo) <= 0 <= p(hi), decided in rationals.
+    m = M(rows)
+    lo, hi = growth_signature(m).rho_interval
+    p = char_poly(m)
+    assert m.trace() / 2 < lo <= hi
+    assert p(lo) <= 0 <= p(hi)
+
+
+def test_quasi_unipotent_order_wrong_order_is_internal_inconsistency(monkeypatch):
+    monkeypatch.setattr(exact_linalg, "nilpotency_index", lambda m: None)
+    with pytest.raises(InternalInconsistency):
+        quasi_unipotent_order(M([[0, -1], [1, 0]]))
+
+
+@pytest.mark.parametrize("fake_index", [None, 3])
+def test_growth_fast_path_disagreement_is_internal_inconsistency(
+    monkeypatch, fake_index
+):
+    monkeypatch.setattr(exact_linalg, "nilpotency_index", lambda m: fake_index)
+    with pytest.raises(InternalInconsistency):
+        growth_signature(M([[1, 1], [0, 1]]))
 
 
 def test_quasi_unipotent_order_rejects_rationals():
