@@ -13,6 +13,7 @@ Euler-form dynamics of acyclic quivers (`quiver_hereditary`).
 from .errors import (
     AllPairingsDegenerate,
     CatEntropyError,
+    CatEntropyWarning,
     DimensionMismatch,
     DomainError,
     InternalInconsistency,

@@ -9,11 +9,13 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from fractions import Fraction
 
 from . import exact_linalg, jsonio
 from .errors import (
     CatEntropyError,
+    CatEntropyWarning,
     DomainError,
     InternalInconsistency,
     ParseError,
@@ -179,18 +181,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_growth(args, warnings: list[str]) -> tuple[dict, object]:
+def _cmd_growth(args, messages: list[str]) -> tuple[dict, object]:
     m, payload = jsonio.parse_matrix_text(_read_input(args.matrix))
-    sig = growth_signature(m)
-    if sig.tied:
-        warnings.append(
-            "root moduli stayed inseparable at the precision cap; "
-            "the reported exponent is the conservative larger value"
-        )
-    return jsonio.serialize_growth(sig), payload
+    return jsonio.serialize_growth(growth_signature(m)), payload
 
 
-def _cmd_classify(args, warnings: list[str]) -> tuple[dict, object]:
+def _cmd_classify(args, messages: list[str]) -> tuple[dict, object]:
     context = Context(args.context)
     word = parse_word(args.tokens, context)
     report = trichotomy_report(word)
@@ -203,25 +199,25 @@ def _cmd_classify(args, warnings: list[str]) -> tuple[dict, object]:
     return jsonio.serialize_trichotomy(report, crosscheck), payload
 
 
-def _cmd_endo(args, warnings: list[str]) -> tuple[dict, object]:
+def _cmd_endo(args, messages: list[str]) -> tuple[dict, object]:
     endo, payload = jsonio.parse_endo_text(_read_input(args.endo))
-    warnings.extend(validate_geometric(endo))
+    messages.extend(validate_geometric(endo))
     rep = pullback_entropy_report(endo)
     kuenneth = kuenneth_self_product(endo) if args.kuenneth else None
     return jsonio.serialize_endo_report(rep, kuenneth), payload
 
 
-def _cmd_linebundle(args, warnings: list[str]) -> tuple[dict, object]:
+def _cmd_linebundle(args, messages: list[str]) -> tuple[dict, object]:
     lb, payload = jsonio.parse_linebundle_text(_read_input(args.linebundle))
     rep = line_bundle_report(lb)
     if rep.h_pol_exact is None:
-        warnings.append(
+        messages.append(
             "no positivity flag: only the bounds [nu, dim] are certified"
         )
     return jsonio.serialize_linebundle_report(rep), payload
 
 
-def _cmd_twist(args, warnings: list[str]) -> tuple[dict, object]:
+def _cmd_twist(args, messages: list[str]) -> tuple[dict, object]:
     params = TwistParams(
         kind=TwistKind(args.kind),
         d=args.d,
@@ -249,7 +245,7 @@ def _cmd_twist(args, warnings: list[str]) -> tuple[dict, object]:
     return jsonio.serialize_twist_report(rep, bound, rec, args.n), payload
 
 
-def _cmd_quiver(args, warnings: list[str]) -> tuple[dict, object]:
+def _cmd_quiver(args, messages: list[str]) -> tuple[dict, object]:
     quiver, payload = jsonio.parse_quiver_text(_read_input(args.quiver))
     lattice = euler_form(quiver)
     if args.isometry:
@@ -267,13 +263,13 @@ def _cmd_quiver(args, warnings: list[str]) -> tuple[dict, object]:
     return results, payload
 
 
-def _cmd_estimate(args, warnings: list[str]) -> tuple[dict, object]:
+def _cmd_estimate(args, messages: list[str]) -> tuple[dict, object]:
     seq, payload = jsonio.parse_sequence_text(_read_input(args.sequence))
     est = fit_growth(
         seq, n_lo=args.n_lo, n_hi=args.n_hi, drop_head_fraction=args.drop_head
     )
     if est.residual > 0.1:
-        warnings.append(
+        messages.append(
             "residual %.3f exceeds 0.1: a single regression cannot separate "
             "upper from lower growth here" % est.residual
         )
@@ -321,9 +317,9 @@ def _run(args, out) -> int:
         )
         return EXIT_SELFTEST if rc else EXIT_OK
 
-    warnings: list[str] = []
+    messages: list[str] = []
     try:
-        results, payload = _COMMANDS[args.cmd](args, warnings)
+        results, payload = _run_command(args, messages)
     except ParseError as exc:
         sys.stderr.write("parse error: %s\n" % exc)
         return EXIT_PARSE
@@ -336,9 +332,25 @@ def _run(args, out) -> int:
     except CatEntropyError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return EXIT_DOMAIN
-    env = jsonio.envelope(args.cmd, payload, results, warnings)
+    env = jsonio.envelope(args.cmd, payload, results, messages)
     _print_envelope(env, args.json, out)
     return EXIT_OK
+
+
+def _run_command(args, messages: list[str]) -> tuple[dict, object]:
+    """Run one subcommand; each distinct CatEntropyWarning joins ``messages``."""
+    show = warnings.showwarning
+
+    def record(message, category, *rest):
+        if not issubclass(category, CatEntropyWarning):
+            show(message, category, *rest)
+        elif str(message) not in messages:
+            messages.append(str(message))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("always", CatEntropyWarning)
+        warnings.showwarning = record
+        return _COMMANDS[args.cmd](args, messages)
 
 
 if __name__ == "__main__":

@@ -33,7 +33,12 @@ class PrecisionExhausted(DomainError):
         self.classes = classes
 
 
-class TiedModuli(UserWarning):
+class CatEntropyWarning(UserWarning):
+    """Base class for library warnings; the CLI copies each one into the
+    envelope's ``warnings``."""
+
+
+class TiedModuli(CatEntropyWarning):
     """Distinct-looking root moduli stayed inseparable at the precision cap;
     the conservative (larger) growth exponent was reported."""
 

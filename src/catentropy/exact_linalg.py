@@ -692,47 +692,6 @@ def nilpotency_index(m: ExactMatrix) -> Optional[int]:
     return None
 
 
-def _cyclotomic_order(
-    parts: Sequence[tuple[ExactPoly, int]], n: int
-) -> Optional[int]:
-    """The lcm of the orders d whose cyclotomic polynomials divide the
-    product of the squarefree parts of an n x n matrix's min poly, when
-    those polynomials exhaust it; None otherwise.
-
-    Candidate orders are exactly those with phi(d) <= n (so d <= 2 n^2);
-    the lcm can exceed that per-order bound when several orders combine.
-    """
-    rest = ExactPoly.one()
-    for h, _ in parts:
-        rest = rest * h
-    k = 1
-    for d in range(1, 2 * n * n + 1):
-        if rest.degree == 0:
-            break
-        if euler_phi(d) > n:
-            continue
-        phi_d = cyclotomic_poly(d)
-        if phi_d.degree > rest.degree:
-            continue
-        q, r = divmod(rest, phi_d)
-        if r.is_zero:
-            rest = q
-            k = k * d // math.gcd(k, d)
-    return k if rest.degree == 0 else None
-
-
-def quasi_unipotent_order(m: ExactMatrix) -> Optional[int]:
-    """Smallest k with (M^k - I) nilpotent, or None."""
-    if not m.is_integer:
-        raise NonIntegerEntries("quasi-unipotence search needs integer entries")
-    k = _cyclotomic_order(squarefree_decomposition(min_poly(m)), m.n)
-    if k is not None and nilpotency_index(m**k - ExactMatrix.identity(m.n)) is None:
-        raise InternalInconsistency(
-            "cyclotomic factor search produced a wrong order"
-        )
-    return k
-
-
 # ---------------------------------------------------------------------------
 # Certified root moduli
 # ---------------------------------------------------------------------------
@@ -765,6 +724,7 @@ class _RootBox:
     mod_lo: Fraction
     mod_hi: Fraction
     exact_sq: Optional[Fraction]  # modulus squared, when exactly known
+    order: Optional[int] = None   # order as a root of unity, when it is one
 
 
 def _eval_mp(h: ExactPoly, z):
@@ -889,15 +849,21 @@ def _sqrt_interval(m2: Fraction, width: Fraction) -> tuple[Fraction, Fraction]:
     return Fraction(t, scale), Fraction(t + 2, scale)
 
 
+def _rational_box(r: Fraction, part: int) -> _RootBox:
+    order = 1 if r == 1 else 2 if r == -1 else None
+    return _RootBox(complex(float(r), 0.0), part, abs(r), abs(r), r * r, order)
+
+
 def _exact_roots_of_part(h: ExactPoly, part: int) -> tuple[list[_RootBox], ExactPoly]:
     """Split off roots whose modulus is exactly computable: rational roots,
     roots of cyclotomic factors (modulus 1), and complex quadratic pairs
-    (modulus squared equals the constant term)."""
+    (modulus squared equals the constant term).  Each box records its order
+    as a root of unity: 1 for the root 1, 2 for -1, d for a root of Phi_d."""
     boxes = []
     rest = h.monic()
     for r in _integer_roots(rest):
         rest = _deflate_root(rest, r)
-        boxes.append(_RootBox(complex(float(r), 0.0), part, abs(r), abs(r), r * r))
+        boxes.append(_rational_box(r, part))
     deg0 = rest.degree
     if deg0 >= 1:
         for d in range(1, 2 * deg0 * deg0 + 2):
@@ -915,11 +881,10 @@ def _exact_roots_of_part(h: ExactPoly, part: int) -> tuple[list[_RootBox], Exact
                     if math.gcd(j, d) == 1:
                         z = cmath.exp(2j * cmath.pi * j / d)
                         boxes.append(
-                            _RootBox(z, part, Fraction(1), Fraction(1), Fraction(1))
+                            _RootBox(z, part, Fraction(1), Fraction(1), Fraction(1), d)
                         )
     if rest.degree == 1:
-        r = -rest[0] / rest[1]
-        boxes.append(_RootBox(complex(float(r), 0.0), part, abs(r), abs(r), r * r))
+        boxes.append(_rational_box(-rest[0] / rest[1], part))
         rest = ExactPoly.one()
     elif rest.degree == 2:
         b, c = rest[1], rest[0]
@@ -1078,18 +1043,11 @@ def _merge_overlapping(classes: list[_ModClass]) -> list[_ModClass]:
     return merged
 
 
-def _modulus_classes(
+def _split_roots(
     parts: Sequence[tuple[ExactPoly, int]],
-    width: Fraction,
-    start_bits: int = START_BITS,
-    max_bits: int = MAX_BITS,
-) -> tuple[list[_ModClass], bool]:
-    """Group all roots of the given coprime squarefree parts into classes of
-    equal modulus with certified rational intervals, pairwise disjoint.
-
-    Returns (classes, hit_cap).  When the escalation cap is reached,
-    still-overlapping classes are merged pessimistically and flagged.
-    """
+) -> tuple[list[_RootBox], list[tuple[int, ExactPoly]]]:
+    """The exact root boxes of all squarefree parts, and the (part index,
+    remaining factor) pairs whose roots need numeric isolation."""
     exact_boxes: list[_RootBox] = []
     numeric_parts: list[tuple[int, ExactPoly]] = []
     for idx, (h, _) in enumerate(parts):
@@ -1097,7 +1055,22 @@ def _modulus_classes(
         exact_boxes.extend(boxes)
         if rest.degree >= 1:
             numeric_parts.append((idx, rest))
+    return exact_boxes, numeric_parts
 
+
+def _modulus_classes(
+    exact_boxes: list[_RootBox],
+    numeric_parts: list[tuple[int, ExactPoly]],
+    width: Fraction,
+    start_bits: int = START_BITS,
+    max_bits: int = MAX_BITS,
+) -> tuple[list[_ModClass], bool]:
+    """Group the roots split by ``_split_roots`` into classes of equal
+    modulus with certified rational intervals, pairwise disjoint.
+
+    Returns (classes, hit_cap).  When the escalation cap is reached,
+    still-overlapping classes are merged pessimistically and flagged.
+    """
     neg_pairs_poly = ExactPoly.one()
     if numeric_parts:
         radical = ExactPoly.one()
@@ -1149,7 +1122,7 @@ def root_moduli(
     width = Fraction(1, 2**precision)
     start = max(START_BITS, precision + 48)
     classes, hit_cap = _modulus_classes(
-        [(h, 1)], width, start_bits=start, max_bits=max(MAX_BITS, start * 2)
+        *_split_roots([(h, 1)]), width, start, max(MAX_BITS, start * 2)
     )
     if hit_cap:
         raise PrecisionExhausted(
@@ -1162,6 +1135,35 @@ def root_moduli(
             out.append((z, (cls.lo, cls.hi)))
     out.sort(key=lambda item: (item[1][0], item[0].real, item[0].imag))
     return out
+
+
+def _quasi_unipotent_k(
+    m: ExactMatrix,
+    parts: Sequence[tuple[ExactPoly, int]],
+    exact_boxes: list[_RootBox],
+    numeric_parts: list[tuple[int, ExactPoly]],
+) -> Optional[int]:
+    """For an integer matrix whose roots all split off exactly as roots of
+    unity, the lcm of their orders; else None.  The nilpotency check is the
+    only test of k and s (= largest multiplicity - 1) off the root split."""
+    orders = [box.order for box in exact_boxes]
+    if not m.is_integer or numeric_parts or None in orders:
+        return None
+    k = math.lcm(*orders)
+    idx = nilpotency_index(m**k - ExactMatrix.identity(m.n))
+    if idx != max(mult for _, mult in parts):
+        raise InternalInconsistency(
+            "M^k - I has nilpotency index %s at k = %d, not s + 1" % (idx, k)
+        )
+    return k
+
+
+def quasi_unipotent_order(m: ExactMatrix) -> Optional[int]:
+    """Smallest k with (M^k - I) nilpotent, or None."""
+    if not m.is_integer:
+        raise NonIntegerEntries("quasi-unipotence search needs integer entries")
+    parts = squarefree_decomposition(min_poly(m))
+    return _quasi_unipotent_k(m, parts, *_split_roots(parts))
 
 
 # ---------------------------------------------------------------------------
@@ -1216,8 +1218,8 @@ def growth_signature(
 
     rho is the maximal root modulus of the minimal polynomial; s is one
     less than the largest multiplicity among squarefree parts attaining it.
-    Integer quasi-unipotent matrices short-circuit: rho = 1 exactly and
-    s = nilpotency_index(M^k - I) - 1 for the quasi-unipotence order k.
+    Every matrix takes this one route; the quasi-unipotence order k is read
+    off the exact root split and checked by nilpotency_index(M^k - I) = s + 1.
     """
     if tolerance is None:
         tolerance = DEFAULTS["tolerance"]
@@ -1228,37 +1230,18 @@ def growth_signature(
     if len(parts) == 1 and _is_power_of_x(parts[0][0]):
         raise NilpotentInput("growth data is undefined for nilpotent matrices")
 
-    if m.is_integer:
-        k = _cyclotomic_order(parts, m.n)
-        if k is not None:
-            idx = nilpotency_index(m**k - ExactMatrix.identity(m.n))
-            if idx is None:
-                raise InternalInconsistency(
-                    "cyclotomic factor search produced a wrong order"
-                )
-            s = idx - 1
-            if s != max(mult for _, mult in parts) - 1:
-                raise InternalInconsistency(
-                    "quasi-unipotent fast path disagrees with min-poly multiplicities"
-                )
-            return GrowthSignature(
-                rho_interval=(Fraction(1), Fraction(1)),
-                rho_float=1.0,
-                rho_exact=Fraction(1),
-                s=s,
-                dominant_factors=tuple(parts),
-                quasi_unipotent_k=k,
-            )
-
+    exact_boxes, numeric_parts = _split_roots(parts)
     width = tolerance if isinstance(tolerance, Fraction) else Fraction(tolerance)
-    classes, hit_cap = _modulus_classes(parts, width, max_bits=max_bits)
+    classes, hit_cap = _modulus_classes(
+        exact_boxes, numeric_parts, width, max_bits=max_bits
+    )
 
     top = max(classes, key=lambda c: c.lo)
     tied = top.merged_at_cap
     if tied:
         warnings.warn(
-            "root moduli inseparable at the precision cap; reporting the "
-            "conservative larger growth exponent",
+            "root moduli stayed inseparable at the precision cap; "
+            "the reported exponent is the conservative larger value",
             TiedModuli,
         )
 
@@ -1291,6 +1274,7 @@ def growth_signature(
         s=s,
         dominant_factors=dom_factors,
         tied=tied,
+        quasi_unipotent_k=_quasi_unipotent_k(m, parts, exact_boxes, numeric_parts),
     )
 
 

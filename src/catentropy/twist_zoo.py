@@ -18,7 +18,7 @@ from typing import Optional
 
 import mpmath
 
-from .errors import DomainError
+from .errors import CatEntropyWarning, DomainError
 
 
 class TwistKind(Enum):
@@ -55,7 +55,8 @@ class TwistParams:
         if self.t != 0.0 and abs(self.t) < T_SNAP:
             warnings.warn(
                 "t = %g is within %g of 0; using the t = 0 branch"
-                % (self.t, T_SNAP)
+                % (self.t, T_SNAP),
+                CatEntropyWarning,
             )
             return 0.0
         return self.t

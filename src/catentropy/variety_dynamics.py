@@ -90,11 +90,6 @@ class DegreeTable:
         return tuple(sig.s for sig in self.signatures)
 
 
-def _interval_leq(a: GrowthSignature, b: GrowthSignature) -> bool:
-    """a <= b up to certified-interval resolution (overlap means equal)."""
-    return a.rho_interval[0] <= b.rho_interval[1]
-
-
 def _interval_eq(a: GrowthSignature, b: GrowthSignature) -> bool:
     return (
         a.rho_interval[0] <= b.rho_interval[1]
@@ -106,11 +101,15 @@ def degree_table(e: EndoAction) -> DegreeTable:
     """Growth signature per codimension; the plateau is the index range of
     maximal degree (an interval for any geometric input)."""
     sigs = tuple(growth_signature(m) for m in e.actions)
-    max_lo = max(sig.rho_interval[0] for sig in sigs)
-    argmax = [
-        p for p, sig in enumerate(sigs) if sig.rho_interval[1] >= max_lo
-    ]
+    argmax = _argmax_degrees(sigs)
     return DegreeTable(sigs, (min(argmax), max(argmax)))
+
+
+def _argmax_degrees(sigs: Sequence[GrowthSignature]) -> list[int]:
+    """Indices whose degree interval reaches the largest lower end: the
+    codimensions of maximal degree up to certified-interval resolution."""
+    max_lo = max(sig.rho_interval[0] for sig in sigs)
+    return [p for p, sig in enumerate(sigs) if sig.rho_interval[1] >= max_lo]
 
 
 def validate_geometric(e: EndoAction) -> list[str]:
@@ -135,11 +134,7 @@ def validate_geometric(e: EndoAction) -> list[str]:
                 "concavity of the polynomial degrees fails on the plateau "
                 "at p = %d" % p
             )
-    argmax = [
-        p
-        for p, sig in enumerate(table.signatures)
-        if sig.rho_interval[1] >= max(x.rho_interval[0] for x in table.signatures)
-    ]
+    argmax = _argmax_degrees(table.signatures)
     if argmax != list(range(min(argmax), max(argmax) + 1)):
         warnings.append("maximal degree is not attained on a contiguous range")
     return warnings

@@ -66,7 +66,7 @@ def test_growth_accepts_rational_strings(tmp_path):
 
 
 def test_growth_internal_inconsistency_exits_4(tmp_path, monkeypatch, capsys):
-    # Force the quasi-unipotent fast path to disagree with the min poly.
+    # Force the M^k - I cross-check to disagree with the min poly.
     monkeypatch.setattr(exact_linalg, "nilpotency_index", lambda m: 3)
     path = tmp_path / "m.json"
     path.write_text('{"rows": [[1, 1], [0, 1]]}')

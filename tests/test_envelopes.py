@@ -1,0 +1,217 @@
+"""Golden ``--json`` envelopes, one input per route through the growth
+pipeline: a root of unity, an integer root, numerically isolated roots, a
+rational quasi-unipotent matrix, a singular matrix with a rotation block
+and a modulus tie at the precision cap; plus ``endo --kuenneth`` and
+``quiver`` on the 3-Kronecker quiver.  Then the envelope's ``warnings``
+for library warnings raised outside ``growth``.
+
+A refactor of the exact pipeline must keep these bytes unchanged.  Each
+command runs in-process with the default ``--tol`` and ``--precision``.
+"""
+
+from __future__ import annotations
+
+import io
+import json
+
+import pytest
+
+from catentropy.cli import main
+
+#: C(x^2 - 2x - 1) + C(x^4 + 6x^2 + 1): the moduli tie at 1 + sqrt(2).
+TIED_ACTION = [
+    [0, 1, 0, 0, 0, 0], [1, 2, 0, 0, 0, 0], [0, 0, 0, 0, 0, -1],
+    [0, 0, 1, 0, 0, 0], [0, 0, 0, 1, 0, -6], [0, 0, 0, 0, 1, 0],
+]
+
+CASES = [
+    (
+        "growth-root-of-unity",
+        ["growth"],
+        {"rows": [[0, -1], [1, 0]]},
+        (
+            '{"command":"growth",'
+            '"inputs_digest":"fd82fa657722e264fea4b519076984a0b1c5d4ada36469251249d9e81ad132f5",'
+            '"results":{"dominant_factors":[{"factor":"x^2 + 1",'
+            '"multiplicity":1}],"quasi_unipotent_order":4,"rho":1,'
+            '"rho_exact":"1","rho_interval":["1","1"],"s":0,'
+            '"tied_moduli":false},"version":"0.1.0","warnings":[]}'
+        ),
+    ),
+    (
+        "growth-integer-root",
+        ["growth"],
+        {"rows": [[1, 1], [0, 1]]},
+        (
+            '{"command":"growth",'
+            '"inputs_digest":"0226e53aee4925d78c2847e9d193220abd1183d9ed3496f224e7297647fb256a",'
+            '"results":{"dominant_factors":[{"factor":"x - 1",'
+            '"multiplicity":2}],"quasi_unipotent_order":1,"rho":1,'
+            '"rho_exact":"1","rho_interval":["1","1"],"s":1,'
+            '"tied_moduli":false},"version":"0.1.0","warnings":[]}'
+        ),
+    ),
+    (
+        "growth-numeric",
+        ["growth"],
+        {"rows": [[2, 1], [1, 1]]},
+        (
+            '{"command":"growth",'
+            '"inputs_digest":"bd0ac3c0ca442811266cd8ab024b77897fa3351f892110576ee6ee7444b3f5d9",'
+            '"results":{"dominant_factors":[{"factor":"x^2 - 3*x + 1",'
+            '"multiplicity":1}],"quasi_unipotent_order":null,'
+            '"rho":2.61803398875,"rho_exact":{"modulus_rank":0,'
+            '"root_of":"x^2 - 3*x + 1"},'
+            '"rho_interval":["40906781074217107/15625000000000000",'
+            '"2618033988749894903/1000000000000000000"],"s":0,'
+            '"tied_moduli":false},"version":"0.1.0","warnings":[]}'
+        ),
+    ),
+    (
+        "growth-rational-quasi-unipotent",
+        ["growth"],
+        {"rows": [[0, -2], ["1/2", 0]]},
+        (
+            '{"command":"growth",'
+            '"inputs_digest":"695e67c6037078bad4b07e134c25e1578cafd6c94ae0eb10105442b3f809c9ab",'
+            '"results":{"dominant_factors":[{"factor":"x^2 + 1",'
+            '"multiplicity":1}],"quasi_unipotent_order":null,"rho":1,'
+            '"rho_exact":"1","rho_interval":["1","1"],"s":0,'
+            '"tied_moduli":false},"version":"0.1.0","warnings":[]}'
+        ),
+    ),
+    (
+        "growth-singular-rotation",
+        ["growth"],
+        {"rows": [[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]},
+        (
+            '{"command":"growth",'
+            '"inputs_digest":"98422e87421dcbd0725db82a74129bbc19568094d517f180a79cecb8a3cb0076",'
+            '"results":{"dominant_factors":[{"factor":"x^2 + 1",'
+            '"multiplicity":1}],"quasi_unipotent_order":null,"rho":1,'
+            '"rho_exact":"1","rho_interval":["1","1"],"s":0,'
+            '"tied_moduli":false},"version":"0.1.0","warnings":[]}'
+        ),
+    ),
+    (
+        "growth-tie",
+        ["growth"],
+        {"rows": TIED_ACTION},
+        (
+            '{"command":"growth",'
+            '"inputs_digest":"6f523ebc29ec3944bc2c5c8d57dae44bbb1a6ecd09e7b443776a5ff8ef1cfed0",'
+            '"results":{"dominant_factors":[{"factor":"x^6 - 2*x^5 + 5*x^4 - 12*x^3 - 5*x^2 - 2*x - 1",'
+            '"multiplicity":1}],"quasi_unipotent_order":null,'
+            '"rho":2.41421356237,"rho_exact":null,'
+            '"rho_interval":["2414213562373094923/1000000000000000000",'
+            '"2414213562373095049/1000000000000000000"],"s":0,'
+            '"tied_moduli":true},"version":"0.1.0",'
+            '"warnings":["root moduli stayed inseparable at the precision cap; the reported exponent is the conservative larger value"]}'
+        ),
+    ),
+    (
+        "endo-kuenneth",
+        ["endo", "--kuenneth"],
+        {"dim": 2, "actions": {"0": [[1]], "1": [[2, 1], [1, 1]], "2": [[1]]}},
+        (
+            '{"command":"endo",'
+            '"inputs_digest":"e8c1dc68ddf0bb040e780e6eef820989ef30b9f442bdbadc9d1c1d88700280ea",'
+            '"results":{"degrees":{"d_p":[1,2.61803398875,1],'
+            '"per_codimension":[{"dominant_factors":[{"factor":"x - 1",'
+            '"multiplicity":1}],"quasi_unipotent_order":1,"rho":1,'
+            '"rho_exact":"1","rho_interval":["1","1"],"s":0,'
+            '"tied_moduli":false},'
+            '{"dominant_factors":[{"factor":"x^2 - 3*x + 1","multiplicity":1}],'
+            '"quasi_unipotent_order":null,"rho":2.61803398875,'
+            '"rho_exact":{"modulus_rank":0,"root_of":"x^2 - 3*x + 1"},'
+            '"rho_interval":["40906781074217107/15625000000000000",'
+            '"2618033988749894903/1000000000000000000"],"s":0,'
+            '"tied_moduli":false},{"dominant_factors":[{"factor":"x - 1",'
+            '"multiplicity":1}],"quasi_unipotent_order":1,"rho":1,'
+            '"rho_exact":"1","rho_interval":["1","1"],"s":0,'
+            '"tied_moduli":false}],"plateau":[1,1],"s_p":[0,0,0]},'
+            '"h_cat":0.962423650119,"h_pol":0,'
+            '"joint_action":{"dominant_factors":[{"factor":"x^3 - 4*x^2 + 4*x - 1",'
+            '"multiplicity":1}],"quasi_unipotent_order":null,'
+            '"rho":2.61803398875,"rho_exact":{"modulus_rank":0,'
+            '"root_of":"x^3 - 4*x^2 + 4*x - 1"},'
+            '"rho_interval":["40906781074217107/15625000000000000",'
+            '"2618033988749894903/1000000000000000000"],"s":0,'
+            '"tied_moduli":false},"self_product":{"consistent":true,'
+            '"degree_mismatches":[],"s_mismatches":[]}},"version":"0.1.0",'
+            '"warnings":[]}'
+        ),
+    ),
+    (
+        "quiver-kronecker-3",
+        ["quiver"],
+        {"vertices": 2, "arrows": [[1, 2], [1, 2], [1, 2]]},
+        (
+            '{"command":"quiver",'
+            '"inputs_digest":"bb7ae1b9b8b1a7d6cc8915221d3e65775772690790117f81e2cb1a000628c3ba",'
+            '"results":{"gram":[["1","-3"],["0","1"]],"isometry":[["-1","3"],'
+            '["-3","8"]],"report":{"crosscheck":{"residual":3.2568505782e-13,'
+            '"rho_hat":6.85410196625,"s_hat":-5.07482944556e-13,"window":[84,'
+            '332]},"crosscheck_consistent":true,"h_cat":1.92484730024,'
+            '"h_pol":0,'
+            '"mass_growth_note":"the same values give the mass growth data whenever a numerical stability condition exists; that hypothesis is not verified here",'
+            '"signature":{"dominant_factors":[{"factor":"x^2 - 7*x + 1",'
+            '"multiplicity":1}],"quasi_unipotent_order":null,'
+            '"rho":6.85410196625,"rho_exact":{"modulus_rank":0,'
+            '"root_of":"x^2 - 7*x + 1"},'
+            '"rho_interval":["107095343222651321/15625000000000000",'
+            '"1713525491562421177/250000000000000000"],"s":0,'
+            '"tied_moduli":false},"skipped_pairs":[],'
+            '"used_pair_sum_fallback":false}},"version":"0.1.0","warnings":[]}'
+        ),
+    ),
+]
+
+
+def run_json(tmp_path, command, doc=None):
+    """Exit code and stdout of ``--json`` *command*, reading *doc* from a file."""
+    args = list(command)
+    if doc is not None:
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(doc))
+        args.insert(1, str(path))
+    buf = io.StringIO()
+    return main(["--json", *args], stdout=buf), buf.getvalue()
+
+
+@pytest.mark.parametrize(
+    "command, doc, expected", [c[1:] for c in CASES], ids=[c[0] for c in CASES]
+)
+def test_envelope_is_pinned(tmp_path, command, doc, expected):
+    assert run_json(tmp_path, command, doc) == (0, expected + "\n")
+
+
+def test_twist_snap_warning_in_envelope_once(tmp_path, capsys):
+    code, out = run_json(
+        tmp_path,
+        ["twist", "--kind", "spherical", "--d", "2",
+         "--t", "1e-15", "--A", "1", "--B", "1", "--n", "10"],
+    )
+    assert code == 0
+    assert json.loads(out)["warnings"] == [
+        "t = 1e-15 is within 1e-12 of 0; using the t = 0 branch"
+    ]
+    assert capsys.readouterr().err == ""
+
+
+def test_endo_tied_moduli_warning_in_envelope_once(tmp_path, capsys):
+    # validate_geometric and the entropy report each build the degree
+    # table, and the joint action ties too; the warning appears once.
+    code, out = run_json(
+        tmp_path,
+        ["endo"],
+        {"dim": 2, "actions": {"0": [[1]], "1": TIED_ACTION, "2": [[1]]}},
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["results"]["degrees"]["per_codimension"][1]["tied_moduli"] is True
+    assert doc["warnings"] == [
+        "root moduli stayed inseparable at the precision cap; "
+        "the reported exponent is the conservative larger value"
+    ]
+    assert capsys.readouterr().err == ""
