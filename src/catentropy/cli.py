@@ -8,6 +8,8 @@ that is byte-identical across runs on the same canonical input.
 from __future__ import annotations
 
 import argparse
+import math
+import re
 import sys
 import warnings
 from fractions import Fraction
@@ -102,8 +104,52 @@ def _scalar(value) -> str:
     return str(value)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reads every negative number, exponent
+    notation included, as a value: argparse's own pattern misses
+    ``-1e-14`` and takes it for an option flag."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$"
+        )
+
+
+def _tolerance(text: str) -> Fraction:
+    """``--tol``: a positive finite width, as a fraction with denominator
+    at most 10**24."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("not a number: %r" % text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            "must be a positive finite number, got %r" % text
+        )
+    width = Fraction(value).limit_denominator(10**24)
+    if width == 0:
+        raise argparse.ArgumentTypeError(
+            "%r rounds to 0 at denominators up to 10**24" % text
+        )
+    return width
+
+
+def _bits(text: str) -> int:
+    """``--precision``: a positive number of bits."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("not an integer: %r" % text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(
+            "must be a positive number of bits, got %r" % text
+        )
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="catentropy",
         description=(
             "Exact growth invariants of categorical and algebraic dynamical "
@@ -115,15 +161,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--tol",
-        type=float,
-        default=1e-12,
+        type=_tolerance,
+        default="1e-12",
         help="width cap for certified spectral-radius intervals",
     )
     parser.add_argument(
         "--precision",
-        type=int,
+        type=_bits,
         default=MAX_BITS,
-        help="escalation cap (bits) for root-modulus separation",
+        help="escalation cap (bits) for root-modulus separation; below 64 reads as 64",
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
 
@@ -298,9 +344,7 @@ def main(argv=None, stdout=None) -> int:
     # The precision knobs apply to every certified-interval computation of
     # this call only; the command layer is single-threaded.
     saved = dict(exact_linalg.DEFAULTS)
-    exact_linalg.DEFAULTS["tolerance"] = Fraction(args.tol).limit_denominator(
-        10**24
-    )
+    exact_linalg.DEFAULTS["tolerance"] = args.tol
     exact_linalg.DEFAULTS["max_bits"] = max(64, args.precision)
     try:
         return _run(args, out)

@@ -15,7 +15,8 @@ and minimal polynomials run on Python ints (fraction-free elimination,
 exact integer division).  ``fractions.Fraction`` appears only at the
 edges: matrix entries read out through ``rows`` and ``entry``, and the
 coefficients of ``ExactPoly``.  Floating point only appears in reported
-approximations, never in the decision path.
+approximations and in the start points of the root iteration, never in
+the decision path.
 """
 
 from __future__ import annotations
@@ -727,26 +728,85 @@ class _RootBox:
     order: Optional[int] = None   # order as a root of unity, when it is one
 
 
-def _eval_mp(h: ExactPoly, z):
+def _mp_coefficients(h: ExactPoly) -> list:
+    """Coefficients of h, highest degree first, as mpmath floats at the
+    current working precision."""
+    return [
+        mpmath.mpf(c.numerator) / mpmath.mpf(c.denominator)
+        for c in reversed(h.coefficients)
+    ]
+
+
+def _eval_mp(coeffs: list, z):
+    """Horner evaluation of ``_mp_coefficients`` output at z."""
     acc = mpmath.mpc(0)
-    for c in reversed(h.coefficients):
-        acc = acc * z + mpmath.mpf(c.numerator) / mpmath.mpf(c.denominator)
+    for c in coeffs:
+        acc = acc * z + c
     return acc
 
 
-def _isolate_numeric(h: ExactPoly, bits: int) -> list[tuple]:
+#: Iteration cap of the machine-precision start-point search.
+_MACHINE_STEPS = 100
+
+
+def _machine_roots(h: ExactPoly) -> Optional[list[complex]]:
+    """Start points for the certified root iteration: a short Durand-Kerner
+    loop on h in machine-precision complex arithmetic.  None when its
+    coefficients or iterates leave the float range, or h is constant.  The
+    points are only a starting guess; nothing is decided from them."""
+    n = h.degree
+    if n < 1:
+        return None
+    try:
+        coeffs = [complex(float(c / h.leading)) for c in reversed(h.coefficients)]
+    except OverflowError:
+        return None
+    # Start on the circle whose radius is the geometric mean of the root
+    # moduli: from the unit circle, the first steps on a polynomial with
+    # large roots overflow the float range.
+    radius = abs(coeffs[-1]) ** (1 / n) or 1.0
+    roots = [radius * cmath.exp(1j * (2 * math.pi * k / n + 0.4)) for k in range(n)]
+    for _ in range(_MACHINE_STEPS):
+        worst = 0.0
+        for i in range(n):
+            p = roots[i]
+            x = 0j
+            for c in coeffs:
+                x = x * p + c
+            for j in range(n):
+                if j != i and p != roots[j]:
+                    x /= p - roots[j]
+            roots[i] = p - x
+            worst = max(worst, abs(x) / max(1.0, abs(p)))
+        if worst <= 2.0**-50:
+            break
+    if not all(cmath.isfinite(z) for z in roots):
+        return None
+    return roots
+
+
+def _isolate_numeric(
+    h: ExactPoly, bits: int, start: Optional[Sequence[complex]] = None
+) -> list[tuple]:
     """Approximate all roots of a squarefree h with certified, pairwise
     disjoint position disks.  Returns (z, radius) pairs in mpmath types;
-    raises _NeedMoreBits when the disks cannot be certified."""
+    raises _NeedMoreBits when the disks cannot be certified.
+
+    mpmath's Durand-Kerner iteration starts from ``start``: the machine
+    roots of ``_machine_roots`` at the first precision level, the certified
+    roots of the previous level after that.  With ``start`` None it starts
+    from mpmath's default points.  Start points only change how many
+    iterations run; each disk is certified from the returned roots alone.
+    """
     n = h.degree
-    deriv = h.derivative()
     with mpmath.workprec(bits + 64):
-        coeffs = [
-            mpmath.mpf(c.numerator) / mpmath.mpf(c.denominator)
-            for c in reversed(h.coefficients)
-        ]
+        coeffs = _mp_coefficients(h)
+        dcoeffs = _mp_coefficients(h.derivative())
+        roots_init = None if start is None else [mpmath.mpc(z) for z in start]
         try:
-            roots = mpmath.polyroots(coeffs, maxsteps=200, extraprec=bits)
+            roots = mpmath.polyroots(
+                coeffs, maxsteps=200, extraprec=bits, roots_init=roots_init
+            )
         except mpmath.libmp.libhyper.NoConvergence:
             raise _NeedMoreBits()
         scale = max(abs(c) for c in h.coefficients)
@@ -762,8 +822,8 @@ def _isolate_numeric(h: ExactPoly, bits: int) -> list[tuple]:
                 * max(mpmath.mpf(1), absz) ** n
                 * mpmath.mpf(2) ** (-(bits + 58))
             )
-            pz = _eval_mp(h, z)
-            dpz = _eval_mp(deriv, z)
+            pz = _eval_mp(coeffs, z)
+            dpz = _eval_mp(dcoeffs, z)
             den = abs(dpz) - (n + 1) * everr
             if den <= 0:
                 raise _NeedMoreBits()
@@ -785,9 +845,10 @@ def _integer_roots(h: ExactPoly) -> list[Fraction]:
     den = 1
     for c in h.coefficients:
         den = den * c.denominator // math.gcd(den, c.denominator)
-    a0 = int(h.coefficients[0] * den)
+    ints = [c.numerator * (den // c.denominator) for c in reversed(h.coefficients)]
+    a0 = ints[-1]
     if a0 == 0:
-        return [Fraction(0)] if h(Fraction(0)) == 0 else []
+        return [Fraction(0)]
     candidates = set()
     m = abs(a0)
     factors = {}
@@ -812,7 +873,15 @@ def _integer_roots(h: ExactPoly) -> list[Fraction]:
         bound = 1 + max(abs(c) for c in h.coefficients) / abs(h.leading)
         for c in range(1, min(int(bound) + 1, 1001)):
             candidates.update((c, -c))
-    return [Fraction(c) for c in sorted(candidates) if h(Fraction(c)) == 0]
+    return [Fraction(c) for c in sorted(candidates) if _int_horner(ints, c) == 0]
+
+
+def _int_horner(coeffs: Sequence[int], x: int) -> int:
+    """Value at x of the int polynomial with coefficients highest first."""
+    acc = 0
+    for c in coeffs:
+        acc = acc * x + c
+    return acc
 
 
 def _deflate_root(h: ExactPoly, r: Fraction) -> ExactPoly:
@@ -915,12 +984,29 @@ def _build_classes(
     neg_pairs_poly: ExactPoly,
     width: Fraction,
     bits: int,
+    starts: list[Optional[list]],
 ) -> list[_ModClass]:
-    """One pass of class construction at a fixed working precision."""
+    """One pass of class construction at a fixed working precision.
+
+    ``starts`` holds the start points of the root iteration for each
+    numeric part, then for ``neg_pairs_poly``.  Each isolation that
+    certifies replaces its entry with its roots, for the next level; one
+    that fails clears it, so the next level starts from mpmath's default.
+    """
+
+    def isolate(key: int, h: ExactPoly) -> list[tuple]:
+        try:
+            boxes = _isolate_numeric(h, bits, starts[key])
+        except _NeedMoreBits:
+            starts[key] = None
+            raise
+        starts[key] = [z for z, _ in boxes]
+        return boxes
+
     numeric_boxes: list[_RootBox] = []
     positions = []  # (z, r) in mpmath types, parallel to numeric_boxes
-    for idx, h in numeric_parts:
-        for z, r in _isolate_numeric(h, bits):
+    for key, (idx, h) in enumerate(numeric_parts):
+        for z, r in isolate(key, h):
             # |z| must be rounded at the working precision: at mpmath's
             # global 53 bits its error would exceed the slack below.
             with mpmath.workprec(bits + 64):
@@ -980,7 +1066,7 @@ def _build_classes(
                 if j != i:
                     union(i, j)
         if neg_pairs_poly.degree >= 1 and numeric_boxes:
-            for z, r in _isolate_numeric(neg_pairs_poly, bits):
+            for z, r in isolate(len(numeric_parts), neg_pairs_poly):
                 i = locate(z, r)
                 j = locate(-z, r)
                 if i is None or j is None:
@@ -1077,12 +1163,14 @@ def _modulus_classes(
         for _, h in numeric_parts:
             radical = radical * h
         neg_pairs_poly = poly_gcd(radical, radical.reflect())
+    starts = [_machine_roots(h) for _, h in numeric_parts]
+    starts.append(_machine_roots(neg_pairs_poly))
 
     bits = start_bits
     while True:
         try:
             classes = _build_classes(
-                exact_boxes, numeric_parts, neg_pairs_poly, width, bits
+                exact_boxes, numeric_parts, neg_pairs_poly, width, bits, starts
             )
         except _NeedMoreBits:
             if bits >= max_bits:

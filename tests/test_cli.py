@@ -6,6 +6,8 @@ import math
 import subprocess
 import sys
 
+import pytest
+
 from catentropy import exact_linalg
 from catentropy.cli import main
 from catentropy.jsonio import canonical_json, format_float
@@ -85,6 +87,29 @@ def test_precision_flags_do_not_outlive_the_call(tmp_path):
     )
     assert code == 0
     assert exact_linalg.DEFAULTS == before
+
+
+@pytest.mark.parametrize(
+    "flag",
+    ["--tol=nan", "--tol=inf", "--tol=0", "--tol=-1e-3", "--precision=0", "--precision=-64"],
+)
+def test_invalid_precision_setting_is_parse_error(tmp_path, capsys, flag):
+    path = tmp_path / "m.json"
+    path.write_text('{"rows": [[2, 1], [1, 1]]}')
+    code, out = run_inproc([flag, "--json", "growth", str(path)])
+    assert code == 2
+    assert out == ""
+    err = capsys.readouterr().err
+    assert "argument %s:" % flag.split("=")[0] in err
+    assert "Traceback" not in err
+
+
+def test_precision_below_64_bits_reads_as_64(tmp_path):
+    path = tmp_path / "m.json"
+    path.write_text('{"rows": [[2, 1], [1, 1]]}')
+    assert run_inproc(["--precision", "1", "--json", "growth", str(path)]) == run_inproc(
+        ["--precision", "64", "--json", "growth", str(path)]
+    )
 
 
 def test_growth_rejects_ragged_rows(tmp_path):
@@ -190,6 +215,17 @@ def test_twist_command():
     assert doc["results"]["bound_at_n"] == 11
     assert doc["results"]["recurrence_at_n"] == 11
     assert doc["results"]["h_pol_at_t"] == [0, 1]
+
+
+def test_twist_accepts_negative_exponent_notation():
+    # -1e-14 is a value of --t, not an option flag; it snaps to t = 0.
+    code, out = run_inproc(
+        ["--json", "twist", "--kind", "ptwist", "--d", "2",
+         "--t", "-1e-14", "--A", "1", "--B", "1", "--n", "10"]
+    )
+    assert code == 0
+    warnings = json.loads(out)["warnings"]
+    assert len(warnings) == 1 and "t = 0 branch" in warnings[0]
 
 
 def test_quiver_command():

@@ -5,6 +5,7 @@ import random
 import warnings
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from catentropy.corpus import random_quasi_unipotent, random_unimodular
@@ -32,6 +33,7 @@ from catentropy.exact_linalg import (
     squarefree_decomposition,
     tensor_product,
 )
+from catentropy.jsonio import canonical_json, serialize_growth
 
 M = ExactMatrix.from_rows
 P = ExactPoly.from_coefficients
@@ -162,6 +164,59 @@ def test_root_moduli_precision_exhausted_on_true_tie():
     with pytest.raises(PrecisionExhausted) as err:
         root_moduli(h, precision=40)
     assert err.value.classes  # partial data is attached for the caller
+
+
+def test_root_moduli_carries_certified_roots_up_the_ladder(monkeypatch):
+    # 2^120 x^2 + x - 2^121 has real roots near +-sqrt(2) whose moduli
+    # differ by exactly 2^-120: the position disks certify at the first
+    # level, the modulus intervals separate only at a later one, and each
+    # later level starts from the roots the previous one certified.
+    h = P([-(2**121), 1, 2**120])
+    calls = []
+    polyroots = mpmath.polyroots
+
+    def spy(coeffs, **kwargs):
+        roots = polyroots(coeffs, **kwargs)
+        calls.append((kwargs["roots_init"], roots))
+        return roots
+
+    monkeypatch.setattr(mpmath, "polyroots", spy)
+    out = root_moduli(h)
+    assert len(calls) >= 2
+    for (_, before), (start, _) in zip(calls, calls[1:]):
+        assert start == before
+    (z_small, (lo_small, hi_small)), (z_large, (lo_large, hi_large)) = out
+    assert z_small.real > 0 > z_large.real
+    assert lo_small <= hi_small < lo_large <= hi_large
+    assert lo_large - hi_small < Fraction(1, 2**120)
+
+
+def test_growth_signature_ignores_uncertified_start_points(monkeypatch):
+    # Coincident real start points keep the iteration real, so on a part
+    # with complex roots it fails at the first level; the next level must
+    # start afresh and give the same answer as the machine roots.
+    tie = ExactMatrix.block_diag(
+        ExactMatrix.companion(P([-1, -2, 1])),
+        ExactMatrix.companion(P([1, 0, 6, 0, 1])),
+    )
+    dense = M([[2, -3, 1, 0], [1, 4, -2, 5], [0, 1, -1, 3], [7, 0, 2, -2]])
+    cases = [tie, dense, ExactMatrix.companion(P([-(2**121), 1, 2**120]))]
+
+    def envelope(m):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TiedModuli)
+            return canonical_json(serialize_growth(growth_signature(m)))
+
+    expected = [envelope(m) for m in cases]
+    starts = []
+
+    def coincident(h):
+        starts.append(h)
+        return [0.5] * h.degree
+
+    monkeypatch.setattr(exact_linalg, "_machine_roots", coincident)
+    assert [envelope(m) for m in cases] == expected
+    assert starts
 
 
 def test_growth_signature_parabolic():
@@ -445,8 +500,8 @@ def test_growth_signature_repeated_complex_pair():
 def test_root_moduli_product_brackets_constant_term():
     # the product of all root moduli equals |a0 / leading|
     rng = random.Random(23)
-    for _ in range(15):
-        n = rng.randint(1, 4)
+    for _ in range(60):
+        n = rng.randint(1, 10)
         coeffs = [rng.randint(-5, 5) for _ in range(n)] + [1]
         h = P(coeffs)
         if h.degree < 1 or h(Fraction(0)) == 0:
