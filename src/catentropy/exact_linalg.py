@@ -838,17 +838,20 @@ def _isolate_numeric(
 
 
 def _integer_roots(h: ExactPoly) -> list[Fraction]:
-    """Integer roots of h, found by trial on divisors of the constant term
-    (complete whenever that term is reasonably factorable)."""
+    """Integer roots of h, found by trial on divisors of the lowest nonzero
+    coefficient once the factor x^k is stripped (complete whenever that
+    coefficient is reasonably factorable); 0 is a root when k > 0."""
     if h.is_zero or h.degree < 1:
         return []
     den = 1
     for c in h.coefficients:
         den = den * c.denominator // math.gcd(den, c.denominator)
     ints = [c.numerator * (den // c.denominator) for c in reversed(h.coefficients)]
+    roots = []
+    while ints[-1] == 0:
+        ints.pop()
+        roots = [0]
     a0 = ints[-1]
-    if a0 == 0:
-        return [Fraction(0)]
     candidates = set()
     m = abs(a0)
     factors = {}
@@ -873,7 +876,8 @@ def _integer_roots(h: ExactPoly) -> list[Fraction]:
         bound = 1 + max(abs(c) for c in h.coefficients) / abs(h.leading)
         for c in range(1, min(int(bound) + 1, 1001)):
             candidates.update((c, -c))
-    return [Fraction(c) for c in sorted(candidates) if _int_horner(ints, c) == 0]
+    roots += [c for c in candidates if _int_horner(ints, c) == 0]
+    return [Fraction(c) for c in sorted(roots)]
 
 
 def _int_horner(coeffs: Sequence[int], x: int) -> int:
@@ -1053,11 +1057,12 @@ def _build_classes(
         hits = [
             k
             for k, (zk, rk) in enumerate(positions)
-            if abs(zk - z) <= (rk + r) * (1 + mpmath.mpf(2) ** -20)
+            if abs(zk - z) <= (rk + r) * widen
         ]
         return hits[0] if len(hits) == 1 else None
 
     with mpmath.workprec(bits + 64):
+        widen = 1 + mpmath.mpf(2) ** -20
         for i, (z, r) in enumerate(positions):
             if abs(z.imag) > r:  # certainly not a real root
                 j = locate(z.conjugate(), r)

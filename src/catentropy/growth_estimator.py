@@ -2,21 +2,29 @@
 
 The oracle side of the library: given samples a_n, fit the model
 ``log a_n ~ n*log(rho) + s*log(n) + c`` by least squares and report
-(rho_hat, s_hat) with residuals.  Also evaluates weighted graded-dimension
+(rho_hat, s_hat) with residuals.  The fit is solved exactly over Python
+ints from the float data and rounded once, so it needs no numpy and gives
+the same digits on every machine.  Also evaluates weighted graded-dimension
 sums (the computable complexity measure between two objects) and turns
 families of graded-dimension tables into entropy estimates.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
 
-import numpy as np
-
-from .errors import DimensionMismatch, NonPositiveValue, WindowTooShort, ZeroPairingAt
+from .errors import (
+    DimensionMismatch,
+    DomainError,
+    NonPositiveValue,
+    WindowTooShort,
+    ZeroPairingAt,
+)
 from .exact_linalg import ExactMatrix
 
 #: Evaluation points for entropy-from-tables reports, symmetric around the
@@ -95,6 +103,39 @@ def eval_ext_distance(table: ExtTable, t: float) -> float:
     return float(sum(v * math.exp(-k * t) for k, v in table.dims))
 
 
+def _dyadic_ints(xs: Sequence[float]) -> tuple[list[int], int]:
+    """Ints k_i and one power of two D with x_i = k_i / D exactly."""
+    ratios = [x.as_integer_ratio() for x in xs]
+    den = max(q for _, q in ratios)
+    bits = den.bit_length()
+    return [p << (bits - q.bit_length()) for p, q in ratios], den
+
+
+@functools.lru_cache(maxsize=64)
+def _window_system(n_lo: int, n_hi: int):
+    """The part of the normal equations that depends only on the window.
+
+    The design columns are n, log(n) and 1, with log(n) scaled to ints
+    L_i = D*log(n_i).  Returns (L, D, adj, det) where adj is the adjugate of
+    the int Gram matrix G of the columns (n, L, 1) and det = det(G) > 0.
+    """
+    ns = range(n_lo, n_hi + 1)
+    logs, den = _dyadic_ints([math.log(n) for n in ns])
+    s_nn = sum(n * n for n in ns)
+    s_nl = sum(n * v for n, v in zip(ns, logs))
+    s_n = sum(ns)
+    s_ll = sum(v * v for v in logs)
+    s_l = sum(logs)
+    count = len(ns)
+    adj = (
+        (s_ll * count - s_l * s_l, s_l * s_n - s_nl * count, s_nl * s_l - s_ll * s_n),
+        (s_l * s_n - s_nl * count, s_nn * count - s_n * s_n, s_nl * s_n - s_nn * s_l),
+        (s_nl * s_l - s_ll * s_n, s_nl * s_n - s_nn * s_l, s_nn * s_ll - s_nl * s_nl),
+    )
+    det = s_nn * adj[0][0] + s_nl * adj[1][0] + s_n * adj[2][0]
+    return tuple(logs), den, adj, det
+
+
 def fit_growth(
     seq: PositiveSequence,
     n_lo: Optional[int] = None,
@@ -105,6 +146,15 @@ def fit_growth(
 
     When no explicit window is given, the head of the sequence is dropped
     per ``drop_head_fraction`` to suppress transient terms.
+
+    The fit is the exact least-squares solution of its float data: every
+    float is a dyadic rational, so ``log n`` and ``log a_n`` are scaled to
+    ints over one power of two each and the 3x3 normal equations are
+    solved by int cofactors.  ``s_hat`` and ``log(rho_hat)`` are rounded
+    once from the exact solution (int true division rounds correctly, as
+    ``float(Fraction)`` does), and ``residual`` is the root mean square
+    residual, from the exact residual sum of squares
+    ``y.y - beta.(A^T y)``.  The result is the same on every machine.
     """
     if n_lo is None:
         n_lo = seq.n_start + int(len(seq.values) * drop_head_fraction)
@@ -115,22 +165,33 @@ def fit_growth(
             "window [%d, %d] exceeds the sequence range [%d, %d]"
             % (n_lo, n_hi, seq.n_start, seq.n_end)
         )
-    ns = np.arange(n_lo, n_hi + 1, dtype=float)
-    if len(ns) < 8:
+    count = n_hi - n_lo + 1
+    if count < 8:
         raise WindowTooShort(
-            "fit window has %d points; need at least 8" % len(ns)
+            "fit window has %d points; need at least 8" % count
         )
-    ys = np.array(
-        [math.log(seq.value_at(n)) for n in range(n_lo, n_hi + 1)], dtype=float
+    logs, log_den, adj, det = _window_system(n_lo, n_hi)
+    head = n_lo - seq.n_start
+    ys, y_den = _dyadic_ints(list(map(math.log, seq.values[head : head + count])))
+    # A^T y with A = (n, L, 1) and y = ys / y_den, times y_den.
+    aty = (
+        sum(map(operator.mul, range(n_lo, n_hi + 1), ys)),
+        sum(map(operator.mul, logs, ys)),
+        sum(ys),
     )
-    design = np.column_stack([ns, np.log(ns), np.ones_like(ns)])
-    coef, _, _, _ = np.linalg.lstsq(design, ys, rcond=None)
-    fitted = design @ coef
-    residual = float(np.sqrt(np.mean((ys - fitted) ** 2)))
+    # The coefficients of (n, L, 1) are coef_num / scale; the log n
+    # coefficient is log_den times the one of L.
+    coef_num = [sum(a * b for a, b in zip(row, aty)) for row in adj]
+    scale = det * y_den
+    rss_num = det * sum(map(operator.mul, ys, ys)) - sum(map(operator.mul, coef_num, aty))
+    try:
+        rho_hat = math.exp(coef_num[0] / scale)
+    except OverflowError:
+        raise DomainError("the fitted growth rate rho_hat exceeds the float range") from None
     return EstimatedSignature(
-        rho_hat=float(math.exp(coef[0])),
-        s_hat=float(coef[1]),
-        residual=residual,
+        rho_hat=rho_hat,
+        s_hat=coef_num[1] * log_den / scale,
+        residual=math.sqrt(rss_num / (scale * y_den * count)),
         window=(int(n_lo), int(n_hi)),
     )
 

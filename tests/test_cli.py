@@ -29,6 +29,18 @@ def run_inproc(args):
     return code, buf.getvalue()
 
 
+def test_cli_imports_without_numpy():
+    # numpy would cost every CLI process about half its cold start
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import catentropy.cli, sys; print('numpy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 def test_growth_command_parabolic(tmp_path):
     path = tmp_path / "m.json"
     path.write_text('{"rows": [[1, 1], [0, 1]]}')

@@ -309,6 +309,15 @@ def test_growth_signature_singular_with_rotation():
     assert {str(h) for h, _ in sig.dominant_factors} == {"x^2 + 1"}
 
 
+def test_growth_signature_integer_roots_beside_zero():
+    # min poly x^3 - 5x^2 + 6x: the factor x is stripped before the divisor
+    # search, so 2 and 3 are split off exactly and nothing is isolated
+    sig = growth_signature(M([[0, 0, 0], [0, 2, 0], [0, 0, 3]]))
+    assert sig.rho_exact == 3
+    assert sig.rho_interval == (Fraction(3), Fraction(3))
+    assert sig.s == 0
+
+
 def test_growth_signature_float_inside_interval():
     sig = growth_signature(M([["1/3"]]))
     lo, hi = sig.rho_interval

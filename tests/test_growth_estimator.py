@@ -1,11 +1,15 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from catentropy.errors import (
     DimensionMismatch,
+    DomainError,
     NonPositiveValue,
     WindowTooShort,
     ZeroPairingAt,
@@ -89,6 +93,18 @@ def test_fit_growth_window_outside_range():
         fit_growth(seq, n_hi=50)
 
 
+def test_fit_growth_overflowing_rate_is_domain_error():
+    # nearly dependent columns on a short window far from n = 1: the
+    # slope of n is about 710, beyond log of the largest float
+    seq = PositiveSequence.from_values(
+        [1.0, 1.0, 1.0, 1.0, 1e-250, 1.0, 1.0594156826502436e138,
+         1.0893504816474252e168],
+        n_start=7,
+    )
+    with pytest.raises(DomainError):
+        fit_growth(seq, n_lo=7)
+
+
 def test_fit_growth_recovery_grid():
     for rho in (1.0, 1.5, 2.618):
         for s in (0, 1, 2, 3):
@@ -106,6 +122,71 @@ def test_fit_growth_scale_invariance():
         est = fit_growth(PositiveSequence.from_values([c * v for v in base]))
         assert abs(est.rho_hat - ref.rho_hat) < 1e-6
         assert abs(est.s_hat - ref.s_hat) < 1e-6
+
+
+def _exact_least_squares(seq, n_lo, n_hi):
+    """(coefficients, residual sum of squares) of the least-squares fit of
+    log a_n on (n, log n, 1), solved over Fraction from the float data."""
+    rows = [[Fraction(n), Fraction(math.log(n)), Fraction(1)] for n in range(n_lo, n_hi + 1)]
+    ys = [Fraction(math.log(seq.value_at(n))) for n in range(n_lo, n_hi + 1)]
+    # Gauss-Jordan on the augmented normal equations [A^T A | A^T y].
+    aug = [
+        [sum(r[i] * r[j] for r in rows) for j in range(3)]
+        + [sum(r[i] * y for r, y in zip(rows, ys))]
+        for i in range(3)
+    ]
+    for c in range(3):
+        p = next(i for i in range(c, 3) if aug[i][c] != 0)
+        aug[c], aug[p] = aug[p], aug[c]
+        aug[c] = [x / aug[c][c] for x in aug[c]]
+        for i in range(3):
+            if i != c:
+                aug[i] = [x - aug[i][c] * y for x, y in zip(aug[i], aug[c])]
+    beta = [aug[i][3] for i in range(3)]
+    rss = sum((y - sum(b * x for b, x in zip(beta, r))) ** 2 for r, y in zip(rows, ys))
+    return beta, rss
+
+
+@st.composite
+def _fit_inputs(draw):
+    """A positive sequence (model data rho^n n^s c with float noise, or
+    arbitrary floats) and a window inside it of at least 8 points."""
+    n_start = draw(st.integers(1, 40))
+    size = draw(st.integers(8, 80))
+    if draw(st.booleans()):
+        rho = draw(st.floats(0.25, 4.0))
+        s = draw(st.integers(-2, 4))
+        c = draw(st.floats(1e-3, 1e3))
+        noise = draw(st.lists(st.floats(-0.1, 0.1), min_size=size, max_size=size))
+        values = [
+            c * rho**n * n**s * (1 + e)
+            for n, e in zip(range(n_start, n_start + size), noise)
+        ]
+    else:
+        # kept well inside the float range: on short windows far from
+        # n = 1 the columns n and log n are nearly dependent, and the
+        # coefficients (like exp of the n one) grow with the data's spread
+        values = draw(st.lists(st.floats(1e-8, 1e8), min_size=size, max_size=size))
+    seq = PositiveSequence.from_values(values, n_start)
+    if draw(st.booleans()):
+        return seq, None, None  # the default window
+    n_lo = draw(st.integers(n_start, seq.n_end - 7))
+    n_hi = draw(st.integers(n_lo + 7, seq.n_end))
+    return seq, n_lo, n_hi
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_fit_inputs())
+def test_fit_growth_is_the_exact_least_squares_solution_rounded_once(case):
+    seq, n_lo, n_hi = case
+    est = fit_growth(seq, n_lo, n_hi)
+    if n_lo is None:
+        n_lo, n_hi = seq.n_start + len(seq.values) // 4, seq.n_end
+    beta, rss = _exact_least_squares(seq, n_lo, n_hi)
+    assert est.s_hat == float(beta[1])
+    assert est.rho_hat == math.exp(float(beta[0]))
+    assert est.residual == math.sqrt(float(rss / (n_hi - n_lo + 1)))
+    assert est.window == (n_lo, n_hi)
 
 
 def test_entropy_from_shift_tables():
