@@ -2,20 +2,21 @@
 
 The oracle side of the library: given samples a_n, fit the model
 ``log a_n ~ n*log(rho) + s*log(n) + c`` by least squares and report
-(rho_hat, s_hat) with residuals.  The fit is solved exactly over Python
-ints from the float data and rounded once, so it needs no numpy and gives
-the same digits on every machine.  Also evaluates weighted graded-dimension
+(rho_hat, s_hat) with residuals.  The fit is the exact least-squares
+solution of the float data, solved over Python ints and rounded once, so
+it needs no numpy and no BLAS; its digits still rest on the platform's
+``math.log`` and ``math.exp``.  Also evaluates weighted graded-dimension
 sums (the computable complexity measure between two objects) and turns
 families of graded-dimension tables into entropy estimates.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from typing import Mapping, Optional, Sequence, Union
 
 from .errors import (
@@ -104,36 +105,17 @@ def eval_ext_distance(table: ExtTable, t: float) -> float:
 
 
 def _dyadic_ints(xs: Sequence[float]) -> tuple[list[int], int]:
-    """Ints k_i and one power of two D with x_i = k_i / D exactly."""
-    ratios = [x.as_integer_ratio() for x in xs]
-    den = max(q for _, q in ratios)
-    bits = den.bit_length()
-    return [p << (bits - q.bit_length()) for p, q in ratios], den
+    """Ints k_i and one power of two D with x_i = k_i / D exactly.
 
-
-@functools.lru_cache(maxsize=64)
-def _window_system(n_lo: int, n_hi: int):
-    """The part of the normal equations that depends only on the window.
-
-    The design columns are n, log(n) and 1, with log(n) scaled to ints
-    L_i = D*log(n_i).  Returns (L, D, adj, det) where adj is the adjugate of
-    the int Gram matrix G of the columns (n, L, 1) and det = det(G) > 0.
+    A finite float x is m * 2**(e - 53) with an int m, where
+    e = frexp(x)[1].  D = 2**(53 - e), with e from the smallest nonzero
+    |x_i| (and D = 1 once e >= 53), makes every x_i * D an int, which
+    ``ldexp`` forms exactly (for the logarithms fitted here it cannot
+    overflow).
     """
-    ns = range(n_lo, n_hi + 1)
-    logs, den = _dyadic_ints([math.log(n) for n in ns])
-    s_nn = sum(n * n for n in ns)
-    s_nl = sum(n * v for n, v in zip(ns, logs))
-    s_n = sum(ns)
-    s_ll = sum(v * v for v in logs)
-    s_l = sum(logs)
-    count = len(ns)
-    adj = (
-        (s_ll * count - s_l * s_l, s_l * s_n - s_nl * count, s_nl * s_l - s_ll * s_n),
-        (s_l * s_n - s_nl * count, s_nn * count - s_n * s_n, s_nl * s_n - s_nn * s_l),
-        (s_nl * s_l - s_ll * s_n, s_nl * s_n - s_nn * s_l, s_nn * s_ll - s_nl * s_nl),
-    )
-    det = s_nn * adj[0][0] + s_nl * adj[1][0] + s_n * adj[2][0]
-    return tuple(logs), den, adj, det
+    tiny = min(map(abs, filter(None, xs)), default=1.0)
+    shift = max(0, 53 - math.frexp(tiny)[1])
+    return list(map(int, map(math.ldexp, xs, repeat(shift)))), 1 << shift
 
 
 def fit_growth(
@@ -154,7 +136,14 @@ def fit_growth(
     once from the exact solution (int true division rounds correctly, as
     ``float(Fraction)`` does), and ``residual`` is the root mean square
     residual, from the exact residual sum of squares
-    ``y.y - beta.(A^T y)``.  The result is the same on every machine.
+    ``y.y - beta.(A^T y)``.  No BLAS is involved; the data themselves
+    come from the platform's ``math.log`` and ``rho_hat`` from its
+    ``math.exp``, so digits at the level of their rounding can still
+    differ between C libraries.
+
+    Raises ``DomainError`` when the columns n, log n and 1 are linearly
+    dependent in float on the window (with a huge ``n_start`` every
+    ``log n`` rounds to the same float), since no unique fit exists.
     """
     if n_lo is None:
         n_lo = seq.n_start + int(len(seq.values) * drop_head_fraction)
@@ -170,18 +159,33 @@ def fit_growth(
         raise WindowTooShort(
             "fit window has %d points; need at least 8" % count
         )
-    logs, log_den, adj, det = _window_system(n_lo, n_hi)
+    ns = range(n_lo, n_hi + 1)
+    logs, log_den = _dyadic_ints(list(map(math.log, ns)))
     head = n_lo - seq.n_start
     ys, y_den = _dyadic_ints(list(map(math.log, seq.values[head : head + count])))
-    # A^T y with A = (n, L, 1) and y = ys / y_den, times y_den.
-    aty = (
-        sum(map(operator.mul, range(n_lo, n_hi + 1), ys)),
-        sum(map(operator.mul, logs, ys)),
-        sum(ys),
+    # The int Gram matrix of the columns (n, L, 1) with L = log_den * log n,
+    # and its adjugate.
+    s_n = sum(ns)
+    s_nn = sum(map(operator.mul, ns, ns))
+    s_nl = sum(map(operator.mul, ns, logs))
+    s_ll = sum(map(operator.mul, logs, logs))
+    s_l = sum(logs)
+    adj = (
+        (s_ll * count - s_l * s_l, s_l * s_n - s_nl * count, s_nl * s_l - s_ll * s_n),
+        (s_l * s_n - s_nl * count, s_nn * count - s_n * s_n, s_nl * s_n - s_nn * s_l),
+        (s_nl * s_l - s_ll * s_n, s_nl * s_n - s_nn * s_l, s_nn * s_ll - s_nl * s_nl),
     )
+    det = s_nn * adj[0][0] + s_nl * adj[1][0] + s_n * adj[2][0]
+    if det == 0:
+        raise DomainError(
+            "the columns n, log n and 1 are linearly dependent in float on "
+            "the window [%d, %d]; no unique growth fit" % (n_lo, n_hi)
+        )
+    # A^T y with A = (n, L, 1) and y = ys / y_den, times y_den.
+    aty = (sum(map(operator.mul, ns, ys)), sum(map(operator.mul, logs, ys)), sum(ys))
     # The coefficients of (n, L, 1) are coef_num / scale; the log n
     # coefficient is log_den times the one of L.
-    coef_num = [sum(a * b for a, b in zip(row, aty)) for row in adj]
+    coef_num = [sum(map(operator.mul, row, aty)) for row in adj]
     scale = det * y_den
     rss_num = det * sum(map(operator.mul, ys, ys)) - sum(map(operator.mul, coef_num, aty))
     try:

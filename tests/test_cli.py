@@ -276,6 +276,13 @@ def test_estimate_command_json_format():
     assert abs(doc["results"]["rho_hat"] - 2) < 1e-3
 
 
+def test_estimate_dependent_columns_is_domain_error():
+    payload = json.dumps({"n_start": 10**20, "values": list(range(1, 17))})
+    proc = run_cli(["--json", "estimate", "-"], stdin_text=payload)
+    assert proc.returncode == 3
+    assert "linearly dependent" in proc.stderr
+
+
 def test_json_determinism_across_processes(tmp_path):
     path = tmp_path / "m.json"
     path.write_text('{"rows": [[2, 1], [1, 1]]}')

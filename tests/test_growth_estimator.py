@@ -105,6 +105,16 @@ def test_fit_growth_overflowing_rate_is_domain_error():
         fit_growth(seq, n_lo=7)
 
 
+def test_fit_growth_dependent_columns_is_domain_error():
+    # far from n = 1 every log n rounds to the same float, so the log n
+    # column is a multiple of the constant one
+    seq = PositiveSequence.from_values(
+        [float(v) for v in range(1, 17)], n_start=10**20
+    )
+    with pytest.raises(DomainError, match="linearly dependent"):
+        fit_growth(seq)
+
+
 def test_fit_growth_recovery_grid():
     for rho in (1.0, 1.5, 2.618):
         for s in (0, 1, 2, 3):
