@@ -22,7 +22,7 @@ from .errors import (
     InternalInconsistency,
     ParseError,
 )
-from .exact_linalg import MAX_BITS, growth_signature
+from .exact_linalg import MAX_BITS, MAX_PRECISION_BITS, growth_signature
 from .growth_estimator import fit_growth
 from .quiver_hereditary import coxeter_matrix, euler_form, hereditary_report
 from .selftest import run_selftest
@@ -136,14 +136,14 @@ def _tolerance(text: str) -> Fraction:
 
 
 def _bits(text: str) -> int:
-    """``--precision``: a positive number of bits."""
+    """``--precision``: a positive number of bits, at most MAX_PRECISION_BITS."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError("not an integer: %r" % text)
-    if value <= 0:
+    if not 0 < value <= MAX_PRECISION_BITS:
         raise argparse.ArgumentTypeError(
-            "must be a positive number of bits, got %r" % text
+            "must be between 1 and %d bits, got %r" % (MAX_PRECISION_BITS, text)
         )
     return value
 
@@ -169,7 +169,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--precision",
         type=_bits,
         default=MAX_BITS,
-        help="escalation cap (bits) for root-modulus separation; below 64 reads as 64",
+        help=(
+            "escalation cap (bits, at most %d) for root-modulus separation; "
+            "below 64 reads as 64; only ties too large for the exact tie "
+            "proof climb to it" % MAX_PRECISION_BITS
+        ),
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
 

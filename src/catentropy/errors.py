@@ -39,8 +39,9 @@ class CatEntropyWarning(UserWarning):
 
 
 class TiedModuli(CatEntropyWarning):
-    """Distinct-looking root moduli stayed inseparable at the precision cap;
-    the conservative (larger) growth exponent was reported."""
+    """Root moduli stayed inseparable at the precision cap and their tie
+    was over the degree cap of the exact tie proof; the conservative
+    (larger) growth exponent was reported."""
 
 
 class WindowTooShort(DomainError):

@@ -48,6 +48,9 @@ Rat = Union[int, Fraction, str]
 #: ``START_BITS`` working precision, doubling up to ``MAX_BITS``.
 START_BITS = 64
 MAX_BITS = 1024
+#: Largest escalation cap a caller may ask for: with a true tie over the
+#: proof's degree cap, the precision climbs all the way to the cap.
+MAX_PRECISION_BITS = 4096
 
 #: Default width cap for the reported spectral-radius interval.
 DEFAULT_TOLERANCE = Fraction(1, 10**12)
@@ -843,10 +846,7 @@ def _integer_roots(h: ExactPoly) -> list[Fraction]:
     coefficient is reasonably factorable); 0 is a root when k > 0."""
     if h.is_zero or h.degree < 1:
         return []
-    den = 1
-    for c in h.coefficients:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    ints = [c.numerator * (den // c.denominator) for c in reversed(h.coefficients)]
+    ints = _int_coefficients(h)
     roots = []
     while ints[-1] == 0:
         ints.pop()
@@ -880,6 +880,26 @@ def _integer_roots(h: ExactPoly) -> list[Fraction]:
     return [Fraction(c) for c in sorted(roots)]
 
 
+def _int_coefficients(h: ExactPoly) -> list[int]:
+    """The coefficients of ``den * h``, highest degree first, for the least
+    den that makes them ints."""
+    den = math.lcm(*[c.denominator for c in h.coefficients])
+    return [c.numerator * (den // c.denominator) for c in reversed(h.coefficients)]
+
+
+def _monic_divides(b: Sequence[int], a: Sequence[int]) -> bool:
+    """Whether the monic int polynomial b divides the int polynomial a,
+    both highest degree first."""
+    r = list(a)
+    steps = len(r) - len(b) + 1
+    for i in range(steps):
+        c = r[i]
+        if c:
+            for j in range(1, len(b)):
+                r[i + j] -= c * b[j]
+    return steps > 0 and not any(r[steps:])
+
+
 def _int_horner(coeffs: Sequence[int], x: int) -> int:
     """Value at x of the int polynomial with coefficients highest first."""
     acc = 0
@@ -894,8 +914,8 @@ def _deflate_root(h: ExactPoly, r: Fraction) -> ExactPoly:
 
 @dataclass
 class _ModClass:
-    """A set of roots sharing one modulus (proven exactly, or merged
-    pessimistically at the precision cap)."""
+    """A set of roots sharing one modulus (known exactly, proven equal by
+    ``_prove_tie``, or merged pessimistically at the precision cap)."""
 
     exact_sq: Optional[Fraction]
     lo: Fraction
@@ -939,23 +959,27 @@ def _exact_roots_of_part(h: ExactPoly, part: int) -> tuple[list[_RootBox], Exact
         boxes.append(_rational_box(r, part))
     deg0 = rest.degree
     if deg0 >= 1:
+        # Phi_d | rest is tested on ints: Phi_d is monic, so by Gauss'
+        # lemma it divides rest over Q iff it divides den * rest over Z.
+        rest_ints = _int_coefficients(rest)
         for d in range(1, 2 * deg0 * deg0 + 2):
             if rest.degree == 0:
                 break
             if euler_phi(d) > rest.degree:
                 continue
             phi_d = cyclotomic_poly(d)
-            if phi_d.degree > rest.degree:
+            if phi_d.degree > rest.degree or not _monic_divides(
+                _int_coefficients(phi_d), rest_ints
+            ):
                 continue
-            q, rr = divmod(rest, phi_d)
-            if rr.is_zero:
-                rest = q
-                for j in range(d):
-                    if math.gcd(j, d) == 1:
-                        z = cmath.exp(2j * cmath.pi * j / d)
-                        boxes.append(
-                            _RootBox(z, part, Fraction(1), Fraction(1), Fraction(1), d)
-                        )
+            rest = rest.exact_div(phi_d)
+            rest_ints = _int_coefficients(rest)
+            for j in range(d):
+                if math.gcd(j, d) == 1:
+                    z = cmath.exp(2j * cmath.pi * j / d)
+                    boxes.append(
+                        _RootBox(z, part, Fraction(1), Fraction(1), Fraction(1), d)
+                    )
     if rest.degree == 1:
         boxes.append(_rational_box(-rest[0] / rest[1], part))
         rest = ExactPoly.one()
@@ -1110,28 +1134,183 @@ def _separate_proven(classes: list[_ModClass]) -> None:
             cb.lo, cb.hi = _sqrt_interval(cb.exact_sq, width)
 
 
-def _merge_overlapping(classes: list[_ModClass]) -> list[_ModClass]:
+def _monic_ints(h: ExactPoly) -> tuple[list[int], int]:
+    """Int coefficients g (highest degree first) and an int D > 0 with
+    ``g(y) = D**n * h(y / D)`` for the monic h of degree n: the roots of
+    g are D times those of h."""
+    d = math.lcm(*[c.denominator for c in h.coefficients])
+    n = h.degree
+    coeffs = h.coefficients
+    return [int(coeffs[k] * d ** (n - k)) for k in range(n, -1, -1)], d
+
+
+def _squared_moduli_poly(g: Sequence[int]) -> list[int]:
+    """``prod_{i <= j} (y - b_i b_j)`` over the roots b of the monic int
+    polynomial g (highest degree first), with coefficients highest first.
+
+    Every ``|b|**2 = b * conj(b)`` is one of its roots.  Its k-th power sum
+    is ``(p_k**2 + p_2k) / 2`` for the power sums p of g, and Newton's
+    identities turn power sums into coefficients and back, exactly in ints.
+    """
+    n = len(g) - 1
+    big_n = n * (n + 1) // 2
+    p = [n]
+    for k in range(1, 2 * big_n + 1):
+        acc = k * g[k] if k <= n else 0
+        for i in range(1, min(k - 1, n) + 1):
+            acc += g[i] * p[k - i]
+        p.append(-acc)
+    sums = [0] + [(p[k] * p[k] + p[2 * k]) // 2 for k in range(1, big_n + 1)]
+    e = [1]
+    for k in range(1, big_n + 1):
+        acc = sum((-1) ** (i - 1) * e[k - i] * sums[i] for i in range(1, k + 1))
+        e.append(acc // k)
+    return [(-1) ** k * c for k, c in enumerate(e)]
+
+
+def _sturm_chain(t: list[int]) -> list[list[int]]:
+    """Sturm sequence of the int polynomial t (highest degree first), each
+    member a positive multiple of the classical one, divided by its
+    content.  t need not be squarefree: the chain then ends at a multiple
+    of gcd(t, t'), and sign changes still count distinct real roots."""
+    deg = len(t) - 1
+    chain = [t, [(deg - k) * c for k, c in enumerate(t[:-1])]]
+    while len(chain[-1]) > 1:
+        a, b = chain[-2], chain[-1]
+        lead = abs(b[0])
+        sign = 1 if b[0] > 0 else -1
+        r = list(a)
+        while len(r) >= len(b) and r:
+            c = sign * r[0]
+            r = [lead * x - c * y for x, y in zip(r[1:], b[1:])] + [
+                lead * x for x in r[len(b):]
+            ]
+            while r and r[0] == 0:
+                r.pop(0)
+        if not r:
+            break
+        g = math.gcd(*r)
+        chain.append([-x // g for x in r])
+    return chain
+
+
+def _dyadic_value(poly: list[int], num: int, shift: int) -> int:
+    """``2**(shift * deg) * poly(num / 2**shift)``, an int of the sign of
+    the value, for poly with int coefficients highest degree first."""
+    acc = 0
+    for j, c in enumerate(poly):
+        acc = acc * num + (c << (shift * j))
+    return acc
+
+
+def _sign_changes(chain: list[list[int]], num: int, shift: int) -> int:
+    """Sign changes of the chain at ``num / 2**shift``, zeros dropped."""
+    signs = [v > 0 for v in (_dyadic_value(p, num, shift) for p in chain) if v]
+    return sum(x != y for x, y in zip(signs, signs[1:]))
+
+
+#: Largest degree of the squared-moduli polynomial T for which a modulus
+#: tie is proven exactly; over it, ties merge at the precision cap.
+TIE_PROOF_MAX_DEGREE = 55
+
+
+def _prove_tie(
+    ca: _ModClass,
+    cb: _ModClass,
+    rests: dict[int, ExactPoly],
+    bits: int,
+    chains: dict,
+) -> bool:
+    """Whether the moduli of two overlapping classes are provably equal.
+
+    Both squared moduli are roots of T: the squared-moduli polynomial of
+    the numeric parts of the classes, times ``(x - exact_sq)`` for an exact
+    class.  J is the hull of both squared brackets, rounded outward to the
+    grid ``2**-bits``.  If a Sturm count finds exactly one distinct root of
+    T in J, the two squared moduli are that root.  ``chains`` caches the
+    Sturm chain (or None, over the degree cap) by the make-up of T.
+    """
+    exact = ca.exact_sq if ca.exact_sq is not None else cb.exact_sq
+    idx = frozenset(i for c in (ca, cb) if c.exact_sq is None for i in c.parts)
+    key = (idx, exact)
+    if key not in chains:
+        n = sum(rests[i].degree for i in idx)
+        chains[key] = None
+        if n * (n + 1) // 2 + (exact is not None) <= TIE_PROOF_MAX_DEGREE:
+            h = ExactPoly.one()
+            for i in sorted(idx):
+                h = h * rests[i]
+            g, d = _monic_ints(h)
+            t = _squared_moduli_poly(g)
+            if exact is not None:
+                # times (den * y - num) for exact * d**2 = num / den
+                q = exact * d * d
+                t = [
+                    x * q.denominator - y * q.numerator
+                    for x, y in zip(t + [0], [0] + t)
+                ]
+            chains[key] = (_sturm_chain(t), d * d)
+    if chains[key] is None:
+        return False
+    chain, d2 = chains[key]
+    scale = d2 * 2**bits
+    lo = min(ca.lo, cb.lo) ** 2 * scale
+    hi = max(ca.hi, cb.hi) ** 2 * scale
+    a = math.floor(lo) - 1
+    b = math.ceil(hi) + 1
+    if not _dyadic_value(chain[0], a, bits) or not _dyadic_value(chain[0], b, bits):
+        return False
+    return _sign_changes(chain, a, bits) - _sign_changes(chain, b, bits) == 1
+
+
+def _merge_pairs(classes: list[_ModClass], merge) -> list[_ModClass]:
+    """Replace each overlapping pair of classes by ``merge(ca, cb)`` until
+    no overlapping pair merges; ``merge`` returns None to keep a pair."""
     merged = list(classes)
     changed = True
     while changed:
         changed = False
-        for a, b in itertools.combinations(range(len(merged)), 2):
-            if merged[a].overlaps(merged[b]):
-                ca, cb = merged[a], merged[b]
-                new = _ModClass(
-                    None,
-                    min(ca.lo, cb.lo),
-                    max(ca.hi, cb.hi),
-                    ca.parts | cb.parts,
-                    ca.positions + cb.positions,
-                    False,
-                    merged_at_cap=True,
-                )
-                merged = [c for k, c in enumerate(merged) if k not in (a, b)]
-                merged.append(new)
+        for ca, cb in itertools.combinations(merged, 2):
+            new = merge(ca, cb) if ca.overlaps(cb) else None
+            if new is not None:
+                merged = [c for c in merged if c is not ca and c is not cb] + [new]
                 changed = True
                 break
     return merged
+
+
+def _merge_if_tied(
+    ca: _ModClass, cb: _ModClass, rests: dict[int, ExactPoly], bits: int, chains: dict
+) -> Optional[_ModClass]:
+    """One class for two overlapping classes, not both exact, whose moduli
+    ``_prove_tie`` proves equal; its bracket is the intersection."""
+    if ca.exact_sq is not None and cb.exact_sq is not None:
+        return None
+    if not _prove_tie(ca, cb, rests, bits, chains):
+        return None
+    lo, hi = max(ca.lo, cb.lo), min(ca.hi, cb.hi)
+    if hi < lo:
+        raise InternalInconsistency(
+            "moduli proven equal have disjoint certified brackets"
+        )
+    exact = ca.exact_sq if ca.exact_sq is not None else cb.exact_sq
+    return _ModClass(
+        exact, lo, hi, ca.parts | cb.parts, ca.positions + cb.positions,
+        exact is not None,
+    )
+
+
+def _merge_at_cap(ca: _ModClass, cb: _ModClass) -> _ModClass:
+    """The pessimistic union of two classes still overlapping at the cap."""
+    return _ModClass(
+        None,
+        min(ca.lo, cb.lo),
+        max(ca.hi, cb.hi),
+        ca.parts | cb.parts,
+        ca.positions + cb.positions,
+        False,
+        merged_at_cap=True,
+    )
 
 
 def _split_roots(
@@ -1159,8 +1338,10 @@ def _modulus_classes(
     """Group the roots split by ``_split_roots`` into classes of equal
     modulus with certified rational intervals, pairwise disjoint.
 
-    Returns (classes, hit_cap).  When the escalation cap is reached,
-    still-overlapping classes are merged pessimistically and flagged.
+    At every level, overlapping classes whose tie ``_prove_tie`` proves
+    are merged.  Returns (classes, hit_cap).  When the escalation cap is
+    reached, still-overlapping classes are merged pessimistically and
+    flagged.
     """
     neg_pairs_poly = ExactPoly.one()
     if numeric_parts:
@@ -1170,6 +1351,8 @@ def _modulus_classes(
         neg_pairs_poly = poly_gcd(radical, radical.reflect())
     starts = [_machine_roots(h) for _, h in numeric_parts]
     starts.append(_machine_roots(neg_pairs_poly))
+    rests = dict(numeric_parts)
+    chains: dict = {}
 
     bits = start_bits
     while True:
@@ -1185,6 +1368,9 @@ def _modulus_classes(
             bits *= 2
             continue
         _separate_proven(classes)
+        classes = _merge_pairs(
+            classes, lambda ca, cb: _merge_if_tied(ca, cb, rests, bits, chains)
+        )
         unresolved = any(
             classes[a].overlaps(classes[b])
             for a, b in itertools.combinations(range(len(classes)), 2)
@@ -1195,7 +1381,7 @@ def _modulus_classes(
         if not unresolved and not too_wide:
             return classes, False
         if bits >= max_bits:
-            return _merge_overlapping(classes), True
+            return _merge_pairs(classes, _merge_at_cap), True
         bits *= 2
 
 
@@ -1204,10 +1390,15 @@ def root_moduli(
 ) -> list[tuple[complex, tuple[Fraction, Fraction]]]:
     """All complex roots of a squarefree polynomial, approximated, with
     certified modulus intervals of width <= 2**-precision; intervals of
-    distinct moduli are refined until disjoint.  Raises PrecisionExhausted
-    when moduli stay inseparable at the escalation cap."""
-    if precision < 1:
-        raise DomainError("precision must be a positive number of bits")
+    distinct moduli are refined until disjoint, and roots whose moduli are
+    proven equal share one interval.  ``precision`` is at most
+    MAX_PRECISION_BITS.  Raises PrecisionExhausted when moduli stay
+    inseparable at the escalation cap and their tie is over the degree cap
+    of the exact tie proof."""
+    if not 1 <= precision <= MAX_PRECISION_BITS:
+        raise DomainError(
+            "precision must be between 1 and %d bits" % MAX_PRECISION_BITS
+        )
     if h.is_zero or h.degree < 1:
         raise DomainError("root isolation needs a nonzero polynomial of degree >= 1")
     if poly_gcd(h, h.derivative()).degree != 0:
@@ -1279,9 +1470,10 @@ class GrowthSignature:
 
     ``s + 1`` equals the largest multiplicity among ``dominant_factors``,
     the squarefree parts of the minimal polynomial having a root of
-    modulus rho.  ``tied`` is set when distinct-looking moduli stayed
-    inseparable at the precision cap and the conservative (larger) s was
-    reported.
+    modulus rho.  ``tied`` is set when moduli stayed inseparable at the
+    precision cap and their tie was not provable under the degree cap of
+    the exact tie proof; the conservative (larger) s was then reported.
+    A tie the proof settles merges the classes and leaves ``tied`` unset.
     """
 
     rho_interval: tuple[Fraction, Fraction]
@@ -1318,6 +1510,10 @@ def growth_signature(
         tolerance = DEFAULTS["tolerance"]
     if max_bits is None:
         max_bits = DEFAULTS["max_bits"]
+    if max_bits > MAX_PRECISION_BITS:
+        raise DomainError(
+            "max_bits %d exceeds the limit of %d bits" % (max_bits, MAX_PRECISION_BITS)
+        )
     p = min_poly(m)
     parts = squarefree_decomposition(p)
     if len(parts) == 1 and _is_power_of_x(parts[0][0]):

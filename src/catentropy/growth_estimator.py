@@ -127,7 +127,8 @@ def fit_growth(
     """Least-squares fit of log a_n over [n_lo, n_hi].
 
     When no explicit window is given, the head of the sequence is dropped
-    per ``drop_head_fraction`` to suppress transient terms.
+    per ``drop_head_fraction`` to suppress transient terms, but never so
+    much that the window keeps fewer than 8 points.
 
     The fit is the exact least-squares solution of its float data: every
     float is a dyadic rational, so ``log n`` and ``log a_n`` are scaled to
@@ -146,7 +147,8 @@ def fit_growth(
     ``log n`` rounds to the same float), since no unique fit exists.
     """
     if n_lo is None:
-        n_lo = seq.n_start + int(len(seq.values) * drop_head_fraction)
+        size = len(seq.values)
+        n_lo = seq.n_start + min(int(size * drop_head_fraction), size - 8)
     if n_hi is None:
         n_hi = seq.n_end
     if n_lo < seq.n_start or n_hi > seq.n_end:

@@ -103,7 +103,10 @@ def test_precision_flags_do_not_outlive_the_call(tmp_path):
 
 @pytest.mark.parametrize(
     "flag",
-    ["--tol=nan", "--tol=inf", "--tol=0", "--tol=-1e-3", "--precision=0", "--precision=-64"],
+    [
+        "--tol=nan", "--tol=inf", "--tol=0", "--tol=-1e-3",
+        "--precision=0", "--precision=-64", "--precision=4097",
+    ],
 )
 def test_invalid_precision_setting_is_parse_error(tmp_path, capsys, flag):
     path = tmp_path / "m.json"
@@ -274,6 +277,15 @@ def test_estimate_command_json_format():
     proc = run_cli(["--json", "estimate", "-"], stdin_text=payload)
     doc = json.loads(proc.stdout)
     assert abs(doc["results"]["rho_hat"] - 2) < 1e-3
+
+
+@pytest.mark.parametrize("count", [8, 9])
+def test_estimate_accepts_the_shortest_sequences(count):
+    # PositiveSequence accepts 8 values; the default head drop keeps 8.
+    payload = json.dumps({"n_start": 1, "values": list(range(1, count + 1))})
+    proc = run_cli(["--json", "estimate", "-"], stdin_text=payload)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["results"]["window"] == [count - 7, count]
 
 
 def test_estimate_dependent_columns_is_domain_error():

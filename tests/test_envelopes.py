@@ -1,7 +1,7 @@
 """Golden ``--json`` envelopes, one input per route through the growth
 pipeline: a root of unity, an integer root, numerically isolated roots, a
 rational quasi-unipotent matrix, a singular matrix with a rotation block
-and a modulus tie at the precision cap; plus ``endo --kuenneth`` and
+and a proven modulus tie; plus ``endo --kuenneth`` and
 ``quiver`` on the 3-Kronecker quiver.  Then the envelope's ``warnings``
 for library warnings raised outside ``growth``.
 
@@ -16,12 +16,30 @@ import json
 
 import pytest
 
+from catentropy import exact_linalg
 from catentropy.cli import main
 
 #: C(x^2 - 2x - 1) + C(x^4 + 6x^2 + 1): the moduli tie at 1 + sqrt(2).
 TIED_ACTION = [
     [0, 1, 0, 0, 0, 0], [1, 2, 0, 0, 0, 0], [0, 0, 0, 0, 0, -1],
     [0, 0, 1, 0, 0, 0], [0, 0, 0, 1, 0, -6], [0, 0, 0, 0, 1, 0],
+]
+
+#: C(x^2 - 2x - 1) + C((x^4 + 6x^2 + 1)(x^5 - x - 1)): the same tie, but
+#: with 11 roots in the one squarefree part, the squared-moduli polynomial
+#: (degree 66) is over the tie proof's degree cap.
+OVER_CAP_TIE_ACTION = [
+    [0, 1] + [0] * 9,
+    [1, 2] + [0] * 9,
+    [0] * 10 + [1],
+    [0, 0, 1] + [0] * 7 + [1],
+    [0, 0, 0, 1] + [0] * 6 + [6],
+    [0] * 4 + [1] + [0] * 5 + [6],
+    [0] * 5 + [1] + [0] * 4 + [1],
+    [0] * 6 + [1] + [0] * 4,
+    [0] * 7 + [1] + [0] * 3,
+    [0] * 8 + [1, 0, -6],
+    [0] * 9 + [1, 0],
 ]
 
 CASES = [
@@ -102,11 +120,11 @@ CASES = [
             '"inputs_digest":"6f523ebc29ec3944bc2c5c8d57dae44bbb1a6ecd09e7b443776a5ff8ef1cfed0",'
             '"results":{"dominant_factors":[{"factor":"x^6 - 2*x^5 + 5*x^4 - 12*x^3 - 5*x^2 - 2*x - 1",'
             '"multiplicity":1}],"quasi_unipotent_order":null,'
-            '"rho":2.41421356237,"rho_exact":null,'
+            '"rho":2.41421356237,"rho_exact":{"modulus_rank":0,'
+            '"root_of":"x^6 - 2*x^5 + 5*x^4 - 12*x^3 - 5*x^2 - 2*x - 1"},'
             '"rho_interval":["2414213562373094923/1000000000000000000",'
             '"2414213562373095049/1000000000000000000"],"s":0,'
-            '"tied_moduli":true},"version":"0.1.0",'
-            '"warnings":["root moduli stayed inseparable at the precision cap; the reported exponent is the conservative larger value"]}'
+            '"tied_moduli":false},"version":"0.1.0","warnings":[]}'
         ),
     ),
     (
@@ -186,6 +204,21 @@ def test_envelope_is_pinned(tmp_path, command, doc, expected):
     assert run_json(tmp_path, command, doc) == (0, expected + "\n")
 
 
+def test_golden_tie_is_proven_at_the_first_level(tmp_path, monkeypatch):
+    levels = []
+    build = exact_linalg._build_classes
+
+    def spy(*args):
+        levels.append(args[4])
+        return build(*args)
+
+    monkeypatch.setattr(exact_linalg, "_build_classes", spy)
+    code, out = run_json(tmp_path, ["growth"], {"rows": TIED_ACTION})
+    assert code == 0
+    assert json.loads(out)["results"]["tied_moduli"] is False
+    assert levels == [64]
+
+
 def test_twist_snap_warning_in_envelope_once(tmp_path, capsys):
     code, out = run_json(
         tmp_path,
@@ -205,7 +238,7 @@ def test_endo_tied_moduli_warning_in_envelope_once(tmp_path, capsys):
     code, out = run_json(
         tmp_path,
         ["endo"],
-        {"dim": 2, "actions": {"0": [[1]], "1": TIED_ACTION, "2": [[1]]}},
+        {"dim": 2, "actions": {"0": [[1]], "1": OVER_CAP_TIE_ACTION, "2": [[1]]}},
     )
     assert code == 0
     doc = json.loads(out)
@@ -214,4 +247,23 @@ def test_endo_tied_moduli_warning_in_envelope_once(tmp_path, capsys):
         "root moduli stayed inseparable at the precision cap; "
         "the reported exponent is the conservative larger value"
     ]
+    assert capsys.readouterr().err == ""
+
+
+def test_endo_proven_tie_has_no_warning(tmp_path, capsys):
+    # The tie of TIED_ACTION is proven in every signature endo computes.
+    code, out = run_json(
+        tmp_path,
+        ["endo"],
+        {"dim": 2, "actions": {"0": [[1]], "1": TIED_ACTION, "2": [[1]]}},
+    )
+    assert code == 0
+    doc = json.loads(out)
+    per_codim = doc["results"]["degrees"]["per_codimension"]
+    assert [entry["tied_moduli"] for entry in per_codim] == [False] * 3
+    assert per_codim[1]["rho_exact"] == {
+        "modulus_rank": 0,
+        "root_of": "x^6 - 2*x^5 + 5*x^4 - 12*x^3 - 5*x^2 - 2*x - 1",
+    }
+    assert doc["warnings"] == []
     assert capsys.readouterr().err == ""

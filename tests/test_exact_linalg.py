@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from catentropy.corpus import random_quasi_unipotent, random_unimodular
 from catentropy import exact_linalg
@@ -153,17 +155,78 @@ def test_root_moduli_rejects_non_squarefree():
         root_moduli(P([1, -2, 1]))
     with pytest.raises(DomainError):
         root_moduli(P([1, 1]), precision=0)
+    with pytest.raises(DomainError):
+        root_moduli(P([1, 1]), precision=exact_linalg.MAX_PRECISION_BITS + 1)
+
+
+@pytest.fixture
+def proofs(monkeypatch):
+    """The results of every ``_prove_tie`` call, in order."""
+    out = []
+    prove = exact_linalg._prove_tie
+
+    def spy(*args):
+        out.append(prove(*args))
+        return out[-1]
+
+    monkeypatch.setattr(exact_linalg, "_prove_tie", spy)
+    return out
+
+
+#: x^5 - x - 1: its five roots have three distinct moduli near 1, none
+#: exactly computable.  Beside the tie at 1 + sqrt(2), it puts the squared-
+#: moduli polynomial of the tied part over the tie proof's degree cap.
+OVER_CAP = P([-1, -1, 0, 0, 0, 1])
+
+
+def test_root_moduli_proves_true_tie(proofs):
+    # (x^2 - 2x - 1)(x^4 + 6x^2 + 1): the real root 1 + sqrt(2) of the
+    # quadratic ties with the modulus of the imaginary pair i(1 + sqrt(2))
+    # of the quartic, and 1 - sqrt(2) with i(1 - sqrt(2)).  Neither tie is
+    # a conjugate or +- pair; the Sturm count proves both, and the tied
+    # roots share one bracket.
+    h = P([-1, -2, 1]) * P([1, 0, 6, 0, 1])
+    out = root_moduli(h, precision=40)
+    assert proofs == [True, True]
+    brackets = sorted({bracket for _, bracket in out})
+    assert len(brackets) == 2
+    squares = P([1, -6, 1])  # has the roots 3 -+ 2 sqrt(2), the squared moduli
+    for (lo, hi), target in zip(brackets, (math.sqrt(2) - 1, math.sqrt(2) + 1)):
+        assert [abs(z) for z, b in out if b == (lo, hi)] == pytest.approx([target] * 3)
+        assert 0 < hi - lo <= Fraction(1, 2**40)
+        assert squares(lo * lo) * squares(hi * hi) < 0
 
 
 def test_root_moduli_precision_exhausted_on_true_tie():
-    # (x^2 - 2x - 1)(x^4 + 6x^2 + 1): the real root 1 + sqrt(2) of the
-    # quadratic ties with the modulus of the imaginary pair i(1 + sqrt(2))
-    # of the quartic; the tie is real but unprovable by the exact merges,
-    # so the caller is told the moduli stayed inseparable.
-    h = P([-1, -2, 1]) * P([1, 0, 6, 0, 1])
+    # The same tie with x^5 - x - 1 in the polynomial: the squared-moduli
+    # polynomial has degree 66, over the proof's cap, so the tie stays
+    # unproven and the caller is told the moduli stayed inseparable.
+    h = P([-1, -2, 1]) * P([1, 0, 6, 0, 1]) * OVER_CAP
     with pytest.raises(PrecisionExhausted) as err:
         root_moduli(h, precision=40)
     assert err.value.classes  # partial data is attached for the caller
+
+
+@pytest.mark.parametrize("gap_bits", [70, 200])
+def test_near_tie_is_separated_not_merged(proofs, gap_bits):
+    # x^2 - x - 1 beside x^2 - x - (1 + 2^-gap): the largest moduli differ
+    # by about 2^-gap / sqrt(5).  As two parts of a signature, their
+    # brackets overlap at 64 bits (and at 128 for a 2^-200 gap); the Sturm
+    # count finds two roots there and proves nothing, and a later level
+    # separates them.  A merge would report s = 1.
+    near = P([-(1 + Fraction(1, 2**gap_bits)), -1, 1])
+    assert len({bracket for _, bracket in root_moduli(P([-1, -1, 1]) * near)}) == 4
+    proofs.clear()
+    m = ExactMatrix.block_diag(
+        ExactMatrix.companion(P([-1, -1, 1]) ** 2), ExactMatrix.companion(near)
+    )
+    sig = growth_signature(m)
+    assert proofs and not any(proofs)
+    assert not sig.tied
+    assert sig.s == 0
+    assert sig.dominant_factors == ((near, 1),)
+    lo, hi = sig.rho_interval
+    assert near(lo) <= 0 <= near(hi)  # rho is the larger root of near
 
 
 def test_root_moduli_carries_certified_roots_up_the_ladder(monkeypatch):
@@ -284,19 +347,89 @@ def test_growth_signature_cross_part_tie_resolved_exactly():
     assert abs(sig.rho_float - (1 + math.sqrt(2))) < 1e-11
 
 
-def test_growth_signature_unprovable_tie_is_conservative():
+def test_growth_signature_proves_cross_part_tie(monkeypatch):
     # 1 + sqrt(2) is a root modulus of both x^2 - 2x - 1 (real root) and
-    # x^4 + 6x^2 + 1 (imaginary pair i(1 + sqrt(2))); the tie is real but
-    # not detectable by conjugation or negation of the first factor, so
-    # the precision ladder caps out and reports the larger exponent.
+    # x^4 + 6x^2 + 1 (imaginary pair i(1 + sqrt(2))); the tie is no
+    # conjugate or +- pair, and the Sturm count proves it at 64 bits.
     a = ExactMatrix.companion(P([-1, -2, 1]) ** 2)
     b = ExactMatrix.companion(P([1, 0, 6, 0, 1]))
+    levels = []
+    build = exact_linalg._build_classes
+
+    def spy(*args):
+        levels.append(args[4])
+        return build(*args)
+
+    monkeypatch.setattr(exact_linalg, "_build_classes", spy)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", TiedModuli)
+        sig = growth_signature(ExactMatrix.block_diag(a, b), max_bits=256)
+    assert levels == [64]
+    assert sig.s == 1
+    assert not sig.tied
+    assert {str(h) for h, _ in sig.dominant_factors} == {
+        "x^2 - 2*x - 1", "x^4 + 6*x^2 + 1"
+    }
+    lo, hi = sig.rho_interval
+    assert lo * lo - 2 * lo - 1 < 0 < hi * hi - 2 * hi - 1
+
+
+def test_growth_signature_proves_tie_with_exact_modulus():
+    # x^2 - 2 splits exactly (modulus squared 2); the roots +-1 +- i of
+    # x^4 + 4 are numeric.  T is the squared-moduli polynomial of x^4 + 4
+    # times (x - 2).
+    a = ExactMatrix.companion(P([-2, 0, 1]) ** 2)
+    b = ExactMatrix.companion(P([4, 0, 0, 0, 1]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", TiedModuli)
+        sig = growth_signature(ExactMatrix.block_diag(a, b))
+    assert sig.s == 1
+    assert not sig.tied
+    lo, hi = sig.rho_interval
+    assert lo * lo <= 2 <= hi * hi
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 6), st.sampled_from((1, 2)), st.integers(0, 2**32 - 1))
+def test_tie_family_is_proven_under_conjugation(a, j, seed):
+    # C((x^2 - ax - 1)^j) + C(x^4 + (a^2 + 2)x^2 + 1): the quartic is
+    # p(ix) p(-ix), so its roots +-i rho tie with the root rho of p.
+    p = P([-1, -a, 1])
+    blocks = ExactMatrix.block_diag(
+        ExactMatrix.companion(p**j), ExactMatrix.companion(P([1, 0, a * a + 2, 0, 1]))
+    )
+    u = random_unimodular(random.Random(seed), blocks.n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", TiedModuli)
+        sig = growth_signature(u @ blocks @ u.inverse())
+    assert not sig.tied
+    assert sig.s == j - 1
+    lo, hi = sig.rho_interval
+    # rho = (a + sqrt(a^2 + 4)) / 2 is the one positive root of p
+    assert 0 < lo and p(lo) <= 0 <= p(hi)
+
+
+def test_growth_signature_unprovable_tie_is_conservative():
+    # The same tie with x^5 - x - 1 beside the quartic: the two tied parts
+    # have 11 roots, the squared-moduli polynomial is over the proof's
+    # degree cap, so the precision ladder caps out and reports the larger
+    # exponent.
+    a = ExactMatrix.companion(P([-1, -2, 1]) ** 2)
+    b = ExactMatrix.companion(P([1, 0, 6, 0, 1]) * OVER_CAP)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         sig = growth_signature(ExactMatrix.block_diag(a, b), max_bits=256)
     assert sig.s == 1
     assert sig.tied
     assert any(issubclass(w.category, TiedModuli) for w in caught)
+
+
+def test_precision_cap_is_bounded():
+    limit = exact_linalg.MAX_PRECISION_BITS
+    m = M([[2, 1], [1, 1]])
+    assert growth_signature(m, max_bits=limit).s == 0
+    with pytest.raises(DomainError):
+        growth_signature(m, max_bits=limit + 1)
 
 
 def test_growth_signature_singular_with_rotation():

@@ -221,6 +221,10 @@ def test_entropy_from_constant_tables():
 def test_entropy_needs_eight_tables():
     with pytest.raises(WindowTooShort):
         entropy_from_ext_sequence([ExtTable.from_dict({0: 1})] * 7)
+    rep = entropy_from_ext_sequence(
+        [ExtTable.from_dict({-n: 1}) for n in range(1, 9)]
+    )
+    assert abs(rep[1.0]["h_t_hat"] - 1) < 1e-9
 
 
 def test_pairing_sequence_fibonacci_corner():
