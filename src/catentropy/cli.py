@@ -148,6 +148,19 @@ def _bits(text: str) -> int:
     return value
 
 
+def _head_fraction(text: str) -> float:
+    """``--drop-head``: a share of the sequence, at least 0 and below 1."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("not a number: %r" % text)
+    if not 0 <= value < 1:
+        raise argparse.ArgumentTypeError(
+            "must be at least 0 and below 1, got %r" % text
+        )
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="catentropy",
@@ -219,7 +232,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("sequence", help="sequence file (- for stdin)")
     p.add_argument("--n-lo", type=int, default=None)
     p.add_argument("--n-hi", type=int, default=None)
-    p.add_argument("--drop-head", type=float, default=0.25)
+    p.add_argument(
+        "--drop-head",
+        type=_head_fraction,
+        default=None,
+        help=(
+            "share of the sequence's head left out of the fit (default "
+            "0.25, less where the window would keep fewer than 8 points)"
+        ),
+    )
 
     p = sub.add_parser("selftest", help="run the executable invariant corpus")
     p.add_argument("--filter", default=None, help="substring filter on check keys")

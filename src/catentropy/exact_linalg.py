@@ -1215,11 +1215,7 @@ TIE_PROOF_MAX_DEGREE = 55
 
 
 def _prove_tie(
-    ca: _ModClass,
-    cb: _ModClass,
-    rests: dict[int, ExactPoly],
-    bits: int,
-    chains: dict,
+    ca: _ModClass, cb: _ModClass, rests: dict[int, ExactPoly], bits: int
 ) -> bool:
     """Whether the moduli of two overlapping classes are provably equal.
 
@@ -1227,38 +1223,32 @@ def _prove_tie(
     the numeric parts of the classes, times ``(x - exact_sq)`` for an exact
     class.  J is the hull of both squared brackets, rounded outward to the
     grid ``2**-bits``.  If a Sturm count finds exactly one distinct root of
-    T in J, the two squared moduli are that root.  ``chains`` caches the
-    Sturm chain (or None, over the degree cap) by the make-up of T.
+    T in J, the two squared moduli are that root.
     """
     exact = ca.exact_sq if ca.exact_sq is not None else cb.exact_sq
-    idx = frozenset(i for c in (ca, cb) if c.exact_sq is None for i in c.parts)
-    key = (idx, exact)
-    if key not in chains:
-        n = sum(rests[i].degree for i in idx)
-        chains[key] = None
-        if n * (n + 1) // 2 + (exact is not None) <= TIE_PROOF_MAX_DEGREE:
-            h = ExactPoly.one()
-            for i in sorted(idx):
-                h = h * rests[i]
-            g, d = _monic_ints(h)
-            t = _squared_moduli_poly(g)
-            if exact is not None:
-                # times (den * y - num) for exact * d**2 = num / den
-                q = exact * d * d
-                t = [
-                    x * q.denominator - y * q.numerator
-                    for x, y in zip(t + [0], [0] + t)
-                ]
-            chains[key] = (_sturm_chain(t), d * d)
-    if chains[key] is None:
+    idx = sorted({i for c in (ca, cb) if c.exact_sq is None for i in c.parts})
+    n = sum(rests[i].degree for i in idx)
+    if n * (n + 1) // 2 + (exact is not None) > TIE_PROOF_MAX_DEGREE:
         return False
-    chain, d2 = chains[key]
-    scale = d2 * 2**bits
+    h = ExactPoly.one()
+    for i in idx:
+        h = h * rests[i]
+    g, d = _monic_ints(h)
+    t = _squared_moduli_poly(g)
+    if exact is not None:
+        # times (den * y - num) for exact * d**2 = num / den
+        q = exact * d * d
+        t = [
+            x * q.denominator - y * q.numerator
+            for x, y in zip(t + [0], [0] + t)
+        ]
+    chain = _sturm_chain(t)
+    scale = d * d * 2**bits
     lo = min(ca.lo, cb.lo) ** 2 * scale
     hi = max(ca.hi, cb.hi) ** 2 * scale
     a = math.floor(lo) - 1
     b = math.ceil(hi) + 1
-    if not _dyadic_value(chain[0], a, bits) or not _dyadic_value(chain[0], b, bits):
+    if not _dyadic_value(t, a, bits) or not _dyadic_value(t, b, bits):
         return False
     return _sign_changes(chain, a, bits) - _sign_changes(chain, b, bits) == 1
 
@@ -1280,13 +1270,13 @@ def _merge_pairs(classes: list[_ModClass], merge) -> list[_ModClass]:
 
 
 def _merge_if_tied(
-    ca: _ModClass, cb: _ModClass, rests: dict[int, ExactPoly], bits: int, chains: dict
+    ca: _ModClass, cb: _ModClass, rests: dict[int, ExactPoly], bits: int
 ) -> Optional[_ModClass]:
     """One class for two overlapping classes, not both exact, whose moduli
     ``_prove_tie`` proves equal; its bracket is the intersection."""
     if ca.exact_sq is not None and cb.exact_sq is not None:
         return None
-    if not _prove_tie(ca, cb, rests, bits, chains):
+    if not _prove_tie(ca, cb, rests, bits):
         return None
     lo, hi = max(ca.lo, cb.lo), min(ca.hi, cb.hi)
     if hi < lo:
@@ -1352,7 +1342,6 @@ def _modulus_classes(
     starts = [_machine_roots(h) for _, h in numeric_parts]
     starts.append(_machine_roots(neg_pairs_poly))
     rests = dict(numeric_parts)
-    chains: dict = {}
 
     bits = start_bits
     while True:
@@ -1369,7 +1358,7 @@ def _modulus_classes(
             continue
         _separate_proven(classes)
         classes = _merge_pairs(
-            classes, lambda ca, cb: _merge_if_tied(ca, cb, rests, bits, chains)
+            classes, lambda ca, cb: _merge_if_tied(ca, cb, rests, bits)
         )
         unresolved = any(
             classes[a].overlaps(classes[b])

@@ -32,6 +32,9 @@ from .exact_linalg import ExactMatrix
 #: distinguished value t = 0.
 DEFAULT_T_GRID = (-1.0, -0.5, 0.0, 0.5, 1.0)
 
+#: Share of a sequence's head that ``fit_growth`` drops by default.
+DEFAULT_DROP_HEAD_FRACTION = 0.25
+
 
 @dataclass(frozen=True)
 class PositiveSequence:
@@ -122,13 +125,14 @@ def fit_growth(
     seq: PositiveSequence,
     n_lo: Optional[int] = None,
     n_hi: Optional[int] = None,
-    drop_head_fraction: float = 0.25,
+    drop_head_fraction: Optional[float] = None,
 ) -> EstimatedSignature:
     """Least-squares fit of log a_n over [n_lo, n_hi].
 
-    When no explicit window is given, the head of the sequence is dropped
-    per ``drop_head_fraction`` to suppress transient terms, but never so
-    much that the window keeps fewer than 8 points.
+    When ``n_lo`` is not given, the first ``drop_head_fraction`` of the
+    sequence is dropped to suppress transient terms.  An explicit fraction
+    is applied as given.  The default, DEFAULT_DROP_HEAD_FRACTION, drops
+    less where needed so that [n_lo, n_hi] keeps at least 8 points.
 
     The fit is the exact least-squares solution of its float data: every
     float is a dyadic rational, so ``log n`` and ``log a_n`` are scaled to
@@ -146,11 +150,15 @@ def fit_growth(
     dependent in float on the window (with a huge ``n_start`` every
     ``log n`` rounds to the same float), since no unique fit exists.
     """
-    if n_lo is None:
-        size = len(seq.values)
-        n_lo = seq.n_start + min(int(size * drop_head_fraction), size - 8)
     if n_hi is None:
         n_hi = seq.n_end
+    if n_lo is None:
+        if drop_head_fraction is None:
+            head = int(len(seq.values) * DEFAULT_DROP_HEAD_FRACTION)
+            head = max(0, min(head, n_hi - seq.n_start + 1 - 8))
+        else:
+            head = int(len(seq.values) * drop_head_fraction)
+        n_lo = seq.n_start + head
     if n_lo < seq.n_start or n_hi > seq.n_end:
         raise WindowTooShort(
             "window [%d, %d] exceeds the sequence range [%d, %d]"
@@ -211,7 +219,7 @@ def entropy_from_ext_sequence(
     tables: Sequence[ExtTable],
     t_grid: Sequence[float] = DEFAULT_T_GRID,
     n_start: int = 1,
-    drop_head_fraction: float = 0.25,
+    drop_head_fraction: Optional[float] = None,
 ) -> dict[float, dict[str, float]]:
     """Entropy and polynomial-entropy estimates from a family of
     graded-dimension tables indexed by iteration count.

@@ -288,6 +288,31 @@ def test_estimate_accepts_the_shortest_sequences(count):
     assert json.loads(proc.stdout)["results"]["window"] == [count - 7, count]
 
 
+@pytest.mark.parametrize("value", ["2", "1", "-0.1", "nan", "x"])
+def test_estimate_drop_head_outside_unit_interval_is_parse_error(value):
+    payload = json.dumps({"n_start": 1, "values": list(range(1, 101))})
+    proc = run_cli(
+        ["--json", "estimate", "--drop-head", value, "-"], stdin_text=payload
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "argument --drop-head:" in proc.stderr
+
+
+def test_estimate_explicit_drop_head_is_applied_as_given():
+    payload = json.dumps({"n_start": 1, "values": list(range(1, 101))})
+    proc = run_cli(
+        ["--json", "estimate", "--drop-head", "0.5", "-"], stdin_text=payload
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["results"]["window"] == [51, 100]
+    proc = run_cli(
+        ["--json", "estimate", "--drop-head", "0.95", "-"], stdin_text=payload
+    )
+    assert proc.returncode == 3
+    assert "fit window has 5 points" in proc.stderr
+
+
 def test_estimate_dependent_columns_is_domain_error():
     payload = json.dumps({"n_start": 10**20, "values": list(range(1, 17))})
     proc = run_cli(["--json", "estimate", "-"], stdin_text=payload)

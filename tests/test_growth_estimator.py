@@ -85,6 +85,26 @@ def test_fit_growth_window_too_short_after_drop():
         fit_growth(seq, n_lo=5, n_hi=9)
 
 
+def test_fit_growth_default_head_drop_keeps_eight_points_before_n_hi():
+    seq = PositiveSequence.from_values([float(n) for n in range(1, 101)])
+    assert fit_growth(seq).window == (26, 100)
+    assert fit_growth(seq, n_hi=20).window == (13, 20)
+    with pytest.raises(WindowTooShort):
+        fit_growth(seq, n_hi=7)
+
+
+def test_fit_growth_explicit_head_drop_is_not_clamped():
+    seq = PositiveSequence.from_values([float(n) for n in range(1, 101)])
+    assert fit_growth(seq, drop_head_fraction=0.5).window == (51, 100)
+    assert fit_growth(seq, drop_head_fraction=0.25).window == (26, 100)
+    with pytest.raises(WindowTooShort):
+        fit_growth(seq, drop_head_fraction=0.95)
+    with pytest.raises(WindowTooShort):
+        fit_growth(seq, drop_head_fraction=2.0)
+    with pytest.raises(WindowTooShort):
+        fit_growth(seq, n_hi=20, drop_head_fraction=0.25)
+
+
 def test_fit_growth_window_outside_range():
     seq = PositiveSequence.from_values([float(n) for n in range(1, 21)])
     with pytest.raises(WindowTooShort):
