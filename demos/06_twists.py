@@ -14,9 +14,9 @@ from catentropy import (
     fit_growth,
     fractional_cy_report,
     shift_report,
-    spherical_bound,
-    spherical_recurrence,
+    twist_bound,
     twist_entropy_report,
+    twist_recurrence,
 )
 
 print("Shifts cost nothing:", shift_report(1), shift_report(-3))
@@ -28,15 +28,15 @@ print("Sphere-like twist, d = 2, at t = 0: the bound is exactly linear.")
 p = TwistParams(TwistKind.SPHERICAL, d=2, t=0.0, A=1.0, B=1.0)
 for n in (1, 10, 100):
     print("  n = %3d: bound = %6.1f  recurrence = %6.1f"
-          % (n, spherical_bound(p, n), spherical_recurrence(p, n)))
+          % (n, twist_bound(p, n), twist_recurrence(p, n)))
 print()
 
 print("Same twist at t = -0.5: exponential growth, closed form dominates.")
 p = TwistParams(TwistKind.SPHERICAL, d=2, t=-0.5, A=1.0, B=1.0)
 for n in (1, 10, 50):
     print("  n = %3d: bound = %10.3f  >= recurrence = %10.3f"
-          % (n, spherical_bound(p, n), spherical_recurrence(p, n)))
-vals = [spherical_recurrence(p, n) for n in range(1, 201)]
+          % (n, twist_bound(p, n), twist_recurrence(p, n)))
+vals = [twist_recurrence(p, n) for n in range(1, 201)]
 est = fit_growth(PositiveSequence.from_values(vals))
 import math
 print("  fitted growth rate %.6f matches e^{(1-d)t} = %.6f"

@@ -78,12 +78,10 @@ from .twist_zoo import (
     TwistParams,
     ValueOrInterval,
     fractional_cy_report,
-    ptwist_bound,
-    ptwist_recurrence,
     shift_report,
-    spherical_bound,
-    spherical_recurrence,
+    twist_bound,
     twist_entropy_report,
+    twist_recurrence,
 )
 from .variety_dynamics import (
     DegreeTable,

@@ -30,11 +30,9 @@ from .sl2z_dynamics import Context, crosscheck_with_lattice, parse_word, trichot
 from .twist_zoo import (
     TwistKind,
     TwistParams,
-    ptwist_bound,
-    ptwist_recurrence,
-    spherical_bound,
-    spherical_recurrence,
+    twist_bound,
     twist_entropy_report,
+    twist_recurrence,
 )
 from .variety_dynamics import (
     kuenneth_self_product,
@@ -297,12 +295,8 @@ def _cmd_twist(args, messages: list[str]) -> tuple[dict, object]:
         B=args.B,
         orth_nonempty=args.orth,
     )
-    if params.kind is TwistKind.SPHERICAL:
-        bound = spherical_bound(params, args.n)
-        rec = spherical_recurrence(params, args.n)
-    else:
-        bound = ptwist_bound(params, args.n)
-        rec = ptwist_recurrence(params, args.n)
+    bound = twist_bound(params, args.n)
+    rec = twist_recurrence(params, args.n)
     rep = twist_entropy_report(params)
     payload = {
         "kind": params.kind.value,

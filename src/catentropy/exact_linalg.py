@@ -98,10 +98,6 @@ class ExactPoly:
     def one() -> "ExactPoly":
         return ExactPoly((Fraction(1),))
 
-    @staticmethod
-    def x() -> "ExactPoly":
-        return ExactPoly((Fraction(0), Fraction(1)))
-
     @property
     def is_zero(self) -> bool:
         return not self.coefficients
@@ -328,11 +324,11 @@ class ExactMatrix:
             raise DimensionMismatch("matrix must have dimension >= 1")
         if den != 1:
             if den < 0:
-                num = tuple(tuple(-x for x in row) for row in num)
+                num = tuple([tuple([-x for x in row]) for row in num])
                 den = -den
-            g = math.gcd(den, *(x for row in num for x in row))
+            g = math.gcd(den, *[x for row in num for x in row])
             if g > 1:
-                num = tuple(tuple(x // g for x in row) for row in num)
+                num = tuple([tuple([x // g for x in row]) for row in num])
                 den //= g
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
@@ -351,12 +347,12 @@ class ExactMatrix:
             if len(row) != n:
                 raise DimensionMismatch("matrix must be square; got ragged rows")
         fracs = [[_to_fraction(x) for x in row] for row in rows]
-        den = math.lcm(*(x.denominator for row in fracs for x in row))
+        den = math.lcm(*[x.denominator for row in fracs for x in row])
         return ExactMatrix(
-            tuple(
-                tuple(x.numerator * (den // x.denominator) for x in row)
+            tuple([
+                tuple([x.numerator * (den // x.denominator) for x in row])
                 for row in fracs
-            ),
+            ]),
             den,
         )
 
@@ -387,7 +383,7 @@ class ExactMatrix:
     @staticmethod
     def block_diag(*blocks: "ExactMatrix") -> "ExactMatrix":
         n = sum(b.n for b in blocks)
-        den = math.lcm(*(b.den for b in blocks))
+        den = math.lcm(*[b.den for b in blocks])
         rows = [[0] * n for _ in range(n)]
         off = 0
         for b in blocks:
@@ -395,7 +391,7 @@ class ExactMatrix:
             for i, row in enumerate(b.num):
                 rows[off + i][off : off + b.n] = [f * x for x in row]
             off += b.n
-        return ExactMatrix(tuple(map(tuple, rows)), den)
+        return ExactMatrix(tuple([tuple(row) for row in rows]), den)
 
     @property
     def n(self) -> int:
@@ -488,11 +484,11 @@ class ExactMatrix:
         if len(v) != self.n:
             raise DimensionMismatch("vector length does not match matrix size")
         vf = [_to_fraction(x) for x in v]
-        vden = math.lcm(*(x.denominator for x in vf))
+        vden = math.lcm(*[x.denominator for x in vf])
         vn = [x.numerator * (vden // x.denominator) for x in vf]
         den = self.den * vden
         mul = operator.mul
-        return tuple(Fraction(sum(map(mul, row, vn)), den) for row in self.num)
+        return tuple([Fraction(sum(map(mul, row, vn)), den) for row in self.num])
 
     def transpose(self) -> "ExactMatrix":
         return ExactMatrix(tuple(zip(*self.num)), self.den)
@@ -922,7 +918,6 @@ class _ModClass:
     hi: Fraction
     parts: set[int]
     positions: list[complex]
-    proven: bool
     merged_at_cap: bool = False
 
     def overlaps(self, other: "_ModClass") -> bool:
@@ -1059,7 +1054,7 @@ def _build_classes(
             lo, hi = _sqrt_interval(box.exact_sq, width)
             by_sq[box.exact_sq] = len(classes)
             classes.append(
-                _ModClass(box.exact_sq, lo, hi, {box.part}, [box.z], True)
+                _ModClass(box.exact_sq, lo, hi, {box.part}, [box.z])
             )
 
     # Union-find over numeric boxes: conjugate partners always share a
@@ -1114,16 +1109,16 @@ def _build_classes(
             raise _NeedMoreBits()
         classes.append(
             _ModClass(None, lo, hi, {b.part for b in boxes},
-                      [b.z for b in boxes], False)
+                      [b.z for b in boxes])
         )
     return classes
 
 
-def _separate_proven(classes: list[_ModClass]) -> None:
+def _separate_exact(classes: list[_ModClass]) -> None:
     """Distinct exact moduli always separate: shrink their brackets."""
     for a, b in itertools.combinations(range(len(classes)), 2):
         ca, cb = classes[a], classes[b]
-        if not (ca.proven and cb.proven) or ca.exact_sq == cb.exact_sq:
+        if ca.exact_sq is None or cb.exact_sq is None or ca.exact_sq == cb.exact_sq:
             continue
         width = min(ca.hi - ca.lo, cb.hi - cb.lo)
         for _ in range(300):
@@ -1285,8 +1280,7 @@ def _merge_if_tied(
         )
     exact = ca.exact_sq if ca.exact_sq is not None else cb.exact_sq
     return _ModClass(
-        exact, lo, hi, ca.parts | cb.parts, ca.positions + cb.positions,
-        exact is not None,
+        exact, lo, hi, ca.parts | cb.parts, ca.positions + cb.positions
     )
 
 
@@ -1298,7 +1292,6 @@ def _merge_at_cap(ca: _ModClass, cb: _ModClass) -> _ModClass:
         max(ca.hi, cb.hi),
         ca.parts | cb.parts,
         ca.positions + cb.positions,
-        False,
         merged_at_cap=True,
     )
 
@@ -1356,7 +1349,7 @@ def _modulus_classes(
                 )
             bits *= 2
             continue
-        _separate_proven(classes)
+        _separate_exact(classes)
         classes = _merge_pairs(
             classes, lambda ca, cb: _merge_if_tied(ca, cb, rests, bits)
         )
@@ -1365,7 +1358,7 @@ def _modulus_classes(
             for a, b in itertools.combinations(range(len(classes)), 2)
         )
         too_wide = any(
-            not c.proven and c.hi - c.lo > width for c in classes
+            c.exact_sq is None and c.hi - c.lo > width for c in classes
         )
         if not unresolved and not too_wide:
             return classes, False
@@ -1530,7 +1523,7 @@ def growth_signature(
 
     lo, hi = top.lo, top.hi
     rho_exact: Optional[Union[Fraction, RootOfFactor]] = None
-    if top.proven:
+    if top.exact_sq is not None:
         root = _fraction_sqrt(top.exact_sq)
         if root is not None:
             rho_exact = root

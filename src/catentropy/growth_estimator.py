@@ -87,9 +87,6 @@ class ExtTable:
                 items.append((k, v))
         return ExtTable(tuple(items))
 
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.dims)
-
 
 @dataclass(frozen=True)
 class EstimatedSignature:

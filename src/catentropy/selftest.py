@@ -416,30 +416,18 @@ def check_variety_degree_multiplicativity(corrupt: bool = False) -> list[str]:
 def check_twist_bound_recurrence(corrupt: bool = False) -> list[str]:
     failures = []
     for kind in (tz.TwistKind.SPHERICAL, tz.TwistKind.PTWIST):
-        bound_mp = (
-            tz.spherical_bound_mp
-            if kind is tz.TwistKind.SPHERICAL
-            else tz.ptwist_bound_mp
-        )
-        series = (
-            tz.spherical_recurrence_series
-            if kind is tz.TwistKind.SPHERICAL
-            else tz.ptwist_recurrence_series
-        )
         for d in (1, 2, 3, 4):
             for t in (-1.0, -0.1, 0.0, 0.1, 1.0):
                 for a in (0.5, 1.0, 10.0):
                     for b in (0.5, 1.0, 10.0):
                         p = tz.TwistParams(kind, d=d, t=t, A=a, B=b)
-                        rec = series(p, 200)
-                        exact_branch = t == 0.0 or (
-                            kind is tz.TwistKind.SPHERICAL and d == 1
-                        )
+                        rec = tz.twist_recurrence_series(p, 200)
+                        exact_branch = t == 0.0 or p.slope == 0
                         # Noise floor: the series accumulates at 80-bit
                         # precision, so treat sub-2^-60 gaps as ties.
                         eps = mpmath.mpf(2) ** -60
                         for n in (1, 2, 3, 7, 50, 200):
-                            bb, rr = bound_mp(p, n), rec[n - 1]
+                            bb, rr = tz.twist_bound_mp(p, n), rec[n - 1]
                             if exact_branch:
                                 if abs(bb - rr) > 1e-12 * rr:
                                     failures.append(
@@ -459,7 +447,7 @@ def check_twist_growth_consistency(corrupt: bool = False) -> list[str]:
     for d in (2, 3, 4):
         for t in (-1.0, -0.1):
             p = tz.TwistParams(tz.TwistKind.SPHERICAL, d=d, t=t, A=1.0, B=1.0)
-            vals = [float(v) for v in tz.spherical_recurrence_series(p, 200)]
+            vals = [float(v) for v in tz.twist_recurrence_series(p, 200)]
             if not all(math.isfinite(v) for v in vals):
                 continue
             est = ge.fit_growth(ge.PositiveSequence.from_values(vals))

@@ -2,9 +2,15 @@
 
 Shifts and fractional Calabi-Yau Serre functors have linear entropy
 functions and zero polynomial entropy.  Twists around sphere-like and
-projective-space-like objects admit closed-form upper bounds for the
-weighted dimension sums of their iterates; every closed form is validated
-against the exact term-by-term recurrence it came from.
+projective-space-like objects follow one model with a single parameter,
+the slope alpha: after n twists the weighted dimension sum is
+
+    B + A * sum_{j=1..n} exp((1 + alpha*(j-1)) t),
+
+and the entropy function is alpha*t for t <= 0.  A d-sphere-like object
+has alpha = 1 - d, a P^d-like object alpha = -2d.  The sum has a
+closed-form upper bound, validated against the exact term-by-term
+recurrence it came from.
 """
 
 from __future__ import annotations
@@ -61,6 +67,13 @@ class TwistParams:
             return 0.0
         return self.t
 
+    @property
+    def slope(self) -> int:
+        """The slope alpha of the entropy function for t <= 0."""
+        if self.kind is TwistKind.SPHERICAL:
+            return 1 - self.d
+        return -2 * self.d
+
 
 @dataclass(frozen=True)
 class ValueOrInterval:
@@ -106,108 +119,52 @@ def fractional_cy_report(n: int, m: int) -> dict:
 _WORK_BITS = 80
 
 
-def spherical_bound_mp(p: TwistParams, n: int) -> mpmath.mpf:
+def twist_bound_mp(p: TwistParams, n: int) -> mpmath.mpf:
     """Closed-form upper bound for the weighted dimension sum after n
-    twists around a d-sphere-like object, as an mpmath value.
+    twists, as an mpmath value.
 
-    Branches (in selection order): d = 1 and t = 0 equal the recurrence
-    exactly; for d >= 2 and t != 0 the geometric closed form dominates
-    the finite sum.
+    Branches (in selection order): slope 0 and t = 0 equal the recurrence
+    exactly; for any other slope and t != 0 the geometric closed form
+    dominates the finite sum.
     """
-    if p.kind is not TwistKind.SPHERICAL:
-        raise DomainError("spherical_bound needs spherical parameters")
     if n < 1:
         raise DomainError("n must be >= 1")
-    t, d = p.t_snapped, p.d
+    t, alpha = p.t_snapped, p.slope
     with mpmath.workprec(_WORK_BITS):
         a, b, tm = mpmath.mpf(p.A), mpmath.mpf(p.B), mpmath.mpf(t)
-        if d == 1:
+        if alpha == 0:
             return n * mpmath.exp(tm) * a + b
         if t == 0.0:
             return n * a + b
         if t < 0:
-            return (
-                mpmath.exp((1 - d) * n * tm) / (mpmath.exp((1 - d) * tm) - 1) * a
-                + b
-            )
-        return mpmath.exp(tm) / (1 - mpmath.exp((1 - d) * tm)) * a + b
+            return mpmath.exp(alpha * n * tm) / (mpmath.exp(alpha * tm) - 1) * a + b
+        return mpmath.exp(tm) / (1 - mpmath.exp(alpha * tm)) * a + b
 
 
-def spherical_recurrence_series(p: TwistParams, n_max: int) -> list:
-    """Partial sums B + A * sum_{i=1..n} exp(((1-d)i + d) t) for
+def twist_recurrence_series(p: TwistParams, n_max: int) -> list:
+    """Partial sums B + A * sum_{j=1..n} exp((slope*j + 1 - slope) t) for
     n = 1..n_max, accumulated term by term (mpmath values)."""
-    if p.kind is not TwistKind.SPHERICAL:
-        raise DomainError("spherical_recurrence needs spherical parameters")
     if n_max < 1:
         raise DomainError("n must be >= 1")
-    t, d = p.t_snapped, p.d
+    t, alpha = p.t_snapped, p.slope
     out = []
     with mpmath.workprec(_WORK_BITS):
         a, tm = mpmath.mpf(p.A), mpmath.mpf(t)
         acc = mpmath.mpf(p.B)
-        for i in range(1, n_max + 1):
-            acc = acc + a * mpmath.exp(((1 - d) * i + d) * tm)
+        for j in range(1, n_max + 1):
+            acc = acc + a * mpmath.exp((alpha * j + 1 - alpha) * tm)
             out.append(acc)
     return out
 
 
-def spherical_bound(p: TwistParams, n: int) -> float:
-    """Float view of spherical_bound_mp (inf when beyond float range)."""
-    return float(spherical_bound_mp(p, n))
+def twist_bound(p: TwistParams, n: int) -> float:
+    """Float view of twist_bound_mp (inf when beyond float range)."""
+    return float(twist_bound_mp(p, n))
 
 
-def spherical_recurrence(p: TwistParams, n: int) -> float:
+def twist_recurrence(p: TwistParams, n: int) -> float:
     """Float view of the exact term-by-term partial sum."""
-    return float(spherical_recurrence_series(p, n)[-1])
-
-
-def ptwist_bound_mp(p: TwistParams, n: int) -> mpmath.mpf:
-    """Closed-form upper bound after n twists around a P^d-like object,
-    as an mpmath value; t = 0 equals the recurrence, other branches
-    dominate it."""
-    if p.kind is not TwistKind.PTWIST:
-        raise DomainError("ptwist_bound needs P-twist parameters")
-    if n < 1:
-        raise DomainError("n must be >= 1")
-    t, d = p.t_snapped, p.d
-    with mpmath.workprec(_WORK_BITS):
-        a, b, tm = mpmath.mpf(p.A), mpmath.mpf(p.B), mpmath.mpf(t)
-        if t == 0.0:
-            return n * a + b
-        if t < 0:
-            return (
-                mpmath.exp(-2 * d * n * tm) / (mpmath.exp(-2 * d * tm) - 1) * a
-                + b
-            )
-        return mpmath.exp(tm) / (1 - mpmath.exp(-2 * d * tm)) * a + b
-
-
-def ptwist_recurrence_series(p: TwistParams, n_max: int) -> list:
-    """Partial sums B + A * sum_{i=0..n-1} exp((1 - 2di) t) for
-    n = 1..n_max (mpmath values)."""
-    if p.kind is not TwistKind.PTWIST:
-        raise DomainError("ptwist_recurrence needs P-twist parameters")
-    if n_max < 1:
-        raise DomainError("n must be >= 1")
-    t, d = p.t_snapped, p.d
-    out = []
-    with mpmath.workprec(_WORK_BITS):
-        a, tm = mpmath.mpf(p.A), mpmath.mpf(t)
-        acc = mpmath.mpf(p.B)
-        for i in range(n_max):
-            acc = acc + a * mpmath.exp((1 - 2 * d * i) * tm)
-            out.append(acc)
-    return out
-
-
-def ptwist_bound(p: TwistParams, n: int) -> float:
-    """Float view of ptwist_bound_mp (inf when beyond float range)."""
-    return float(ptwist_bound_mp(p, n))
-
-
-def ptwist_recurrence(p: TwistParams, n: int) -> float:
-    """Float view of the exact term-by-term partial sum."""
-    return float(ptwist_recurrence_series(p, n)[-1])
+    return float(twist_recurrence_series(p, n)[-1])
 
 
 @dataclass(frozen=True)
@@ -229,45 +186,27 @@ def twist_entropy_report(
 ) -> TwistEntropyReport:
     """Branch table for the (polynomial) entropy of a twist.
 
-    Sphere-like twists: the entropy function is (1-d)t for t <= 0 and 0
-    for t > 0.  The polynomial entropy vanishes off t = 0 for d >= 2,
-    provided for t > 0 that something is orthogonal to the twisted object;
-    without that hypothesis the branch is unknown ([0, inf)).  At t = 0
-    (and for d = 1 at every t) only the two-sided bound [0, 1] holds in
-    general; declaring the quiver 3-Calabi-Yau context pins the value of
-    the known examples to 1, recorded as a note.
+    The entropy function is slope*t for t <= 0 and 0 for t > 0.  The
+    polynomial entropy vanishes off t = 0 for a nonzero slope, provided
+    for t > 0 that something is orthogonal to the twisted object; without
+    that hypothesis the branch is unknown ([0, inf)).  At t = 0 (and at
+    every t for slope 0, the d = 1 sphere) only the two-sided bound
+    [0, 1] holds in general; declaring the quiver 3-Calabi-Yau context
+    pins the value of the known examples to 1, recorded as a note.
     """
     t = p.t_snapped
-    d = p.d
-    if p.kind is TwistKind.SPHERICAL:
-        h_t_desc = "(1-d)t = %d*t for t <= 0; 0 for t > 0" % (1 - d)
-        h_t_now = (1 - d) * t if t <= 0 else 0.0
-        if d == 1:
-            branches = {
-                "t<0": ValueOrInterval(0.0, 1.0),
-                "t=0": ValueOrInterval(0.0, 1.0),
-                "t>0": ValueOrInterval(0.0, 1.0),
-            }
-            unknown = {"t<0": False, "t=0": False, "t>0": False}
-        else:
-            pos = (
-                ValueOrInterval.exact(0.0)
-                if p.orth_nonempty
-                else ValueOrInterval(0.0, math.inf)
-            )
-            branches = {
-                "t<0": ValueOrInterval.exact(0.0),
-                "t=0": ValueOrInterval(0.0, 1.0),
-                "t>0": pos,
-            }
-            unknown = {
-                "t<0": False,
-                "t=0": False,
-                "t>0": not p.orth_nonempty,
-            }
+    alpha = p.slope
+    label = "(1-d)t" if p.kind is TwistKind.SPHERICAL else "-2dt"
+    h_t_desc = "%s = %d*t for t <= 0; 0 for t > 0" % (label, alpha)
+    h_t_now = alpha * t if t <= 0 else 0.0
+    if alpha == 0:
+        branches = {
+            "t<0": ValueOrInterval(0.0, 1.0),
+            "t=0": ValueOrInterval(0.0, 1.0),
+            "t>0": ValueOrInterval(0.0, 1.0),
+        }
+        unknown = {"t<0": False, "t=0": False, "t>0": False}
     else:
-        h_t_desc = "-2dt = %d*t for t <= 0; 0 for t > 0" % (-2 * d)
-        h_t_now = -2 * d * t if t <= 0 else 0.0
         pos = (
             ValueOrInterval.exact(0.0)
             if p.orth_nonempty

@@ -197,27 +197,15 @@ def test_criterion_6_twist_suite():
     failures = []
     eps = mpmath.mpf(2) ** -60
     for kind in (tz.TwistKind.SPHERICAL, tz.TwistKind.PTWIST):
-        bound_mp = (
-            tz.spherical_bound_mp
-            if kind is tz.TwistKind.SPHERICAL
-            else tz.ptwist_bound_mp
-        )
-        series = (
-            tz.spherical_recurrence_series
-            if kind is tz.TwistKind.SPHERICAL
-            else tz.ptwist_recurrence_series
-        )
         for d in (1, 2, 3, 4):
             for t in (-1.0, -0.1, 0.0, 0.1, 1.0):
                 for a in (0.5, 1.0, 10.0):
                     for b in (0.5, 1.0, 10.0):
                         p = tz.TwistParams(kind, d=d, t=t, A=a, B=b)
-                        rec = series(p, 200)
-                        exact_branch = t == 0.0 or (
-                            kind is tz.TwistKind.SPHERICAL and d == 1
-                        )
+                        rec = tz.twist_recurrence_series(p, 200)
+                        exact_branch = t == 0.0 or p.slope == 0
                         for n in range(1, 201):
-                            bb, rr = bound_mp(p, n), rec[n - 1]
+                            bb, rr = tz.twist_bound_mp(p, n), rec[n - 1]
                             if exact_branch:
                                 if abs(bb - rr) > 1e-12 * rr:
                                     failures.append(
@@ -234,7 +222,7 @@ def test_criterion_6_twist_suite():
     for d in (2, 3, 4):
         for t in (-1.0, -0.1):
             p = tz.TwistParams(tz.TwistKind.SPHERICAL, d=d, t=t, A=1.0, B=1.0)
-            vals = [float(v) for v in tz.spherical_recurrence_series(p, 200)]
+            vals = [float(v) for v in tz.twist_recurrence_series(p, 200)]
             est = ge.fit_growth(ge.PositiveSequence.from_values(vals))
             target = math.exp((1 - d) * t)
             if abs(est.rho_hat - target) > 1e-3 * target:

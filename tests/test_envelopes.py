@@ -1,9 +1,10 @@
 """Golden ``--json`` envelopes, one input per route through the growth
 pipeline: a root of unity, an integer root, numerically isolated roots, a
 rational quasi-unipotent matrix, a singular matrix with a rotation block
-and a proven modulus tie; plus ``endo --kuenneth`` and
-``quiver`` on the 3-Kronecker quiver.  Then the envelope's ``warnings``
-for library warnings raised outside ``growth``.
+and a proven modulus tie; plus ``endo --kuenneth``, ``quiver`` on the
+3-Kronecker quiver and ``twist`` on each bound and entropy branch.  Then
+the envelope's ``warnings`` for library warnings raised outside
+``growth``.
 
 A refactor of the exact pipeline must keep these bytes unchanged.  Each
 command runs in-process with the default ``--tol`` and ``--precision``.
@@ -181,6 +182,86 @@ CASES = [
             '"1713525491562421177/250000000000000000"],"s":0,'
             '"tied_moduli":false},"skipped_pairs":[],'
             '"used_pair_sum_fallback":false}},"version":"0.1.0","warnings":[]}'
+        ),
+    ),
+    (
+        "twist-spherical-slope-zero",
+        ["twist", "--kind", "spherical", "--d", "1", "--t", "0.5",
+         "--A", "2", "--B", "3", "--n", "10"],
+        None,
+        (
+            '{"command":"twist",'
+            '"inputs_digest":"0eb871b6ae798baa301a22ac9e0e81e49a98dadd4a74f6347cd683c59f551f84",'
+            '"results":{"bound_at_n":35.974425414,"h_pol_at_t":[0,1],'
+            '"h_pol_branches":{"t<0":[0,1],"t=0":[0,1],"t>0":[0,1]},'
+            '"h_t":"(1-d)t = 0*t for t <= 0; 0 for t > 0","h_t_at_t":0,'
+            '"kind":"spherical","n":10,"note":null,'
+            '"recurrence_at_n":35.974425414,"unknown_at_t":false},'
+            '"version":"0.1.0","warnings":[]}'
+        ),
+    ),
+    (
+        "twist-spherical-negative-t",
+        ["twist", "--kind", "spherical", "--d", "3", "--t=-0.5",
+         "--A", "1", "--B", "1", "--n", "12"],
+        None,
+        (
+            '{"command":"twist",'
+            '"inputs_digest":"1434b2e3f2b559872623d2ab3a300353508d66275fe7297f86f1394f5e5df611",'
+            '"results":{"bound_at_n":94720.4975372,"h_pol_at_t":0,'
+            '"h_pol_branches":{"t<0":0,"t=0":[0,1],"t>0":[0,"inf"]},'
+            '"h_t":"(1-d)t = -2*t for t <= 0; 0 for t > 0","h_t_at_t":1,'
+            '"kind":"spherical","n":12,"note":null,'
+            '"recurrence_at_n":57450.9263422,"unknown_at_t":false},'
+            '"version":"0.1.0","warnings":[]}'
+        ),
+    ),
+    (
+        "twist-spherical-orth",
+        ["twist", "--kind", "spherical", "--d", "2", "--t", "0.5",
+         "--A", "1.5", "--B", "1", "--n", "20", "--orth"],
+        None,
+        (
+            '{"command":"twist",'
+            '"inputs_digest":"8b67d1e6adda3f0c3382aeaa09570f36e857ecef0d78d3d6ac4881adba6d00d0",'
+            '"results":{"bound_at_n":7.28532302986,"h_pol_at_t":0,'
+            '"h_pol_branches":{"t<0":0,"t=0":[0,1],"t>0":0},'
+            '"h_t":"(1-d)t = -1*t for t <= 0; 0 for t > 0","h_t_at_t":0,'
+            '"kind":"spherical","n":20,"note":null,'
+            '"recurrence_at_n":7.28503767663,"unknown_at_t":false},'
+            '"version":"0.1.0","warnings":[]}'
+        ),
+    ),
+    (
+        "twist-ptwist-unknown",
+        ["twist", "--kind", "ptwist", "--d", "2", "--t", "0.5",
+         "--A", "1", "--B", "2", "--n", "8"],
+        None,
+        (
+            '{"command":"twist",'
+            '"inputs_digest":"c5df269f10e84fd76f88f3c5f19361ec4804e4abf2d1b70127228db47205589d",'
+            '"results":{"bound_at_n":3.90677523754,"h_pol_at_t":[0,"inf"],'
+            '"h_pol_branches":{"t<0":0,"t=0":[0,1],"t>0":[0,"inf"]},'
+            '"h_t":"-2dt = -4*t for t <= 0; 0 for t > 0","h_t_at_t":0,'
+            '"kind":"ptwist","n":8,"note":null,'
+            '"recurrence_at_n":3.90677502296,"unknown_at_t":true},'
+            '"version":"0.1.0","warnings":[]}'
+        ),
+    ),
+    (
+        "twist-ptwist-negative-t",
+        ["twist", "--kind", "ptwist", "--d", "1", "--t=-0.3",
+         "--A", "1", "--B", "1", "--n", "15"],
+        None,
+        (
+            '{"command":"twist",'
+            '"inputs_digest":"894b7caa4abd2fb9e64e56f29deccac0e9e95274e7d26e71f6b6299276eaf3d9",'
+            '"results":{"bound_at_n":9857.34183737,"h_pol_at_t":0,'
+            '"h_pol_branches":{"t<0":0,"t=0":[0,1],"t>0":[0,"inf"]},'
+            '"h_t":"-2dt = -2*t for t <= 0; 0 for t > 0","h_t_at_t":0.6,'
+            '"kind":"ptwist","n":15,"note":null,'
+            '"recurrence_at_n":7301.85651391,"unknown_at_t":false},'
+            '"version":"0.1.0","warnings":[]}'
         ),
     ),
 ]

@@ -12,6 +12,8 @@ from __future__ import annotations
 import itertools
 import math
 import pickle
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -291,3 +293,37 @@ def test_char_and_min_poly_match_fraction_reference(rows):
     assert q.degree == ref_min_poly_degree(f)
     assert all(x == 0 for row in eval_poly_at_matrix(q, f) for x in row)
     assert divmod(p, q)[1].is_zero
+
+
+#: One ExactMatrix entry point each, called 20,000 times in a fresh process.
+ALLOCATION_CALLS = {
+    "init": "ExactMatrix(((2, 4), (6, 8)), -6)",
+    "from_rows": "ExactMatrix.from_rows(rows)",
+    "block_diag": "ExactMatrix.block_diag(m, m)",
+    "matvec": "m.matvec(v)",
+}
+
+
+@pytest.mark.parametrize("call", sorted(ALLOCATION_CALLS))
+def test_constructors_keep_no_spare_tuples(call):
+    # tuple(generator), and f(*generator) as the only star argument, build
+    # a tuple of a guessed size and shrink it, so CPython's free list for
+    # the final size fills (to 2,000 tuples per size) but is never drawn
+    # from.  Built from a list, each tuple has its exact size at once.
+    script = (
+        "import sys\n"
+        "from fractions import Fraction\n"
+        "from catentropy.exact_linalg import ExactMatrix\n"
+        "rows = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(2, 5), 1]]\n"
+        "m = ExactMatrix.from_rows(rows)\n"
+        "v = [Fraction(1, 3), Fraction(2, 7)]\n"
+        "before = sys.getallocatedblocks()\n"
+        "for _ in range(20000):\n"
+        "    %s\n"
+        "print(sys.getallocatedblocks() - before)\n" % ALLOCATION_CALLS[call]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 300

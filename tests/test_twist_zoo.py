@@ -13,16 +13,12 @@ from catentropy.twist_zoo import (
     TwistParams,
     ValueOrInterval,
     fractional_cy_report,
-    ptwist_bound,
-    ptwist_bound_mp,
-    ptwist_recurrence,
-    ptwist_recurrence_series,
     shift_report,
-    spherical_bound,
-    spherical_bound_mp,
-    spherical_recurrence,
-    spherical_recurrence_series,
+    twist_bound,
+    twist_bound_mp,
     twist_entropy_report,
+    twist_recurrence,
+    twist_recurrence_series,
 )
 
 S, P = TwistKind.SPHERICAL, TwistKind.PTWIST
@@ -44,44 +40,44 @@ def test_fractional_cy_report():
 
 def test_spherical_bound_t_zero():
     p = TwistParams(S, d=2, t=0.0, A=1.0, B=1.0)
-    assert spherical_bound(p, 10) == 11.0
+    assert twist_bound(p, 10) == 11.0
 
 
 def test_spherical_bound_d_one():
     # n e^t A + B at t = 0 is n A + B
     p = TwistParams(S, d=1, t=0.0, A=2.0, B=3.0)
-    assert spherical_bound(p, 5) == 13.0
+    assert twist_bound(p, 5) == 13.0
 
 
 def test_spherical_bound_positive_t_is_n_independent():
     p = TwistParams(S, d=3, t=0.5, A=1.0, B=0.25)
     expected = math.exp(0.5) / (1 - math.exp(-1)) + 0.25
     for n in (1, 10, 100):
-        assert abs(spherical_bound(p, n) - expected) < 1e-12
+        assert abs(twist_bound(p, n) - expected) < 1e-12
 
 
 def test_spherical_recurrence_term_sum():
     # d = 2, t = -1: terms e^((2 - i) * -1 * -1)... sum is e + 1 + 1/e
     p = TwistParams(S, d=2, t=-1.0, A=1.0, B=0.5)
     expected = 0.5 + (math.e + 1 + 1 / math.e)
-    assert abs(spherical_recurrence(p, 3) - expected) < 1e-12
+    assert abs(twist_recurrence(p, 3) - expected) < 1e-12
 
 
 def test_recurrence_single_term():
-    for kind, rec in ((S, spherical_recurrence), (P, ptwist_recurrence)):
+    for kind in (S, P):
         p = TwistParams(kind, d=4, t=0.3, A=1.5, B=2.0)
-        assert abs(rec(p, 1) - (2.0 + 1.5 * math.exp(0.3))) < 1e-12
+        assert abs(twist_recurrence(p, 1) - (2.0 + 1.5 * math.exp(0.3))) < 1e-12
 
 
 def test_ptwist_bound_t_zero():
     p = TwistParams(P, d=2, t=0.0, A=1.0, B=1.0)
-    assert ptwist_bound(p, 7) == 8.0
+    assert twist_bound(p, 7) == 8.0
 
 
 def test_ptwist_bound_positive_t():
     p = TwistParams(P, d=1, t=0.5, A=1.0, B=0.0 + 1e-12)
     expected = math.exp(0.5) / (1 - math.exp(-1))
-    assert abs(ptwist_bound(p, 9) - expected) < 1e-9
+    assert abs(twist_bound(p, 9) - expected) < 1e-9
 
 
 def test_params_validation():
@@ -90,29 +86,36 @@ def test_params_validation():
     with pytest.raises(DomainError):
         TwistParams(S, d=1, t=0.0, A=0.0, B=1.0)
     with pytest.raises(DomainError):
-        spherical_bound(TwistParams(P, d=1, t=0.0, A=1.0, B=1.0), 1)
+        twist_bound(TwistParams(P, d=1, t=0.0, A=1.0, B=1.0), 0)
     with pytest.raises(DomainError):
-        ptwist_bound(TwistParams(S, d=1, t=0.0, A=1.0, B=1.0), 1)
+        twist_recurrence_series(TwistParams(S, d=1, t=0.0, A=1.0, B=1.0), 0)
+
+
+def test_slope_by_kind():
+    # spherical 1 - d, P-twist -2d; the d = 1 sphere alone has slope 0
+    def slopes(kind):
+        return [TwistParams(kind, d=d, t=0.0, A=1.0, B=1.0).slope for d in (1, 2, 5)]
+
+    assert slopes(S) == [0, -1, -4]
+    assert slopes(P) == [-2, -4, -10]
 
 
 def test_t_snap_warns_near_zero():
     p = TwistParams(S, d=2, t=1e-14, A=1.0, B=1.0)
     with pytest.warns(UserWarning):
-        assert spherical_bound(p, 10) == 11.0
+        assert twist_bound(p, 10) == 11.0
 
 
 def test_bound_dominates_recurrence_on_grid():
     eps = mpmath.mpf(2) ** -60
     for kind in (S, P):
-        bound_mp = spherical_bound_mp if kind is S else ptwist_bound_mp
-        series = spherical_recurrence_series if kind is S else ptwist_recurrence_series
         for d in (1, 2, 3, 4):
             for t in (-1.0, -0.1, 0.0, 0.1, 1.0):
                 p = TwistParams(kind, d=d, t=t, A=1.0, B=1.0)
-                rec = series(p, 120)
-                exact_branch = t == 0.0 or (kind is S and d == 1)
+                rec = twist_recurrence_series(p, 120)
+                exact_branch = t == 0.0 or p.slope == 0
                 for n in (1, 2, 17, 120):
-                    bb, rr = bound_mp(p, n), rec[n - 1]
+                    bb, rr = twist_bound_mp(p, n), rec[n - 1]
                     if exact_branch:
                         assert abs(bb - rr) <= 1e-12 * rr
                     else:
@@ -123,24 +126,24 @@ def test_negative_t_bound_is_strictly_above_partial_sum():
     # the closed form drops the "-1" of the geometric sum, so for t < 0 it
     # must exceed the exact partial sum by a definite margin
     p = TwistParams(S, d=3, t=-0.5, A=1.0, B=1.0)
-    rec = spherical_recurrence_series(p, 50)
+    rec = twist_recurrence_series(p, 50)
     for n in (5, 20, 50):
-        assert spherical_bound_mp(p, n) > rec[n - 1] * (1 + mpmath.mpf(1e-3))
+        assert twist_bound_mp(p, n) > rec[n - 1] * (1 + mpmath.mpf(1e-3))
 
 
 def test_overflow_range_stays_finite_in_mp():
     p = TwistParams(P, d=4, t=-1.0, A=1.0, B=1.0)
-    vals = ptwist_recurrence_series(p, 200)
+    vals = twist_recurrence_series(p, 200)
     assert mpmath.isfinite(vals[-1])
-    assert ptwist_recurrence(p, 200) == math.inf  # beyond float range
-    assert ptwist_bound_mp(p, 200) > vals[-1]
+    assert twist_recurrence(p, 200) == math.inf  # beyond float range
+    assert twist_bound_mp(p, 200) > vals[-1]
 
 
 def test_recurrence_growth_matches_entropy_slope():
     for d in (2, 3, 4):
         for t in (-1.0, -0.1):
             p = TwistParams(S, d=d, t=t, A=1.0, B=1.0)
-            vals = [float(v) for v in spherical_recurrence_series(p, 200)]
+            vals = [float(v) for v in twist_recurrence_series(p, 200)]
             if not all(math.isfinite(v) for v in vals):
                 continue
             est = fit_growth(PositiveSequence.from_values(vals))
