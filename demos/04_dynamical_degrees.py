@@ -44,7 +44,7 @@ print()
 
 print("Self-product identities: degrees convolve multiplicatively and the")
 print("polynomial degrees convolve additively over the plateau:")
-res = kuenneth_self_product(ab)
+res = kuenneth_self_product(table)
 prod_table = degree_table(res.action)
 print("  product s_p =", prod_table.s_p, " (middle entry 4 = 2 + 2)")
 print("  mismatches:", (res.degree_mismatches + res.s_mismatches) or "none")
@@ -52,5 +52,5 @@ print()
 
 print("Non-geometric data is flagged, never rejected:")
 crafted = EndoAction.from_matrices([M([[1]]), M([[3]]), M([[2]]), M([[9]])])
-for warning in validate_geometric(crafted):
+for warning in validate_geometric(degree_table(crafted)):
     print("  warning:", warning)

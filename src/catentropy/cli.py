@@ -14,7 +14,7 @@ import sys
 import warnings
 from fractions import Fraction
 
-from . import exact_linalg, jsonio
+from . import jsonio
 from .errors import (
     CatEntropyError,
     CatEntropyWarning,
@@ -134,7 +134,8 @@ def _tolerance(text: str) -> Fraction:
 
 
 def _bits(text: str) -> int:
-    """``--precision``: a positive number of bits, at most MAX_PRECISION_BITS."""
+    """``--precision``: a positive number of bits, at most
+    MAX_PRECISION_BITS; below 64 reads as 64."""
     try:
         value = int(text)
     except ValueError:
@@ -143,7 +144,7 @@ def _bits(text: str) -> int:
         raise argparse.ArgumentTypeError(
             "must be between 1 and %d bits, got %r" % (MAX_PRECISION_BITS, text)
         )
-    return value
+    return max(64, value)
 
 
 def _head_fraction(text: str) -> float:
@@ -252,14 +253,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_growth(args, messages: list[str]) -> tuple[dict, object]:
     m, payload = jsonio.parse_matrix_text(_read_input(args.matrix))
-    return jsonio.serialize_growth(growth_signature(m)), payload
+    sig = growth_signature(m, args.tol, args.precision)
+    return jsonio.serialize_growth(sig), payload
 
 
 def _cmd_classify(args, messages: list[str]) -> tuple[dict, object]:
     context = Context(args.context)
     word = parse_word(args.tokens, context)
     report = trichotomy_report(word)
-    crosscheck = crosscheck_with_lattice(word)
+    crosscheck = crosscheck_with_lattice(word, args.tol, args.precision)
     if not crosscheck["consistent"]:
         raise InternalInconsistency(
             "trichotomy values disagree with the lattice growth data"
@@ -270,9 +272,11 @@ def _cmd_classify(args, messages: list[str]) -> tuple[dict, object]:
 
 def _cmd_endo(args, messages: list[str]) -> tuple[dict, object]:
     endo, payload = jsonio.parse_endo_text(_read_input(args.endo))
-    messages.extend(validate_geometric(endo))
-    rep = pullback_entropy_report(endo)
-    kuenneth = kuenneth_self_product(endo) if args.kuenneth else None
+    rep = pullback_entropy_report(endo, args.tol, args.precision)
+    messages.extend(validate_geometric(rep.table))
+    kuenneth = None
+    if args.kuenneth:
+        kuenneth = kuenneth_self_product(rep.table, args.tol, args.precision)
     return jsonio.serialize_endo_report(rep, kuenneth), payload
 
 
@@ -319,7 +323,9 @@ def _cmd_quiver(args, messages: list[str]) -> tuple[dict, object]:
     else:
         isometry = coxeter_matrix(quiver)
         payload = {"quiver": payload, "isometry": "coxeter"}
-    rep = hereditary_report(lattice, isometry)
+    rep = hereditary_report(
+        lattice, isometry, tolerance=args.tol, max_bits=args.precision
+    )
     results = {
         "gram": [[str(x) for x in row] for row in lattice.gram.rows],
         "isometry": [[str(x) for x in row] for row in isometry.rows],
@@ -360,18 +366,6 @@ def main(argv=None, stdout=None) -> int:
     except SystemExit as exc:
         return EXIT_PARSE if exc.code not in (0, None) else EXIT_OK
 
-    # The precision knobs apply to every certified-interval computation of
-    # this call only; the command layer is single-threaded.
-    saved = dict(exact_linalg.DEFAULTS)
-    exact_linalg.DEFAULTS["tolerance"] = args.tol
-    exact_linalg.DEFAULTS["max_bits"] = max(64, args.precision)
-    try:
-        return _run(args, out)
-    finally:
-        exact_linalg.DEFAULTS.update(saved)
-
-
-def _run(args, out) -> int:
     if args.cmd == "selftest":
         rc = run_selftest(
             name_filter=args.filter,

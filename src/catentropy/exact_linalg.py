@@ -131,7 +131,7 @@ class ExactPoly:
         )
 
     def __neg__(self) -> "ExactPoly":
-        return ExactPoly(tuple(-c for c in self.coefficients))
+        return ExactPoly(tuple([-c for c in self.coefficients]))
 
     def __mul__(self, other: "ExactPoly") -> "ExactPoly":
         if self.is_zero or other.is_zero:
@@ -148,7 +148,7 @@ class ExactPoly:
         c = _to_fraction(c)
         if c == 0:
             return ExactPoly.zero()
-        return ExactPoly(tuple(a * c for a in self.coefficients))
+        return ExactPoly(tuple([a * c for a in self.coefficients]))
 
     def __divmod__(self, other: "ExactPoly") -> tuple["ExactPoly", "ExactPoly"]:
         if other.is_zero:
@@ -189,7 +189,7 @@ class ExactPoly:
     def reflect(self) -> "ExactPoly":
         """The polynomial p(-x)."""
         return ExactPoly(
-            tuple(c if k % 2 == 0 else -c for k, c in enumerate(self.coefficients))
+            tuple([c if k % 2 == 0 else -c for k, c in enumerate(self.coefficients)])
         )
 
     def __pow__(self, n: int) -> "ExactPoly":
@@ -359,12 +359,12 @@ class ExactMatrix:
     @staticmethod
     def identity(n: int) -> "ExactMatrix":
         return ExactMatrix(
-            tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+            tuple([tuple([int(i == j) for j in range(n)]) for i in range(n)])
         )
 
     @staticmethod
     def zeros(n: int) -> "ExactMatrix":
-        return ExactMatrix(tuple((0,) * n for _ in range(n)))
+        return ExactMatrix(tuple([(0,) * n for _ in range(n)]))
 
     @staticmethod
     def companion(p: ExactPoly) -> "ExactMatrix":
@@ -409,7 +409,7 @@ class ExactMatrix:
             object.__setattr__(
                 self,
                 "_rows",
-                tuple(tuple(Fraction(x, den) for x in row) for row in self.num),
+                tuple([tuple([Fraction(x, den) for x in row]) for row in self.num]),
             )
         return self._rows
 
@@ -437,25 +437,27 @@ class ExactMatrix:
         den = math.lcm(self.den, other.den)
         fa, fb = den // self.den, den // other.den
         return ExactMatrix(
-            tuple(
-                tuple(op(fa * x, fb * y) for x, y in zip(ra, rb))
+            tuple([
+                tuple([op(fa * x, fb * y) for x, y in zip(ra, rb)])
                 for ra, rb in zip(self.num, other.num)
-            ),
+            ]),
             den,
         )
 
     def __neg__(self) -> "ExactMatrix":
-        return ExactMatrix(tuple(tuple(-x for x in row) for row in self.num), self.den)
+        return ExactMatrix(
+            tuple([tuple([-x for x in row]) for row in self.num]), self.den
+        )
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         self._same_size(other)
-        cols = tuple(zip(*other.num))
+        cols = list(zip(*other.num))
         mul = operator.mul
         return ExactMatrix(
-            tuple(
+            tuple([
                 tuple([sum(map(mul, row, col)) for col in cols])
                 for row in self.num
-            ),
+            ]),
             self.den * other.den,
         )
 
@@ -465,7 +467,7 @@ class ExactMatrix:
         c = _to_fraction(c)
         a = c.numerator
         return ExactMatrix(
-            tuple(tuple(a * x for x in row) for row in self.num),
+            tuple([tuple([a * x for x in row]) for row in self.num]),
             self.den * c.denominator,
         )
 
@@ -491,7 +493,7 @@ class ExactMatrix:
         return tuple([Fraction(sum(map(mul, row, vn)), den) for row in self.num])
 
     def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(tuple(zip(*self.num)), self.den)
+        return ExactMatrix(tuple(list(zip(*self.num))), self.den)
 
     def trace(self) -> Fraction:
         return Fraction(sum(row[i] for i, row in enumerate(self.num)), self.den)
@@ -530,7 +532,9 @@ class ExactMatrix:
                     a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], pivot_row)]
             prev = p
         den = self.den
-        return ExactMatrix(tuple(tuple(den * x for x in row[n:]) for row in a), prev)
+        return ExactMatrix(
+            tuple([tuple([den * x for x in row[n:]]) for row in a]), prev
+        )
 
     def entry_abs_sum(self) -> Fraction:
         """Sum of absolute values of all entries (an exact matrix norm)."""
@@ -581,11 +585,11 @@ def _bareiss_det(rows: Sequence[Sequence[int]]) -> int:
 def tensor_product(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     """Kronecker product, dimension ``a.n * b.n``, row-major block layout."""
     return ExactMatrix(
-        tuple(
-            tuple(x * y for x in ra for y in rb)
+        tuple([
+            tuple([x * y for x in ra for y in rb])
             for ra in a.num
             for rb in b.num
-        ),
+        ]),
         a.den * b.den,
     )
 
@@ -598,13 +602,13 @@ def exterior_power(m: ExactMatrix, k: int) -> ExactMatrix:
         raise DomainError("exterior power index must satisfy 1 <= k <= n")
     subsets = list(itertools.combinations(range(n), k))
     return ExactMatrix(
-        tuple(
-            tuple(
+        tuple([
+            tuple([
                 _bareiss_det([[m.num[i][j] for j in cset] for i in rset])
                 for cset in subsets
-            )
+            ])
             for rset in subsets
-        ),
+        ]),
         m.den**k,
     )
 
@@ -872,7 +876,7 @@ def _integer_roots(h: ExactPoly) -> list[Fraction]:
         bound = 1 + max(abs(c) for c in h.coefficients) / abs(h.leading)
         for c in range(1, min(int(bound) + 1, 1001)):
             candidates.update((c, -c))
-    roots += [c for c in candidates if _int_horner(ints, c) == 0]
+    roots += [c for c in candidates if _dyadic_value(ints, c, 0) == 0]
     return [Fraction(c) for c in sorted(roots)]
 
 
@@ -894,14 +898,6 @@ def _monic_divides(b: Sequence[int], a: Sequence[int]) -> bool:
             for j in range(1, len(b)):
                 r[i + j] -= c * b[j]
     return steps > 0 and not any(r[steps:])
-
-
-def _int_horner(coeffs: Sequence[int], x: int) -> int:
-    """Value at x of the int polynomial with coefficients highest first."""
-    acc = 0
-    for c in coeffs:
-        acc = acc * x + c
-    return acc
 
 
 def _deflate_root(h: ExactPoly, r: Fraction) -> ExactPoly:
@@ -1471,15 +1467,10 @@ class GrowthSignature:
         return math.log(self.rho_float)
 
 
-#: Process-wide defaults, overridable per call; the CLI sets them for the
-#: duration of one command and restores them after it.
-DEFAULTS = {"tolerance": DEFAULT_TOLERANCE, "max_bits": MAX_BITS}
-
-
 def growth_signature(
     m: ExactMatrix,
-    tolerance: Union[Fraction, float, None] = None,
-    max_bits: Optional[int] = None,
+    tolerance: Union[Fraction, float] = DEFAULT_TOLERANCE,
+    max_bits: int = MAX_BITS,
 ) -> GrowthSignature:
     """Spectral radius and polynomial growth rate of a non-nilpotent matrix.
 
@@ -1488,10 +1479,6 @@ def growth_signature(
     Every matrix takes this one route; the quasi-unipotence order k is read
     off the exact root split and checked by nilpotency_index(M^k - I) = s + 1.
     """
-    if tolerance is None:
-        tolerance = DEFAULTS["tolerance"]
-    if max_bits is None:
-        max_bits = DEFAULTS["max_bits"]
     if max_bits > MAX_PRECISION_BITS:
         raise DomainError(
             "max_bits %d exceeds the limit of %d bits" % (max_bits, MAX_PRECISION_BITS)
@@ -1517,7 +1504,7 @@ def growth_signature(
         )
 
     dom_factors = tuple(
-        (h, mult) for idx, (h, mult) in enumerate(parts) if idx in top.parts
+        [(h, mult) for idx, (h, mult) in enumerate(parts) if idx in top.parts]
     )
     s = max(mult for _, mult in dom_factors) - 1
 

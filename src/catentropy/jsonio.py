@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Any
 
 from .errors import ParseError
-from .exact_linalg import ExactMatrix, ExactPoly, GrowthSignature, RootOfFactor
+from .exact_linalg import ExactMatrix, GrowthSignature, RootOfFactor
 from .growth_estimator import EstimatedSignature, PositiveSequence
 from .quiver_hereditary import HereditaryReport, Quiver
 from .sl2z_dynamics import TrichotomyReport
@@ -291,10 +291,6 @@ def parse_quiver_text(text: str) -> tuple[Quiver, Any]:
 # ---------------------------------------------------------------------------
 
 
-def poly_str(p: ExactPoly) -> str:
-    return str(p)
-
-
 _INTERVAL_DEN = 10**18
 
 
@@ -307,17 +303,14 @@ def _outward(lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
 
 
 def serialize_growth(sig: GrowthSignature) -> dict:
-    if sig.rho_exact is None:
-        exact = None
-    elif isinstance(sig.rho_exact, Fraction):
+    exact = None
+    if isinstance(sig.rho_exact, Fraction):
         exact = str(sig.rho_exact)
     elif isinstance(sig.rho_exact, RootOfFactor):
         exact = {
-            "root_of": poly_str(sig.rho_exact.factor),
+            "root_of": str(sig.rho_exact.factor),
             "modulus_rank": sig.rho_exact.modulus_rank,
         }
-    else:
-        exact = None
     lo, hi = _outward(*sig.rho_interval)
     return {
         "rho": sig.rho_float,
@@ -325,7 +318,7 @@ def serialize_growth(sig: GrowthSignature) -> dict:
         "rho_exact": exact,
         "s": sig.s,
         "dominant_factors": [
-            {"factor": poly_str(h), "multiplicity": m}
+            {"factor": str(h), "multiplicity": m}
             for h, m in sig.dominant_factors
         ],
         "quasi_unipotent_order": sig.quasi_unipotent_k,

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 from .errors import (
     AllPairingsDegenerate,
@@ -22,7 +22,13 @@ from .errors import (
     DomainError,
     NotAnIsometry,
 )
-from .exact_linalg import ExactMatrix, GrowthSignature, growth_signature
+from .exact_linalg import (
+    DEFAULT_TOLERANCE,
+    MAX_BITS,
+    ExactMatrix,
+    GrowthSignature,
+    growth_signature,
+)
 from .growth_estimator import EstimatedSignature, PositiveSequence, fit_growth
 
 
@@ -143,7 +149,11 @@ class HereditaryReport:
 
 
 def hereditary_report(
-    lat: EulerLattice, f: ExactMatrix, n_max: int = CROSSCHECK_N_MAX
+    lat: EulerLattice,
+    f: ExactMatrix,
+    n_max: int = CROSSCHECK_N_MAX,
+    tolerance: Union[Fraction, float] = DEFAULT_TOLERANCE,
+    max_bits: int = MAX_BITS,
 ) -> HereditaryReport:
     """Exact entropy values of an isometry with a pairing-sequence crosscheck.
 
@@ -158,7 +168,7 @@ def hereditary_report(
         raise DomainError("isometry must have integer entries")
     if not check_isometry(lat, f):
         raise NotAnIsometry("matrix does not preserve the Euler pairing")
-    sig = growth_signature(f)
+    sig = growth_signature(f, tolerance, max_bits)
     h_cat = sig.log_rho
     h_pol = sig.s
 

@@ -384,7 +384,7 @@ def check_variety_exp_nilpotent(corrupt: bool = False) -> list[str]:
 def check_variety_kuenneth(corrupt: bool = False) -> list[str]:
     failures = []
     for i, e in enumerate(_variety_corpus()):
-        res = vd.kuenneth_self_product(e)
+        res = vd.kuenneth_self_product(vd.degree_table(e))
         for msg in res.degree_mismatches + res.s_mismatches:
             failures.append("action %d: %s" % (i, msg))
     return failures

@@ -20,10 +20,11 @@ import math
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from fractions import Fraction
+from typing import Optional, Sequence, Union
 
 from .errors import DomainError, ParseError
-from .exact_linalg import ExactMatrix, growth_signature
+from .exact_linalg import DEFAULT_TOLERANCE, MAX_BITS, ExactMatrix, growth_signature
 
 
 class Context(Enum):
@@ -211,13 +212,17 @@ def trichotomy_report(w: TwistWord) -> TrichotomyReport:
     return matrix_report(g, w.context)
 
 
-def crosscheck_with_lattice(w: TwistWord) -> dict:
+def crosscheck_with_lattice(
+    w: TwistWord,
+    tolerance: Union[Fraction, float] = DEFAULT_TOLERANCE,
+    max_bits: int = MAX_BITS,
+) -> dict:
     """Compare the trichotomy values against the generic matrix growth
     machinery: requires h_cat = log(rho) to 1e-9 and h_pol = s exactly.
     An inconsistency indicates an implementation bug, not bad input."""
     report = trichotomy_report(w)
     g = word_to_matrix(w) if w.letters else Sl2Element(ExactMatrix.identity(2))
-    sig = growth_signature(g.m)
+    sig = growth_signature(g.m, tolerance, max_bits)
     log_rho = sig.log_rho
     consistent = (
         abs(report.h_cat_float - log_rho) <= 1e-9 and report.h_pol == sig.s

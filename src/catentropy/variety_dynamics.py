@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 from .errors import (
     DimensionMismatch,
@@ -24,6 +24,8 @@ from .errors import (
     NotNilpotent,
 )
 from .exact_linalg import (
+    DEFAULT_TOLERANCE,
+    MAX_BITS,
     ExactMatrix,
     GrowthSignature,
     growth_signature,
@@ -76,8 +78,10 @@ class EndoAction:
 
 @dataclass(frozen=True)
 class DegreeTable:
-    """Degree data per codimension with the plateau of maximal degree."""
+    """Degree data per codimension of ``action``, with the plateau of
+    maximal degree."""
 
+    action: EndoAction
     signatures: tuple[GrowthSignature, ...]
     plateau: tuple[int, int]
 
@@ -97,12 +101,16 @@ def _interval_eq(a: GrowthSignature, b: GrowthSignature) -> bool:
     )
 
 
-def degree_table(e: EndoAction) -> DegreeTable:
+def degree_table(
+    e: EndoAction,
+    tolerance: Union[Fraction, float] = DEFAULT_TOLERANCE,
+    max_bits: int = MAX_BITS,
+) -> DegreeTable:
     """Growth signature per codimension; the plateau is the index range of
     maximal degree (an interval for any geometric input)."""
-    sigs = tuple(growth_signature(m) for m in e.actions)
+    sigs = tuple([growth_signature(m, tolerance, max_bits) for m in e.actions])
     argmax = _argmax_degrees(sigs)
-    return DegreeTable(sigs, (min(argmax), max(argmax)))
+    return DegreeTable(e, sigs, (min(argmax), max(argmax)))
 
 
 def _argmax_degrees(sigs: Sequence[GrowthSignature]) -> list[int]:
@@ -112,14 +120,13 @@ def _argmax_degrees(sigs: Sequence[GrowthSignature]) -> list[int]:
     return [p for p, sig in enumerate(sigs) if sig.rho_interval[1] >= max_lo]
 
 
-def validate_geometric(e: EndoAction) -> list[str]:
+def validate_geometric(table: DegreeTable) -> list[str]:
     """Warnings (never errors) when the degree data cannot come from a
     surjective endomorphism of a smooth projective variety: the d_p must
     be log-concave and the s_p concave on the plateau."""
-    table = degree_table(e)
     warnings = []
     d = [sig.rho_float for sig in table.signatures]
-    for p in range(1, e.dim):
+    for p in range(1, table.action.dim):
         if d[p] * d[p] < d[p - 1] * d[p + 1] * (1 - 1e-9):
             warnings.append(
                 "log-concavity of the degree sequence fails at p = %d "
@@ -148,17 +155,21 @@ class PullbackEntropyReport:
     block_signature: GrowthSignature
 
 
-def pullback_entropy_report(e: EndoAction) -> PullbackEntropyReport:
+def pullback_entropy_report(
+    e: EndoAction,
+    tolerance: Union[Fraction, float] = DEFAULT_TOLERANCE,
+    max_bits: int = MAX_BITS,
+) -> PullbackEntropyReport:
     """Entropy of the derived pullback: h_cat = log max_p d_p and
     h_pol = max of s_p over the plateau.  The same value must equal the
     growth exponent of the block-diagonal joint action; a mismatch raises
     InternalInconsistency (a bug, not bad input)."""
-    table = degree_table(e)
+    table = degree_table(e, tolerance, max_bits)
     p0, p1 = table.plateau
     top = max(table.signatures, key=lambda sig: sig.rho_interval[0])
     h_cat = top.log_rho
     h_pol = max(table.s_p[p] for p in range(p0, p1 + 1))
-    block = growth_signature(ExactMatrix.block_diag(*e.actions))
+    block = growth_signature(ExactMatrix.block_diag(*e.actions), tolerance, max_bits)
     if block.s != h_pol or not _interval_eq(block, top):
         raise InternalInconsistency(
             "plateau-wise polynomial degree disagrees with the joint action: "
@@ -176,17 +187,22 @@ class KuennethResult:
     s_mismatches: tuple[str, ...]
 
 
-def kuenneth_self_product(e: EndoAction) -> KuennethResult:
+def kuenneth_self_product(
+    table: DegreeTable,
+    tolerance: Union[Fraction, float] = DEFAULT_TOLERANCE,
+    max_bits: int = MAX_BITS,
+) -> KuennethResult:
     """Action of (f, f) on the self-product, with codimension-k part the
-    block-diagonal sum of tensor products M_l (x) M_{k-l}.
+    block-diagonal sum of tensor products M_l (x) M_{k-l}, where ``table``
+    is the degree table of f.
 
     Verifies the degree convolution d_k(f,f) = max_l d_l * d_{k-l} and,
     on the product plateau, the polynomial-degree convolution
     s_k(f,f) = max (s_l + s_{k-l}) over plateau-constrained l; any
     mismatch is reported (bug signal), never raised.
     """
+    e = table.action
     d = e.dim
-    table = degree_table(e)
     p0, p1 = table.plateau
     prod_actions = []
     for k in range(0, 2 * d + 1):
@@ -199,7 +215,7 @@ def kuenneth_self_product(e: EndoAction) -> KuennethResult:
 
     degree_mismatches = []
     s_mismatches = []
-    prod_table = degree_table(product)
+    prod_table = degree_table(product, tolerance, max_bits)
     for k in range(0, 2 * d + 1):
         sig_k = prod_table.signatures[k]
         cands = [

@@ -149,7 +149,7 @@ def test_criterion_4_dynamical_degree_suite():
             "abelian action: (h_cat, h_pol) = (%g, %d)" % (rep.h_cat, rep.h_pol)
         )
     for i, e in enumerate(actions):
-        res = vd.kuenneth_self_product(e)
+        res = vd.kuenneth_self_product(vd.degree_table(e))
         for msg in res.degree_mismatches + res.s_mismatches:
             failures.append("self-product %d: %s" % (i, msg))
     _report("criterion-4 dynamical-degree-suite", failures)

@@ -5,11 +5,13 @@ import json
 import math
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 from catentropy import exact_linalg
-from catentropy.cli import main
+from catentropy.cli import _tolerance, main
+from catentropy.exact_linalg import ExactMatrix
 from catentropy.jsonio import canonical_json, format_float
 
 
@@ -91,14 +93,63 @@ def test_growth_internal_inconsistency_exits_4(tmp_path, monkeypatch, capsys):
 
 
 def test_precision_flags_do_not_outlive_the_call(tmp_path):
-    before = dict(exact_linalg.DEFAULTS)
+    # The interval of the exact modulus sqrt(2) is as wide as the tolerance.
+    m = ExactMatrix.from_rows([[0, 2], [1, 0]])
+    before = exact_linalg.growth_signature(m)
+    assert exact_linalg.growth_signature(m, tolerance=Fraction(1, 1000)) != before
     path = tmp_path / "m.json"
-    path.write_text('{"rows": [[2, 1], [1, 1]]}')
+    path.write_text('{"rows": [[0, 2], [1, 0]]}')
     code, _ = run_inproc(
         ["--tol", "1e-3", "--precision", "128", "--json", "growth", str(path)]
     )
     assert code == 0
-    assert exact_linalg.DEFAULTS == before
+    assert exact_linalg.growth_signature(m) == before
+
+
+def _spy_modulus_classes(monkeypatch) -> list:
+    """Record (width, max_bits) of every root-modulus separation."""
+    calls = []
+    separate = exact_linalg._modulus_classes
+
+    def spy(exact_boxes, numeric_parts, width, start_bits=exact_linalg.START_BITS,
+            max_bits=exact_linalg.MAX_BITS):
+        calls.append((width, max_bits))
+        return separate(exact_boxes, numeric_parts, width, start_bits, max_bits)
+
+    monkeypatch.setattr(exact_linalg, "_modulus_classes", spy)
+    return calls
+
+
+ENDO_DIM_2 = '{"dim": 2, "actions": {"0": [[1]], "1": [[2, 1], [1, 1]], "2": [[1]]}}'
+
+
+@pytest.mark.parametrize(
+    "command, stdin_text",
+    [
+        (["growth", "-"], '{"rows": [[0, 2], [1, 0]]}'),
+        (["classify", "--context", "a2cy3", "T1", "T2^-1"], None),
+        (["endo", "--kuenneth", "-"], ENDO_DIM_2),
+        (["quiver", "-"], '{"vertices": 2, "arrows": [[1, 2], [1, 2], [1, 2]]}'),
+    ],
+)
+def test_precision_flags_reach_every_signature(monkeypatch, command, stdin_text):
+    calls = _spy_modulus_classes(monkeypatch)
+    if stdin_text is not None:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin_text))
+    code, _ = run_inproc(["--tol", "1e-3", "--precision", "128", "--json", *command])
+    assert code == 0
+    assert set(calls) == {(_tolerance("1e-3"), 128)}
+
+
+@pytest.mark.parametrize("flags, count", [([], 4), (["--kuenneth"], 9)])
+def test_endo_computes_each_signature_once(monkeypatch, flags, count):
+    # Three codimensions and the joint action; the self-product adds its
+    # five codimensions.
+    calls = _spy_modulus_classes(monkeypatch)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(ENDO_DIM_2))
+    code, _ = run_inproc(["--json", "endo", *flags, "-"])
+    assert code == 0
+    assert len(calls) == count
 
 
 @pytest.mark.parametrize(

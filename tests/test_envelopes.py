@@ -314,8 +314,8 @@ def test_twist_snap_warning_in_envelope_once(tmp_path, capsys):
 
 
 def test_endo_tied_moduli_warning_in_envelope_once(tmp_path, capsys):
-    # validate_geometric and the entropy report each build the degree
-    # table, and the joint action ties too; the warning appears once.
+    # The codimension-1 signature and the joint action both tie; the
+    # warning appears once.
     code, out = run_json(
         tmp_path,
         ["endo"],

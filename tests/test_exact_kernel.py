@@ -295,12 +295,27 @@ def test_char_and_min_poly_match_fraction_reference(rows):
     assert divmod(p, q)[1].is_zero
 
 
-#: One ExactMatrix entry point each, called 20,000 times in a fresh process.
+#: One ExactMatrix or ExactPoly entry point each, called 20,000 times in a
+#: fresh process.
 ALLOCATION_CALLS = {
     "init": "ExactMatrix(((2, 4), (6, 8)), -6)",
     "from_rows": "ExactMatrix.from_rows(rows)",
     "block_diag": "ExactMatrix.block_diag(m, m)",
     "matvec": "m.matvec(v)",
+    "neg": "-m",
+    "matmul": "m @ m",
+    "add": "m + m",
+    "sub": "m - m",
+    "scale": "m.scale(Fraction(2, 3))",
+    "transpose": "m.transpose()",
+    "inverse": "m.inverse()",
+    "identity": "ExactMatrix.identity(2)",
+    "zeros": "ExactMatrix.zeros(2)",
+    "tensor_product": "tensor_product(m, m)",
+    "exterior_power": "exterior_power(m, 1)",
+    "poly_neg": "-p",
+    "poly_reflect": "p.reflect()",
+    "poly_scale": "p.scale(Fraction(2, 3))",
 }
 
 
@@ -313,9 +328,11 @@ def test_constructors_keep_no_spare_tuples(call):
     script = (
         "import sys\n"
         "from fractions import Fraction\n"
-        "from catentropy.exact_linalg import ExactMatrix\n"
+        "from catentropy.exact_linalg import (\n"
+        "    ExactMatrix, ExactPoly, exterior_power, tensor_product)\n"
         "rows = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(2, 5), 1]]\n"
         "m = ExactMatrix.from_rows(rows)\n"
+        "p = ExactPoly.from_coefficients([Fraction(1, 2), 3, Fraction(2, 5)])\n"
         "v = [Fraction(1, 3), Fraction(2, 7)]\n"
         "before = sys.getallocatedblocks()\n"
         "for _ in range(20000):\n"

@@ -75,14 +75,14 @@ def test_degree_table_abelian_parabolic():
 
 
 def test_validate_geometric_accepts_power_map():
-    assert validate_geometric(power_map(3, 3)) == []
+    assert validate_geometric(degree_table(power_map(3, 3))) == []
 
 
 def test_validate_geometric_flags_log_concavity():
     crafted = EndoAction.from_matrices(
         [M([[1]]), M([[3]]), M([[2]]), M([[9]])]
     )
-    warnings = validate_geometric(crafted)
+    warnings = validate_geometric(degree_table(crafted))
     assert any("p = 2" in w for w in warnings)
 
 
@@ -107,20 +107,22 @@ def test_pullback_entropy_abelian_parabolic():
 
 
 def test_kuenneth_identity():
-    res = kuenneth_self_product(EndoAction.from_matrices([M([[1]])] * 3))
+    res = kuenneth_self_product(
+        degree_table(EndoAction.from_matrices([M([[1]])] * 3))
+    )
     assert res.degree_mismatches == () and res.s_mismatches == ()
     assert degree_table(res.action).d_p == (1.0,) * 5
 
 
 def test_kuenneth_power_map_on_line():
-    res = kuenneth_self_product(power_map(2, 1))
+    res = kuenneth_self_product(degree_table(power_map(2, 1)))
     assert res.degree_mismatches == () and res.s_mismatches == ()
     assert degree_table(res.action).d_p == (1.0, 2.0, 4.0)
     assert degree_table(res.action).s_p == (0, 0, 0)
 
 
 def test_kuenneth_abelian_convolution():
-    res = kuenneth_self_product(abelian_parabolic())
+    res = kuenneth_self_product(degree_table(abelian_parabolic()))
     assert res.degree_mismatches == () and res.s_mismatches == ()
     table = degree_table(res.action)
     # middle codimension doubles the polynomial degree: s_2 = 2 * s_1
