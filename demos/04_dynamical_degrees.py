@@ -45,8 +45,7 @@ print()
 print("Self-product identities: degrees convolve multiplicatively and the")
 print("polynomial degrees convolve additively over the plateau:")
 res = kuenneth_self_product(table)
-prod_table = degree_table(res.action)
-print("  product s_p =", prod_table.s_p, " (middle entry 4 = 2 + 2)")
+print("  product s_p =", res.table.s_p, " (middle entry 4 = 2 + 2)")
 print("  mismatches:", (res.degree_mismatches + res.s_mismatches) or "none")
 print()
 

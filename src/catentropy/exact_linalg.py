@@ -14,9 +14,12 @@ unique; products, powers, determinants, inverses and the characteristic
 and minimal polynomials run on Python ints (fraction-free elimination,
 exact integer division).  ``fractions.Fraction`` appears only at the
 edges: matrix entries read out through ``rows`` and ``entry``, and the
-coefficients of ``ExactPoly``.  Floating point only appears in reported
-approximations and in the start points of the root iteration, never in
-the decision path.
+coefficients of ``ExactPoly``.  Roots without an exact form are isolated
+on Gaussian-dyadic grids ``(x + iy) / 2**bits``: a Durand-Kerner iteration
+in Gaussian ints, then disks of radius ``n |p(z) / p'(z)|`` certified by
+exact int Horner values and compared as squares of ints.  Floating point
+only appears in reported approximations and in the start points of the
+root iteration, never in the decision path.
 """
 
 from __future__ import annotations
@@ -30,8 +33,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-import mpmath
-
 from .errors import (
     DimensionMismatch,
     DomainError,
@@ -44,8 +45,8 @@ from .errors import (
 
 Rat = Union[int, Fraction, str]
 
-#: Escalation schedule for root-modulus separation: interval arithmetic at
-#: ``START_BITS`` working precision, doubling up to ``MAX_BITS``.
+#: Escalation schedule for root-modulus separation: root disks on the grid
+#: ``2**-START_BITS``, the bits doubling at each level up to ``MAX_BITS``.
 START_BITS = 64
 MAX_BITS = 1024
 #: Largest escalation cap a caller may ask for: with a true tie over the
@@ -701,24 +702,14 @@ def nilpotency_index(m: ExactMatrix) -> Optional[int]:
 # ---------------------------------------------------------------------------
 
 
-def _mpf_to_fraction(x) -> Fraction:
-    """Exact conversion of an mpmath float (a dyadic rational).
-
-    The mantissa is forced to a Python int: under the gmpy2 backend it is
-    an mpz, whose division operator would otherwise leak mpfr values into
-    the exact layer.
-    """
-    sign, man, exp, _ = x._mpf_
-    man = int(man)
-    exp = int(exp)
-    if man == 0:
-        return Fraction(0)
-    value = Fraction(man) * (Fraction(2) ** exp)
-    return -value if sign else value
-
-
 class _NeedMoreBits(Exception):
-    pass
+    """A level that cannot certify.  ``centres`` holds the converged root
+    centres of the failed isolation, worth carrying to the next level, or
+    None when the iteration did not converge."""
+
+    def __init__(self, centres: Optional[tuple[int, list]] = None):
+        super().__init__()
+        self.centres = centres
 
 
 @dataclass
@@ -729,23 +720,6 @@ class _RootBox:
     mod_hi: Fraction
     exact_sq: Optional[Fraction]  # modulus squared, when exactly known
     order: Optional[int] = None   # order as a root of unity, when it is one
-
-
-def _mp_coefficients(h: ExactPoly) -> list:
-    """Coefficients of h, highest degree first, as mpmath floats at the
-    current working precision."""
-    return [
-        mpmath.mpf(c.numerator) / mpmath.mpf(c.denominator)
-        for c in reversed(h.coefficients)
-    ]
-
-
-def _eval_mp(coeffs: list, z):
-    """Horner evaluation of ``_mp_coefficients`` output at z."""
-    acc = mpmath.mpc(0)
-    for c in coeffs:
-        acc = acc * z + c
-    return acc
 
 
 #: Iteration cap of the machine-precision start-point search.
@@ -788,56 +762,134 @@ def _machine_roots(h: ExactPoly) -> Optional[list[complex]]:
     return roots
 
 
-def _isolate_numeric(
-    h: ExactPoly, bits: int, start: Optional[Sequence[complex]] = None
-) -> list[tuple]:
-    """Approximate all roots of a squarefree h with certified, pairwise
-    disjoint position disks.  Returns (z, radius) pairs in mpmath types;
-    raises _NeedMoreBits when the disks cannot be certified.
+def _dyadic_points(
+    points: Optional[Sequence[complex]], e: int
+) -> Optional[tuple[int, list[tuple[int, int]]]]:
+    """Start points ``(e, [(x, y), ...])`` of the root iteration: the
+    Gaussian ints nearest ``2**e * z`` for the float points z; None for
+    None."""
+    if points is None:
+        return None
 
-    mpmath's Durand-Kerner iteration starts from ``start``: the machine
-    roots of ``_machine_roots`` at the first precision level, the certified
-    roots of the previous level after that.  With ``start`` None it starts
-    from mpmath's default points.  Start points only change how many
-    iterations run; each disk is certified from the returned roots alone.
+    def nearest(v: float) -> int:
+        num, den = v.as_integer_ratio()
+        return ((num << (e + 1)) + den) // (2 * den)
+
+    return e, [(nearest(z.real), nearest(z.imag)) for z in map(complex, points)]
+
+
+def _scaled_coefficients(poly: Sequence[int], shift: int) -> list[int]:
+    """``c_j * 2**(shift * j)`` for the coefficients c_j of poly (highest
+    degree first): Horner on them at a Gaussian int x + iy gives
+    ``2**(shift * deg) * poly((x + iy) / 2**shift)``."""
+    return [c << (shift * j) for j, c in enumerate(poly)]
+
+
+def _gaussian_value(scaled: Sequence[int], x: int, y: int) -> tuple[int, int]:
+    """Horner on ``_scaled_coefficients`` output at x + iy, as (re, im)."""
+    re = im = 0
+    for c in scaled:
+        re, im = re * x - im * y + c, re * y + im * x
+    return re, im
+
+
+#: Sweep cap of the certified root iteration.
+_ROOT_STEPS = 200
+
+
+def _durand_kerner(
+    scaled: Sequence[int], points: Sequence[tuple[int, int]], e: int
+) -> Optional[list[tuple[int, int]]]:
+    """Durand-Kerner (Weierstrass) iteration on the grid ``2**-e``, in
+    Gaussian ints.  ``scaled`` is ``_scaled_coefficients(p, e)``; each point
+    (x, y) stands for ``(x + iy) / 2**e``.  Points update in place, with a
+    rounded Gaussian division, and a factor ``z_i - z_j`` is skipped where
+    two points coincide.  Returns the points after the first sweep that
+    moves none of them by more than one grid step, or None after
+    ``_ROOT_STEPS`` sweeps."""
+    n = len(scaled) - 1
+    pts = list(points)
+    for _ in range(_ROOT_STEPS):
+        worst = 0
+        for i in range(n):
+            x, y = pts[i]
+            pr, pi = _gaussian_value(scaled, x, y)
+            # Each product factor is 2**e times z_i - z_j; a skipped one
+            # leaves a factor 2**e to restore.
+            qr, qi, skipped = scaled[0], 0, 0
+            for j, (u, v) in enumerate(pts):
+                if j != i:
+                    du, dv = x - u, y - v
+                    if du or dv:
+                        qr, qi = qr * du - qi * dv, qr * dv + qi * du
+                    else:
+                        skipped += 1
+            qr <<= e * skipped
+            qi <<= e * skipped
+            q2 = qr * qr + qi * qi
+            dx = (2 * (pr * qr + pi * qi) + q2) // (2 * q2)
+            dy = (2 * (pi * qr - pr * qi) + q2) // (2 * q2)
+            pts[i] = (x - dx, y - dy)
+            worst = max(worst, abs(dx), abs(dy))
+        if worst <= 1:
+            return pts
+    return None
+
+
+def _ceil_sqrt(n: int) -> int:
+    r = math.isqrt(n)
+    return r if r * r == n else r + 1
+
+
+def _isolate_numeric(
+    h: ExactPoly, bits: int, start: Optional[tuple[int, list]] = None
+) -> list[tuple[int, int, int]]:
+    """Approximate all roots of a squarefree h with certified, pairwise
+    disjoint position disks on the grid ``2**-bits``.  Returns (x, y, rho)
+    for each disk of centre ``(x + iy) / 2**bits`` and radius
+    ``rho / 2**bits``; raises _NeedMoreBits when the disks cannot be
+    certified.
+
+    The iteration starts from ``start``, centres ``(e, points)`` on a grid
+    ``2**-e`` no finer than this one: the machine roots of
+    ``_machine_roots`` at the first precision level, the centres of the
+    previous level after that, or, for None, the points
+    ``(0.4 + 0.9i)**k``.  Start points only change how many sweeps run.
+    Each disk is certified in exact int arithmetic: the disk of centre z
+    and radius ``n |p(z) / p'(z)|`` holds a root of p (Henrici, Applied and
+    Computational Complex Analysis I, 6.4), and disjoint disks hold one
+    root each.
     """
     n = h.degree
-    with mpmath.workprec(bits + 64):
-        coeffs = _mp_coefficients(h)
-        dcoeffs = _mp_coefficients(h.derivative())
-        roots_init = None if start is None else [mpmath.mpc(z) for z in start]
-        try:
-            roots = mpmath.polyroots(
-                coeffs, maxsteps=200, extraprec=bits, roots_init=roots_init
-            )
-        except mpmath.libmp.libhyper.NoConvergence:
-            raise _NeedMoreBits()
-        scale = max(abs(c) for c in h.coefficients)
-        scale_mp = mpmath.mpf(scale.numerator) / mpmath.mpf(scale.denominator)
-        boxes = []
-        for z in roots:
-            z = mpmath.mpc(z)
-            absz = abs(z)
-            # Majorant for Horner evaluation error at this working precision.
-            everr = (
-                mpmath.mpf(2 * (n + 1))
-                * scale_mp
-                * max(mpmath.mpf(1), absz) ** n
-                * mpmath.mpf(2) ** (-(bits + 58))
-            )
-            pz = _eval_mp(coeffs, z)
-            dpz = _eval_mp(dcoeffs, z)
-            den = abs(dpz) - (n + 1) * everr
-            if den <= 0:
-                raise _NeedMoreBits()
-            # Any point lies within n*|p/p'| of some root of p.
-            r = n * (abs(pz) + everr) / den
-            r = r * (1 + mpmath.mpf(2) ** -40) + mpmath.mpf(2) ** (-(bits + 8))
-            boxes.append((z, r))
-        for (z1, r1), (z2, r2) in itertools.combinations(boxes, 2):
-            if abs(z1 - z2) <= r1 + r2:
-                raise _NeedMoreBits()
-        return boxes
+    if start is None:
+        start = _dyadic_points([(0.4 + 0.9j) ** k for k in range(n)], bits)
+    e0, points = start
+    shift = bits - e0
+    ints = _int_coefficients(h)
+    scaled = _scaled_coefficients(ints, bits)
+    centres = _durand_kerner(
+        scaled, [(x << shift, y << shift) for x, y in points], bits
+    )
+    if centres is None:
+        raise _NeedMoreBits()
+    dscaled = _scaled_coefficients(
+        [(n - j) * c for j, c in enumerate(ints[:-1])], bits
+    )
+    disks = []
+    for x, y in centres:
+        pr, pi = _gaussian_value(scaled, x, y)
+        dr, di = _gaussian_value(dscaled, x, y)
+        # In grid units the radius is n |P| / |D| for the Horner values P
+        # of 2**(bits n) p and D of 2**(bits (n - 1)) p'.
+        d2 = dr * dr + di * di
+        if not d2:
+            raise _NeedMoreBits((bits, centres))
+        rho = _ceil_sqrt(-(-(n * n * (pr * pr + pi * pi)) // d2))
+        disks.append((x, y, rho))
+    for (x1, y1, r1), (x2, y2, r2) in itertools.combinations(disks, 2):
+        if (x1 - x2) ** 2 + (y1 - y2) ** 2 <= (r1 + r2) ** 2:
+            raise _NeedMoreBits((bits, centres))
+    return disks
 
 
 def _integer_roots(h: ExactPoly) -> list[Fraction]:
@@ -1003,41 +1055,40 @@ def _build_classes(
     neg_pairs_poly: ExactPoly,
     width: Fraction,
     bits: int,
-    starts: list[Optional[list]],
+    starts: list[Optional[tuple[int, list]]],
 ) -> list[_ModClass]:
-    """One pass of class construction at a fixed working precision.
+    """One pass of class construction on the grid ``2**-bits``.
 
     ``starts`` holds the start points of the root iteration for each
     numeric part, then for ``neg_pairs_poly``.  Each isolation that
-    certifies replaces its entry with its roots, for the next level; one
-    that fails clears it, so the next level starts from mpmath's default.
+    certifies replaces its entry with its centres, for the next level.  One
+    that fails replaces it with its converged centres, or clears it when
+    the iteration did not converge, so the next level starts from the
+    default points.
     """
 
-    def isolate(key: int, h: ExactPoly) -> list[tuple]:
+    def isolate(key: int, h: ExactPoly) -> list[tuple[int, int, int]]:
         try:
-            boxes = _isolate_numeric(h, bits, starts[key])
-        except _NeedMoreBits:
-            starts[key] = None
+            disks = _isolate_numeric(h, bits, starts[key])
+        except _NeedMoreBits as exc:
+            starts[key] = exc.centres
             raise
-        starts[key] = [z for z, _ in boxes]
-        return boxes
+        starts[key] = (bits, [(x, y) for x, y, _ in disks])
+        return disks
 
     numeric_boxes: list[_RootBox] = []
-    positions = []  # (z, r) in mpmath types, parallel to numeric_boxes
+    disks = []  # (x, y, rho) on the grid, parallel to numeric_boxes
+    unit = 1 << bits
     for key, (idx, h) in enumerate(numeric_parts):
-        for z, r in isolate(key, h):
-            # |z| must be rounded at the working precision: at mpmath's
-            # global 53 bits its error would exceed the slack below.
-            with mpmath.workprec(bits + 64):
-                rf = _mpf_to_fraction(mpmath.mpf(r))
-                a = _mpf_to_fraction(abs(z))
-            slack = a / Fraction(2 ** (bits + 40)) + Fraction(1, 2 ** (bits + 8))
-            lo = max(Fraction(0), a - slack - rf)
-            hi = a + slack + rf
+        for x, y, rho in isolate(key, h):
+            # The centre's modulus lies in [a, a + 1] in grid units.
+            a = math.isqrt(x * x + y * y)
+            lo = Fraction(max(0, a - rho), unit)
+            hi = Fraction(a + 1 + rho, unit)
             numeric_boxes.append(
-                _RootBox(complex(float(z.real), float(z.imag)), idx, lo, hi, None)
+                _RootBox(complex(x / unit, y / unit), idx, lo, hi, None)
             )
-            positions.append((z, r))
+            disks.append((x, y, rho))
 
     classes: list[_ModClass] = []
     by_sq: dict[Fraction, int] = {}
@@ -1066,33 +1117,31 @@ def _build_classes(
     def union(i, j):
         parent[find(i)] = find(j)
 
-    def locate(z, r) -> Optional[int]:
-        """Index of the unique box whose disk meets D(z, r); None when the
-        localization is ambiguous or empty at this precision."""
+    def locate(x: int, y: int, r: int) -> Optional[int]:
+        """Index of the unique disk that meets the disk of centre x + iy
+        and radius r; None when there is none or more than one."""
         hits = [
             k
-            for k, (zk, rk) in enumerate(positions)
-            if abs(zk - z) <= (rk + r) * widen
+            for k, (xk, yk, rk) in enumerate(disks)
+            if (xk - x) ** 2 + (yk - y) ** 2 <= (rk + r) ** 2
         ]
         return hits[0] if len(hits) == 1 else None
 
-    with mpmath.workprec(bits + 64):
-        widen = 1 + mpmath.mpf(2) ** -20
-        for i, (z, r) in enumerate(positions):
-            if abs(z.imag) > r:  # certainly not a real root
-                j = locate(z.conjugate(), r)
-                if j is None:
-                    raise _NeedMoreBits()  # conjugate root not localizable
-                if j != i:
-                    union(i, j)
-        if neg_pairs_poly.degree >= 1 and numeric_boxes:
-            for z, r in isolate(len(numeric_parts), neg_pairs_poly):
-                i = locate(z, r)
-                j = locate(-z, r)
-                if i is None or j is None:
-                    raise _NeedMoreBits()
-                if i != j:
-                    union(i, j)
+    for i, (x, y, r) in enumerate(disks):
+        if abs(y) > r:  # certainly not a real root
+            j = locate(x, -y, r)
+            if j is None:
+                raise _NeedMoreBits()  # conjugate root not localizable
+            if j != i:
+                union(i, j)
+    if neg_pairs_poly.degree >= 1 and numeric_boxes:
+        for x, y, r in isolate(len(numeric_parts), neg_pairs_poly):
+            i = locate(x, y, r)
+            j = locate(-x, -y, r)
+            if i is None or j is None:
+                raise _NeedMoreBits()
+            if i != j:
+                union(i, j)
 
     groups: dict[int, list[_RootBox]] = {}
     for i, box in enumerate(numeric_boxes):
@@ -1328,8 +1377,10 @@ def _modulus_classes(
         for _, h in numeric_parts:
             radical = radical * h
         neg_pairs_poly = poly_gcd(radical, radical.reflect())
-    starts = [_machine_roots(h) for _, h in numeric_parts]
-    starts.append(_machine_roots(neg_pairs_poly))
+    starts = [
+        _dyadic_points(_machine_roots(h), start_bits)
+        for h in [h for _, h in numeric_parts] + [neg_pairs_poly]
+    ]
     rests = dict(numeric_parts)
 
     bits = start_bits

@@ -182,7 +182,7 @@ def pullback_entropy_report(
 
 @dataclass(frozen=True)
 class KuennethResult:
-    action: EndoAction
+    table: DegreeTable
     degree_mismatches: tuple[str, ...]
     s_mismatches: tuple[str, ...]
 
@@ -248,7 +248,7 @@ def kuenneth_self_product(
                 "convolution" % (k, got, expected)
             )
     return KuennethResult(
-        action=product,
+        table=prod_table,
         degree_mismatches=tuple(degree_mismatches),
         s_mismatches=tuple(s_mismatches),
     )

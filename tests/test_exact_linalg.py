@@ -233,21 +233,23 @@ def test_root_moduli_carries_certified_roots_up_the_ladder(monkeypatch):
     # 2^120 x^2 + x - 2^121 has real roots near +-sqrt(2) whose moduli
     # differ by exactly 2^-120: the position disks certify at the first
     # level, the modulus intervals separate only at a later one, and each
-    # later level starts from the roots the previous one certified.
+    # later level starts from the centres the previous one certified.
     h = P([-(2**121), 1, 2**120])
     calls = []
-    polyroots = mpmath.polyroots
+    iterate = exact_linalg._durand_kerner
 
-    def spy(coeffs, **kwargs):
-        roots = polyroots(coeffs, **kwargs)
-        calls.append((kwargs["roots_init"], roots))
-        return roots
+    def spy(scaled, points, e):
+        centres = iterate(scaled, points, e)
+        calls.append((e, list(points), centres))
+        return centres
 
-    monkeypatch.setattr(mpmath, "polyroots", spy)
+    monkeypatch.setattr(exact_linalg, "_durand_kerner", spy)
     out = root_moduli(h)
     assert len(calls) >= 2
-    for (_, before), (start, _) in zip(calls, calls[1:]):
-        assert start == before
+    for (e, _, before), (e_next, start, _) in zip(calls, calls[1:]):
+        assert e_next > e
+        shift = e_next - e
+        assert start == [(x << shift, y << shift) for x, y in before]
     (z_small, (lo_small, hi_small)), (z_large, (lo_large, hi_large)) = out
     assert z_small.real > 0 > z_large.real
     assert lo_small <= hi_small < lo_large <= hi_large

@@ -111,20 +111,20 @@ def test_kuenneth_identity():
         degree_table(EndoAction.from_matrices([M([[1]])] * 3))
     )
     assert res.degree_mismatches == () and res.s_mismatches == ()
-    assert degree_table(res.action).d_p == (1.0,) * 5
+    assert res.table.d_p == (1.0,) * 5
 
 
 def test_kuenneth_power_map_on_line():
     res = kuenneth_self_product(degree_table(power_map(2, 1)))
     assert res.degree_mismatches == () and res.s_mismatches == ()
-    assert degree_table(res.action).d_p == (1.0, 2.0, 4.0)
-    assert degree_table(res.action).s_p == (0, 0, 0)
+    assert res.table.d_p == (1.0, 2.0, 4.0)
+    assert res.table.s_p == (0, 0, 0)
 
 
 def test_kuenneth_abelian_convolution():
     res = kuenneth_self_product(degree_table(abelian_parabolic()))
     assert res.degree_mismatches == () and res.s_mismatches == ()
-    table = degree_table(res.action)
+    table = res.table
     # middle codimension doubles the polynomial degree: s_2 = 2 * s_1
     assert table.s_p[2] == 4
 
