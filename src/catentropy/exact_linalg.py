@@ -8,13 +8,14 @@ largest Jordan block size among that part's roots, so ``rho`` and ``s``
 can be read off from the squarefree structure plus certified root-modulus
 comparisons.
 
-Arithmetic is exact.  An ``ExactMatrix`` is one int numerator matrix over
-one positive common denominator, normalised so that the representation is
-unique; products, powers, determinants, inverses and the characteristic
-and minimal polynomials run on Python ints (fraction-free elimination,
-exact integer division).  ``fractions.Fraction`` appears only at the
-edges: matrix entries read out through ``rows`` and ``entry``, and the
-coefficients of ``ExactPoly``.  Roots without an exact form are isolated
+Arithmetic is exact.  An ``ExactMatrix`` is one int numerator matrix, and
+an ``ExactPoly`` one tuple of int numerators, over one positive common
+denominator, normalised so that the representation is unique.  Products,
+powers, determinants, inverses, the characteristic and minimal
+polynomials, polynomial division, gcds and the squarefree split run on
+Python ints (fraction-free elimination, pseudo-division, exact integer
+division).  ``fractions.Fraction`` appears only at the edges: ``rows``,
+``entry`` and ``coefficients``.  Roots without an exact form are isolated
 on Gaussian-dyadic grids ``(x + iy) / 2**bits``: a Durand-Kerner iteration
 in Gaussian ints, then disks of radius ``n |p(z) / p'(z)|`` certified by
 exact int Horner values and compared as squares of ints.  Floating point
@@ -60,13 +61,18 @@ DEFAULT_TOLERANCE = Fraction(1, 10**12)
 def _to_fraction(x: Rat) -> Fraction:
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
+    if isinstance(x, (int, str)):
         return Fraction(x)
     raise TypeError(
         "exact entries must be int, Fraction, or string; got %r" % type(x).__name__
     )
+
+
+def _over_common_denominator(xs: Sequence[Rat]) -> tuple[list[int], int]:
+    """Int numerators of xs over their least common denominator, and it."""
+    fracs = [_to_fraction(x) for x in xs]
+    den = math.lcm(*[x.denominator for x in fracs])
+    return [x.numerator * (den // x.denominator) for x in fracs], den
 
 
 # ---------------------------------------------------------------------------
@@ -74,22 +80,44 @@ def _to_fraction(x: Rat) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class ExactPoly:
-    """Dense univariate polynomial with Fraction coefficients.
+    """Immutable univariate rational polynomial, stored as ``num / den``.
 
-    ``coefficients`` are stored lowest degree first with no trailing zeros;
-    the zero polynomial is the empty tuple.
+    ``num`` is a tuple of Python ints, lowest degree first with no trailing
+    zeros (the zero polynomial is the empty tuple), and ``den`` one
+    positive int with ``gcd(den, every entry of num) == 1``, so each
+    polynomial has exactly one representation.  All arithmetic runs on
+    these ints.  ``coefficients``, ``[k]`` and ``leading`` give the
+    ``Fraction`` view, built when asked for.
     """
 
-    coefficients: tuple[Fraction, ...]
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: Sequence[int], den: int = 1):
+        """Wrap int numerators (lowest degree first) over ``den`` (any nonzero
+        int), dropping trailing zeros and normalising sign and common factor."""
+        num = list(num)
+        while num and not num[-1]:
+            num.pop()
+        if den != 1:
+            g = math.gcd(den, *num)
+            if den < 0:
+                g = -g
+            if g != 1:
+                num = [x // g for x in num]
+                den //= g
+        object.__setattr__(self, "num", tuple(num))
+        object.__setattr__(self, "den", den)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ExactPoly is immutable")
+
+    def __reduce__(self):
+        return ExactPoly, (self.num, self.den)
 
     @staticmethod
     def from_coefficients(coeffs: Sequence[Rat]) -> "ExactPoly":
-        cs = [_to_fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        return ExactPoly(tuple(cs))
+        return ExactPoly(*_over_common_denominator(coeffs))
 
     @staticmethod
     def zero() -> "ExactPoly":
@@ -97,79 +125,76 @@ class ExactPoly:
 
     @staticmethod
     def one() -> "ExactPoly":
-        return ExactPoly((Fraction(1),))
+        return ExactPoly((1,))
+
+    @property
+    def coefficients(self) -> tuple[Fraction, ...]:
+        """The coefficients as ``Fraction``s, lowest degree first."""
+        return tuple([Fraction(x, self.den) for x in self.num])
 
     @property
     def is_zero(self) -> bool:
-        return not self.coefficients
+        return not self.num
 
     @property
     def degree(self) -> int:
         """Degree, with the convention that the zero polynomial has degree -1."""
-        return len(self.coefficients) - 1
+        return len(self.num) - 1
 
     @property
     def leading(self) -> Fraction:
         if self.is_zero:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coefficients[-1]
+        return Fraction(self.num[-1], self.den)
 
     def __getitem__(self, k: int) -> Fraction:
-        if 0 <= k < len(self.coefficients):
-            return self.coefficients[k]
-        return Fraction(0)
+        return Fraction(self.num[k] if 0 <= k < len(self.num) else 0, self.den)
+
+    def __eq__(self, other):
+        if not isinstance(other, ExactPoly):
+            return NotImplemented
+        return self.den == other.den and self.num == other.num
+
+    def __hash__(self):
+        return hash((self.num, self.den))
 
     def __add__(self, other: "ExactPoly") -> "ExactPoly":
-        n = max(len(self.coefficients), len(other.coefficients))
-        return ExactPoly.from_coefficients(
-            [self[k] + other[k] for k in range(n)]
-        )
+        return self._combine(other, operator.add)
 
     def __sub__(self, other: "ExactPoly") -> "ExactPoly":
-        n = max(len(self.coefficients), len(other.coefficients))
-        return ExactPoly.from_coefficients(
-            [self[k] - other[k] for k in range(n)]
-        )
+        return self._combine(other, operator.sub)
+
+    def _combine(self, other: "ExactPoly", op) -> "ExactPoly":
+        """Coefficientwise ``op`` of both numerators over the least common
+        denominator."""
+        den = math.lcm(self.den, other.den)
+        fa, fb = den // self.den, den // other.den
+        pairs = itertools.zip_longest(self.num, other.num, fillvalue=0)
+        return ExactPoly([op(fa * x, fb * y) for x, y in pairs], den)
 
     def __neg__(self) -> "ExactPoly":
-        return ExactPoly(tuple([-c for c in self.coefficients]))
+        return ExactPoly([-x for x in self.num], self.den)
 
     def __mul__(self, other: "ExactPoly") -> "ExactPoly":
         if self.is_zero or other.is_zero:
             return ExactPoly.zero()
-        out = [Fraction(0)] * (len(self.coefficients) + len(other.coefficients) - 1)
-        for i, a in enumerate(self.coefficients):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coefficients):
-                out[i + j] += a * b
-        return ExactPoly.from_coefficients(out)
+        out = [0] * (len(self.num) + len(other.num) - 1)
+        for i, a in enumerate(self.num):
+            if a:
+                for j, b in enumerate(other.num):
+                    out[i + j] += a * b
+        return ExactPoly(out, self.den * other.den)
 
     def scale(self, c: Rat) -> "ExactPoly":
         c = _to_fraction(c)
-        if c == 0:
-            return ExactPoly.zero()
-        return ExactPoly(tuple([a * c for a in self.coefficients]))
+        return ExactPoly([c.numerator * x for x in self.num], self.den * c.denominator)
 
     def __divmod__(self, other: "ExactPoly") -> tuple["ExactPoly", "ExactPoly"]:
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coefficients)
-        dq = len(rem) - len(other.coefficients)
-        if dq < 0:
-            return ExactPoly.zero(), self
-        quot = [Fraction(0)] * (dq + 1)
-        lead = other.leading
-        for k in range(dq, -1, -1):
-            c = rem[k + other.degree] / lead
-            quot[k] = c
-            if c != 0:
-                for j, b in enumerate(other.coefficients):
-                    rem[k + j] -= c * b
-        return (
-            ExactPoly.from_coefficients(quot),
-            ExactPoly.from_coefficients(rem),
-        )
+        q, r, d = _divide(self.num, other.num)
+        den = d * self.den
+        return ExactPoly([other.den * x for x in q], den), ExactPoly(r, den)
 
     def exact_div(self, other: "ExactPoly") -> "ExactPoly":
         q, r = divmod(self, other)
@@ -178,20 +203,14 @@ class ExactPoly:
         return q
 
     def monic(self) -> "ExactPoly":
-        if self.is_zero:
-            return self
-        return self.scale(1 / self.leading)
+        return ExactPoly(self.num, self.num[-1]) if self.num else self
 
     def derivative(self) -> "ExactPoly":
-        return ExactPoly.from_coefficients(
-            [k * c for k, c in enumerate(self.coefficients)][1:]
-        )
+        return ExactPoly([k * c for k, c in enumerate(self.num)][1:], self.den)
 
     def reflect(self) -> "ExactPoly":
         """The polynomial p(-x)."""
-        return ExactPoly(
-            tuple([c if k % 2 == 0 else -c for k, c in enumerate(self.coefficients)])
-        )
+        return ExactPoly([-c if k % 2 else c for k, c in enumerate(self.num)], self.den)
 
     def __pow__(self, n: int) -> "ExactPoly":
         if n < 0:
@@ -205,11 +224,19 @@ class ExactPoly:
             n >>= 1
         return out
 
-    def __call__(self, x: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coefficients):
-            acc = acc * x + c
-        return acc
+    def __call__(self, x: Rat) -> Fraction:
+        """The value at x, by Horner on ``sum num_k a**k b**(deg - k)``
+        for ``x = a / b``."""
+        x = _to_fraction(x)
+        a, b = x.numerator, x.denominator
+        acc, bk = 0, 1
+        for c in reversed(self.num):
+            acc = acc * a + c * bk
+            bk *= b
+        return Fraction(acc * b, self.den * bk)
+
+    def __repr__(self) -> str:
+        return "ExactPoly(coefficients=%r)" % (self.coefficients,)
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -233,13 +260,51 @@ class ExactPoly:
         return out
 
 
+def _divide(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int], int]:
+    """Division of int polynomials (lowest degree first, b nonzero) over the
+    rationals: ``(q, r, d)`` with ``a = (q / d) * b + r / d``, r of length
+    ``deg b`` and ``d > 0``.  Each step scales by the part of the leading
+    coefficient of b that the remainder's leading coefficient lacks, so
+    division by a monic b never scales."""
+    lead = b[-1]
+    db = len(b) - 1
+    r = list(a)
+    q = [0] * max(0, len(r) - db)
+    d = 1
+    for k in range(len(q) - 1, -1, -1):
+        c = r[k + db]
+        if not c:
+            continue
+        g = math.gcd(lead, c) if lead > 0 else -math.gcd(lead, c)
+        f = lead // g
+        if f != 1:
+            r = [f * x for x in r[: k + db]]
+            q = [f * x for x in q]
+            d *= f
+        c //= g
+        q[k] = c
+        for j in range(db):
+            r[k + j] -= c * b[j]
+    return q, r[:db], d
+
+
+def _primitive(v: Sequence[int]) -> list[int]:
+    """The int polynomial v (lowest degree first) without trailing zeros,
+    divided by its content."""
+    v = list(v)
+    while v and not v[-1]:
+        v.pop()
+    g = math.gcd(*v)
+    return [x // g for x in v] if g > 1 else v
+
+
 def poly_gcd(a: ExactPoly, b: ExactPoly) -> ExactPoly:
-    """Monic greatest common divisor over the rationals."""
-    while not b.is_zero:
-        a, b = b, divmod(a, b)[1]
-    if a.is_zero:
-        return a
-    return a.monic()
+    """Monic greatest common divisor over the rationals, by Euclid on
+    primitive int numerators."""
+    x, y = _primitive(a.num), _primitive(b.num)
+    while y:
+        x, y = y, _primitive(_divide(x, y)[1])
+    return ExactPoly(x, x[-1] if x else 1)
 
 
 def squarefree_decomposition(p: ExactPoly) -> list[tuple[ExactPoly, int]]:
@@ -347,14 +412,9 @@ class ExactMatrix:
         for row in rows:
             if len(row) != n:
                 raise DimensionMismatch("matrix must be square; got ragged rows")
-        fracs = [[_to_fraction(x) for x in row] for row in rows]
-        den = math.lcm(*[x.denominator for row in fracs for x in row])
+        flat, den = _over_common_denominator([x for row in rows for x in row])
         return ExactMatrix(
-            tuple([
-                tuple([x.numerator * (den // x.denominator) for x in row])
-                for row in fracs
-            ]),
-            den,
+            tuple([tuple(flat[i * n : i * n + n]) for i in range(n)]), den
         )
 
     @staticmethod
@@ -372,14 +432,11 @@ class ExactMatrix:
         """Companion matrix of a monic polynomial of degree >= 1."""
         if p.degree < 1:
             raise ValueError("companion matrix needs degree >= 1")
-        p = p.monic()
-        n = p.degree
-        rows = [[Fraction(0)] * n for _ in range(n)]
+        n, den = p.degree, p.num[-1]
+        rows = [[0] * (n - 1) + [-c] for c in p.num[:-1]]
         for i in range(1, n):
-            rows[i][i - 1] = Fraction(1)
-        for i in range(n):
-            rows[i][n - 1] = -p[i]
-        return ExactMatrix.from_rows(rows)
+            rows[i][i - 1] = den
+        return ExactMatrix(tuple([tuple(row) for row in rows]), den)
 
     @staticmethod
     def block_diag(*blocks: "ExactMatrix") -> "ExactMatrix":
@@ -486,9 +543,7 @@ class ExactMatrix:
     def matvec(self, v: Sequence[Rat]) -> tuple[Fraction, ...]:
         if len(v) != self.n:
             raise DimensionMismatch("vector length does not match matrix size")
-        vf = [_to_fraction(x) for x in v]
-        vden = math.lcm(*[x.denominator for x in vf])
-        vn = [x.numerator * (vden // x.denominator) for x in vf]
+        vn, vden = _over_common_denominator(v)
         den = self.den * vden
         mul = operator.mul
         return tuple([Fraction(sum(map(mul, row, vn)), den) for row in self.num])
@@ -628,8 +683,8 @@ def char_poly(m: ExactMatrix) -> ExactPoly:
     """
     n = m.n
     a = ExactMatrix(m.num)
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
+    coeffs = [0] * (n + 1)
+    coeffs[n] = m.den**n
     mk = a
     c = 0
     for k in range(1, n + 1):
@@ -640,8 +695,8 @@ def char_poly(m: ExactMatrix) -> ExactPoly:
             raise InternalInconsistency(
                 "Faddeev-LeVerrier trace not divisible by %d" % k
             )
-        coeffs[n - k] = Fraction(c, m.den**k)
-    return ExactPoly.from_coefficients(coeffs)
+        coeffs[n - k] = c * m.den ** (n - k)
+    return ExactPoly(coeffs, m.den**n)
 
 
 def min_poly(m: ExactMatrix) -> ExactPoly:
@@ -676,9 +731,8 @@ def min_poly(m: ExactMatrix) -> ExactPoly:
             rep = [x // g for x in rep]
         piv = next((i for i, a in enumerate(vec) if a != 0), None)
         if piv is None:
-            lead = rep[k]
-            return ExactPoly.from_coefficients(
-                [Fraction(c, lead * m.den ** (k - i)) for i, c in enumerate(rep)]
+            return ExactPoly(
+                [c * m.den**i for i, c in enumerate(rep)], rep[k] * m.den**k
             )
         basis.append((vec, rep, piv))
         power = power @ step
@@ -735,7 +789,7 @@ def _machine_roots(h: ExactPoly) -> Optional[list[complex]]:
     if n < 1:
         return None
     try:
-        coeffs = [complex(float(c / h.leading)) for c in reversed(h.coefficients)]
+        coeffs = [complex(c / h.num[-1]) for c in reversed(h.num)]
     except OverflowError:
         return None
     # Start on the circle whose radius is the geometric mean of the root
@@ -779,10 +833,10 @@ def _dyadic_points(
 
 
 def _scaled_coefficients(poly: Sequence[int], shift: int) -> list[int]:
-    """``c_j * 2**(shift * j)`` for the coefficients c_j of poly (highest
-    degree first): Horner on them at a Gaussian int x + iy gives
-    ``2**(shift * deg) * poly((x + iy) / 2**shift)``."""
-    return [c << (shift * j) for j, c in enumerate(poly)]
+    """``c * 2**(shift * j)`` for each coefficient c of x^(deg - j) of the
+    int poly (lowest degree first), listed from j = 0: Horner on them at a
+    Gaussian int x + iy gives ``2**(shift * deg) * poly((x + iy) / 2**shift)``."""
+    return [c << (shift * j) for j, c in enumerate(reversed(poly))]
 
 
 def _gaussian_value(scaled: Sequence[int], x: int, y: int) -> tuple[int, int]:
@@ -865,16 +919,13 @@ def _isolate_numeric(
         start = _dyadic_points([(0.4 + 0.9j) ** k for k in range(n)], bits)
     e0, points = start
     shift = bits - e0
-    ints = _int_coefficients(h)
-    scaled = _scaled_coefficients(ints, bits)
+    scaled = _scaled_coefficients(h.num, bits)
     centres = _durand_kerner(
         scaled, [(x << shift, y << shift) for x, y in points], bits
     )
     if centres is None:
         raise _NeedMoreBits()
-    dscaled = _scaled_coefficients(
-        [(n - j) * c for j, c in enumerate(ints[:-1])], bits
-    )
+    dscaled = _scaled_coefficients([k * c for k, c in enumerate(h.num)][1:], bits)
     disks = []
     for x, y in centres:
         pr, pi = _gaussian_value(scaled, x, y)
@@ -893,67 +944,36 @@ def _isolate_numeric(
 
 
 def _integer_roots(h: ExactPoly) -> list[Fraction]:
-    """Integer roots of h, found by trial on divisors of the lowest nonzero
-    coefficient once the factor x^k is stripped (complete whenever that
-    coefficient is reasonably factorable); 0 is a root when k > 0."""
-    if h.is_zero or h.degree < 1:
+    """Integer roots of the squarefree h, in increasing order.
+
+    Every root has modulus below a power of two ``hi`` by Fujiwara's
+    bound, so the real roots lie in ``(-hi, hi]``.  A Sturm count bisects
+    that interval, dropping pieces with no root, down to unit intervals
+    ``(c - 1, c]``; each of those holds an integer root exactly when
+    ``h(c) == 0``.
+    """
+    if h.degree < 1:
         return []
-    ints = _int_coefficients(h)
+    top = h.num[-1].bit_length()
+    # |c / lead| < 2**(j * e_j) for each nonzero coefficient c of x^(n - j),
+    # j >= 1, with e_j from bit lengths.
+    e = [(c.bit_length() - top + j) // j for j, c in enumerate(h.num[::-1]) if j and c]
+    hi = 2 << max([0, *e])
+    chain = _sturm_chain(h.num)
     roots = []
-    while ints[-1] == 0:
-        ints.pop()
-        roots = [0]
-    a0 = ints[-1]
-    candidates = set()
-    m = abs(a0)
-    factors = {}
-    p = 2
-    budget = 10**5
-    while p * p <= m and p <= budget:
-        while m % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            m //= p
-        p += 1 if p == 2 else 2
-    if m > 1 and m <= budget * budget:
-        factors[m] = factors.get(m, 0) + 1
-        m = 1
-    if m == 1:
-        divisors = [1]
-        for prime, e in factors.items():
-            divisors = [d * prime**i for d in divisors for i in range(e + 1)]
-        if len(divisors) <= 20000:
-            for d in divisors:
-                candidates.update((d, -d))
-    else:
-        bound = 1 + max(abs(c) for c in h.coefficients) / abs(h.leading)
-        for c in range(1, min(int(bound) + 1, 1001)):
-            candidates.update((c, -c))
-    roots += [c for c in candidates if _dyadic_value(ints, c, 0) == 0]
-    return [Fraction(c) for c in sorted(roots)]
-
-
-def _int_coefficients(h: ExactPoly) -> list[int]:
-    """The coefficients of ``den * h``, highest degree first, for the least
-    den that makes them ints."""
-    den = math.lcm(*[c.denominator for c in h.coefficients])
-    return [c.numerator * (den // c.denominator) for c in reversed(h.coefficients)]
-
-
-def _monic_divides(b: Sequence[int], a: Sequence[int]) -> bool:
-    """Whether the monic int polynomial b divides the int polynomial a,
-    both highest degree first."""
-    r = list(a)
-    steps = len(r) - len(b) + 1
-    for i in range(steps):
-        c = r[i]
-        if c:
-            for j in range(1, len(b)):
-                r[i + j] -= c * b[j]
-    return steps > 0 and not any(r[steps:])
-
-
-def _deflate_root(h: ExactPoly, r: Fraction) -> ExactPoly:
-    return h.exact_div(ExactPoly.from_coefficients([-r, 1]))
+    stack = [(-hi, _sign_changes(chain, -hi, 0), hi, _sign_changes(chain, hi, 0))]
+    while stack:
+        a, va, b, vb = stack.pop()
+        if va == vb:
+            continue
+        if b - a == 1:
+            if not _dyadic_value(h.num, b, 0):
+                roots.append(Fraction(b))
+            continue
+        m = (a + b) // 2
+        vm = _sign_changes(chain, m, 0)
+        stack += [(m, vm, b, vb), (a, va, m, vm)]
+    return roots
 
 
 @dataclass
@@ -998,31 +1018,25 @@ def _exact_roots_of_part(h: ExactPoly, part: int) -> tuple[list[_RootBox], Exact
     boxes = []
     rest = h.monic()
     for r in _integer_roots(rest):
-        rest = _deflate_root(rest, r)
+        rest = rest.exact_div(ExactPoly([-r.numerator, 1]))
         boxes.append(_rational_box(r, part))
     deg0 = rest.degree
-    if deg0 >= 1:
-        # Phi_d | rest is tested on ints: Phi_d is monic, so by Gauss'
-        # lemma it divides rest over Q iff it divides den * rest over Z.
-        rest_ints = _int_coefficients(rest)
-        for d in range(1, 2 * deg0 * deg0 + 2):
-            if rest.degree == 0:
-                break
-            if euler_phi(d) > rest.degree:
-                continue
-            phi_d = cyclotomic_poly(d)
-            if phi_d.degree > rest.degree or not _monic_divides(
-                _int_coefficients(phi_d), rest_ints
-            ):
-                continue
-            rest = rest.exact_div(phi_d)
-            rest_ints = _int_coefficients(rest)
-            for j in range(d):
-                if math.gcd(j, d) == 1:
-                    z = cmath.exp(2j * cmath.pi * j / d)
-                    boxes.append(
-                        _RootBox(z, part, Fraction(1), Fraction(1), Fraction(1), d)
-                    )
+    # Phi_d is monic, so dividing by it never scales the numerators.
+    for d in range(1, 2 * deg0 * deg0 + 2):
+        if rest.degree < 1:
+            break
+        if euler_phi(d) > rest.degree:
+            continue
+        quot, rem = divmod(rest, cyclotomic_poly(d))
+        if not rem.is_zero:
+            continue
+        rest = quot
+        for j in range(d):
+            if math.gcd(j, d) == 1:
+                z = cmath.exp(2j * cmath.pi * j / d)
+                boxes.append(
+                    _RootBox(z, part, Fraction(1), Fraction(1), Fraction(1), d)
+                )
     if rest.degree == 1:
         boxes.append(_rational_box(-rest[0] / rest[1], part))
         rest = ExactPoly.one()
@@ -1174,19 +1188,9 @@ def _separate_exact(classes: list[_ModClass]) -> None:
             cb.lo, cb.hi = _sqrt_interval(cb.exact_sq, width)
 
 
-def _monic_ints(h: ExactPoly) -> tuple[list[int], int]:
-    """Int coefficients g (highest degree first) and an int D > 0 with
-    ``g(y) = D**n * h(y / D)`` for the monic h of degree n: the roots of
-    g are D times those of h."""
-    d = math.lcm(*[c.denominator for c in h.coefficients])
-    n = h.degree
-    coeffs = h.coefficients
-    return [int(coeffs[k] * d ** (n - k)) for k in range(n, -1, -1)], d
-
-
 def _squared_moduli_poly(g: Sequence[int]) -> list[int]:
     """``prod_{i <= j} (y - b_i b_j)`` over the roots b of the monic int
-    polynomial g (highest degree first), with coefficients highest first.
+    polynomial g, both lowest degree first.
 
     Every ``|b|**2 = b * conj(b)`` is one of its roots.  Its k-th power sum
     is ``(p_k**2 + p_2k) / 2`` for the power sums p of g, and Newton's
@@ -1196,49 +1200,37 @@ def _squared_moduli_poly(g: Sequence[int]) -> list[int]:
     big_n = n * (n + 1) // 2
     p = [n]
     for k in range(1, 2 * big_n + 1):
-        acc = k * g[k] if k <= n else 0
+        acc = k * g[n - k] if k <= n else 0
         for i in range(1, min(k - 1, n) + 1):
-            acc += g[i] * p[k - i]
+            acc += g[n - i] * p[k - i]
         p.append(-acc)
     sums = [0] + [(p[k] * p[k] + p[2 * k]) // 2 for k in range(1, big_n + 1)]
     e = [1]
     for k in range(1, big_n + 1):
         acc = sum((-1) ** (i - 1) * e[k - i] * sums[i] for i in range(1, k + 1))
         e.append(acc // k)
-    return [(-1) ** k * c for k, c in enumerate(e)]
+    return [(-1) ** k * c for k, c in enumerate(e)][::-1]
 
 
-def _sturm_chain(t: list[int]) -> list[list[int]]:
-    """Sturm sequence of the int polynomial t (highest degree first), each
+def _sturm_chain(t: Sequence[int]) -> list[Sequence[int]]:
+    """Sturm sequence of the int polynomial t (lowest degree first), each
     member a positive multiple of the classical one, divided by its
     content.  t need not be squarefree: the chain then ends at a multiple
     of gcd(t, t'), and sign changes still count distinct real roots."""
-    deg = len(t) - 1
-    chain = [t, [(deg - k) * c for k, c in enumerate(t[:-1])]]
+    chain = [t, [k * c for k, c in enumerate(t)][1:]]
     while len(chain[-1]) > 1:
-        a, b = chain[-2], chain[-1]
-        lead = abs(b[0])
-        sign = 1 if b[0] > 0 else -1
-        r = list(a)
-        while len(r) >= len(b) and r:
-            c = sign * r[0]
-            r = [lead * x - c * y for x, y in zip(r[1:], b[1:])] + [
-                lead * x for x in r[len(b):]
-            ]
-            while r and r[0] == 0:
-                r.pop(0)
+        r = _primitive(_divide(chain[-2], chain[-1])[1])
         if not r:
             break
-        g = math.gcd(*r)
-        chain.append([-x // g for x in r])
+        chain.append([-x for x in r])
     return chain
 
 
-def _dyadic_value(poly: list[int], num: int, shift: int) -> int:
+def _dyadic_value(poly: Sequence[int], num: int, shift: int) -> int:
     """``2**(shift * deg) * poly(num / 2**shift)``, an int of the sign of
-    the value, for poly with int coefficients highest degree first."""
+    the value, for poly with int coefficients lowest degree first."""
     acc = 0
-    for j, c in enumerate(poly):
+    for j, c in enumerate(reversed(poly)):
         acc = acc * num + (c << (shift * j))
     return acc
 
@@ -1273,15 +1265,15 @@ def _prove_tie(
     h = ExactPoly.one()
     for i in idx:
         h = h * rests[i]
-    g, d = _monic_ints(h)
+    # g(y) = d**n * h(y / d) is monic in Z[y]; its roots are d times those
+    # of the monic h.
+    d = h.den
+    g = [c * d ** (n - 1 - k) for k, c in enumerate(h.num[:-1])] + [1]
     t = _squared_moduli_poly(g)
     if exact is not None:
         # times (den * y - num) for exact * d**2 = num / den
         q = exact * d * d
-        t = [
-            x * q.denominator - y * q.numerator
-            for x, y in zip(t + [0], [0] + t)
-        ]
+        t = [y * q.denominator - x * q.numerator for x, y in zip(t + [0], [0] + t)]
     chain = _sturm_chain(t)
     scale = d * d * 2**bits
     lo = min(ca.lo, cb.lo) ** 2 * scale
@@ -1588,7 +1580,7 @@ def growth_signature(
 
 
 def _is_power_of_x(h: ExactPoly) -> bool:
-    return h.degree >= 1 and all(c == 0 for c in h.coefficients[:-1])
+    return h.degree >= 1 and not any(h.num[:-1])
 
 
 def _fraction_sqrt(m2: Fraction) -> Optional[Fraction]:

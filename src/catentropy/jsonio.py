@@ -206,6 +206,8 @@ def parse_endo_text(text: str) -> tuple[EndoAction, Any]:
         if not isinstance(raw, dict):
             raise ParseError('"labels" must map codimension to name arrays')
         labels = [raw.get(str(p)) for p in range(dim + 1)]
+        if any(x is not None and not isinstance(x, list) for x in labels):
+            raise ParseError('"labels" entries must be arrays of names')
     endo = EndoAction.from_matrices(mats, labels)
     payload = {
         "dim": dim,
@@ -244,7 +246,10 @@ def parse_linebundle_text(text: str) -> tuple[LineBundleData, Any]:
                 raise ParseError("bad cohomology degree %r" % key)
             if not isinstance(values, list):
                 raise ParseError("cohomology[%s] must be an array" % key)
-            cohom[k] = PositiveSequence.from_values([float(v) for v in values])
+            try:
+                cohom[k] = PositiveSequence.from_values(values)
+            except (TypeError, ValueError):
+                raise ParseError("cohomology[%s] entries must be numbers" % key)
     lb = LineBundleData(dim=dim, c1_action=c1, nef_flag=nef,
                         cohomology_sequences=cohom)
     payload = {

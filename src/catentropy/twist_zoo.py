@@ -53,6 +53,8 @@ class TwistParams:
     def __post_init__(self):
         if self.d < 1:
             raise DomainError("twist dimension d must be >= 1")
+        if not all(map(math.isfinite, (self.t, self.A, self.B))):
+            raise DomainError("t, A and B must be finite")
         if not self.A > 0 or not self.B > 0:
             raise DomainError("constants A and B must be positive")
 

@@ -204,6 +204,45 @@ def test_missing_file_is_parse_error():
     assert run_cli(["growth", "/nonexistent/file.json"]).returncode == 2
 
 
+@pytest.mark.parametrize("entry", ["a", None])
+def test_linebundle_non_numeric_cohomology_is_parse_error(entry):
+    doc = {
+        "dim": 2,
+        "c1_action": [[0, 0, 0], [1, 0, 0], [0, 1, 0]],
+        "nef": "nef",
+        "cohomology": {"0": [entry, 1, 2, 3, 4, 5, 6, 7]},
+    }
+    proc = run_cli(["--json", "linebundle", "-"], stdin_text=json.dumps(doc))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("parse error:")
+    assert "Traceback" not in proc.stderr
+
+
+def test_endo_non_array_labels_is_parse_error():
+    doc = {
+        "dim": 2,
+        "actions": {"0": [[1]], "1": [[2]], "2": [[4]]},
+        "labels": {"0": 5},
+    }
+    proc = run_cli(["--json", "endo", "-"], stdin_text=json.dumps(doc))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("parse error:")
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "flags", [["--t", "nan", "--A", "1"], ["--t", "0.5", "--A", "inf"]]
+)
+def test_twist_non_finite_parameter_is_domain_error(flags):
+    proc = run_cli(
+        ["--json", "twist", "--kind", "spherical", "--d", "2", *flags,
+         "--B", "1", "--n", "10"]
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("domain error:")
+
+
 def test_classify_command():
     code, out = run_inproc(["--json", "classify", "--context", "a2cy3", "T1"])
     doc = json.loads(out)

@@ -1,10 +1,10 @@
 """Golden ``--json`` envelopes, one input per route through the growth
-pipeline: a root of unity, an integer root, numerically isolated roots, a
-rational quasi-unipotent matrix, a singular matrix with a rotation block
-and a proven modulus tie; plus ``endo --kuenneth``, ``quiver`` on the
-3-Kronecker quiver and ``twist`` on each bound and entropy branch.  Then
-the envelope's ``warnings`` for library warnings raised outside
-``growth``.
+pipeline: a root of unity, an integer root, two large prime integer roots,
+numerically isolated roots, a rational quasi-unipotent matrix, a singular
+matrix with a rotation block and a proven modulus tie; plus ``endo
+--kuenneth``, ``quiver`` on the 3-Kronecker quiver and ``twist`` on each
+bound and entropy branch.  Then the envelope's ``warnings`` for library
+warnings raised outside ``growth``.
 
 A refactor of the exact pipeline must keep these bytes unchanged.  Each
 command runs in-process with the default ``--tol`` and ``--precision``.
@@ -67,6 +67,21 @@ CASES = [
             '"results":{"dominant_factors":[{"factor":"x - 1",'
             '"multiplicity":2}],"quasi_unipotent_order":1,"rho":1,'
             '"rho_exact":"1","rho_interval":["1","1"],"s":1,'
+            '"tied_moduli":false},"version":"0.1.0","warnings":[]}'
+        ),
+    ),
+    (
+        # Both eigenvalues are primes above 10**5: the integer roots are
+        # found however hard the constant term is to factor.
+        "growth-large-integer-roots",
+        ["growth"],
+        {"rows": [[100003, 0], [0, 100019]]},
+        (
+            '{"command":"growth",'
+            '"inputs_digest":"8605b72215ea1ca1ed3d3d30ad1847df12a4b91a2cf20d70fee289d2ebef36a0",'
+            '"results":{"dominant_factors":[{"factor":"x^2 - 200022*x + 10002200057",'
+            '"multiplicity":1}],"quasi_unipotent_order":null,"rho":100019,'
+            '"rho_exact":"100019","rho_interval":["100019","100019"],"s":0,'
             '"tied_moduli":false},"version":"0.1.0","warnings":[]}'
         ),
     ),

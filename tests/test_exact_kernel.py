@@ -1,16 +1,18 @@
-"""Equivalence of the int/common-denominator ``ExactMatrix`` kernel with
-plain ``Fraction`` arithmetic.
+"""Equivalence of the int/common-denominator ``ExactMatrix`` and
+``ExactPoly`` kernels with plain ``Fraction`` arithmetic.
 
 Every operation is compared against a reference written here on lists of
-``Fraction`` rows, over random integer and rational matrices of size 1-6.
-The example count is bounded and the search derandomised, so the module's
-run time and outcome are fixed.
+``Fraction`` rows or coefficients, over random integer and rational
+matrices of size 1-6 and polynomials of degree at most 6.  The example
+count is bounded and the search derandomised, so the module's run time and
+outcome are fixed.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 import pickle
 import subprocess
 import sys
@@ -23,9 +25,11 @@ from hypothesis import strategies as st
 from catentropy.errors import DomainError
 from catentropy.exact_linalg import (
     ExactMatrix,
+    ExactPoly,
     char_poly,
     exterior_power,
     min_poly,
+    poly_gcd,
     tensor_product,
 )
 
@@ -295,6 +299,117 @@ def test_char_and_min_poly_match_fraction_reference(rows):
     assert divmod(p, q)[1].is_zero
 
 
+# -- polynomial kernel -------------------------------------------------------
+
+coefficient_lists = st.lists(st.one_of(ints, rationals), max_size=7)
+
+
+def ref_poly(cs):
+    """Fraction coefficients, lowest degree first, without trailing zeros."""
+    cs = [Fraction(c) for c in cs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def ref_combine(a, b, op):
+    zero = Fraction(0)
+    return ref_poly([op(x, y) for x, y in itertools.zip_longest(a, b, fillvalue=zero)])
+
+
+def ref_mul(a, b):
+    out = [Fraction(0)] * max(0, len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return ref_poly(out)
+
+
+def ref_divmod(a, b):
+    """Long division over the rationals, b nonzero."""
+    rem = list(a)
+    quot = [Fraction(0)] * max(0, len(a) - len(b) + 1)
+    for k in range(len(quot) - 1, -1, -1):
+        c = rem[k + len(b) - 1] / b[-1]
+        quot[k] = c
+        for j, y in enumerate(b):
+            rem[k + j] -= c * y
+    return ref_poly(quot), ref_poly(rem)
+
+
+def ref_gcd(a, b):
+    """Monic Euclid over the rationals."""
+    while b:
+        a, b = b, ref_divmod(a, b)[1]
+    return [c / a[-1] for c in a]
+
+
+def pview(p: ExactPoly):
+    """The Fraction coefficients of p, after checking its representation."""
+    assert all(type(x) is int for x in p.num) and type(p.den) is int
+    assert p.den >= 1 and math.gcd(p.den, *p.num) == 1
+    assert not p.num or p.num[-1] != 0
+    assert all(type(c) is Fraction for c in p.coefficients)
+    assert p.degree == len(p.num) - 1
+    return list(p.coefficients)
+
+
+@SETTINGS
+@given(coefficient_lists, coefficient_lists, rationals)
+def test_poly_operations_match_fraction_reference(ca, cb, x):
+    a, b = ExactPoly.from_coefficients(ca), ExactPoly.from_coefficients(cb)
+    fa, fb = ref_poly(ca), ref_poly(cb)
+    assert pview(a) == fa
+    assert [a[k] for k in range(len(fa) + 2)] == fa + [0, 0]
+    assert pview(a + b) == ref_combine(fa, fb, operator.add)
+    assert pview(a - b) == ref_combine(fa, fb, operator.sub)
+    assert pview(a * b) == ref_mul(fa, fb)
+    assert pview(a.derivative()) == ref_poly([k * c for k, c in enumerate(fa)][1:])
+    assert pview(a.reflect()) == [-c if k % 2 else c for k, c in enumerate(fa)]
+    assert pview(a.monic()) == [c / fa[-1] for c in fa]
+    value = a(x)
+    assert type(value) is Fraction
+    assert value == sum((c * x**k for k, c in enumerate(fa)), Fraction(0))
+    assert pview(poly_gcd(a, b)) == ref_gcd(fa, fb)
+    if fb:
+        q, r = divmod(a, b)
+        rq, rr = ref_divmod(fa, fb)
+        assert (pview(q), pview(r)) == (rq, rr)
+        assert pview((a * b).exact_div(b)) == fa
+        if rr:
+            with pytest.raises(ArithmeticError):
+                a.exact_div(b)
+        else:
+            assert pview(a.exact_div(b)) == rq
+
+
+@SETTINGS
+@given(coefficient_lists)
+def test_equal_polynomials_built_differently_agree_in_eq_and_hash(cs):
+    p = ExactPoly.from_coefficients(cs)
+    same = [
+        ExactPoly.from_coefficients([str(Fraction(c)) for c in cs] + [0, 0]),
+        ExactPoly([6 * c for c in p.num] + [0], 6 * p.den),
+        ExactPoly([-c for c in p.num], -p.den),
+        p.scale(6).scale(Fraction(1, 6)),
+        p + ExactPoly.zero(),
+        p * ExactPoly.one(),
+        -(-p),
+        p.reflect().reflect(),
+        p.scale(Fraction(1, 4)) + p.scale(Fraction(3, 4)),
+        (p * ExactPoly.from_coefficients([Fraction(1, 2), 3])).exact_div(
+            ExactPoly.from_coefficients([1, 6])
+        ).scale(2),
+        pickle.loads(pickle.dumps(p)),
+    ]
+    for other in same:
+        assert other == p
+        assert hash(other) == hash(p)
+        assert repr(other) == repr(p) and str(other) == str(p)
+    assert len({p, *same}) == 1
+    assert p + ExactPoly.one() != p
+
+
 #: One ExactMatrix or ExactPoly entry point each, called 20,000 times in a
 #: fresh process.
 ALLOCATION_CALLS = {
@@ -313,6 +428,12 @@ ALLOCATION_CALLS = {
     "zeros": "ExactMatrix.zeros(2)",
     "tensor_product": "tensor_product(m, m)",
     "exterior_power": "exterior_power(m, 1)",
+    "poly_from_coefficients": "ExactPoly.from_coefficients(coeffs)",
+    "poly_add": "p + p",
+    "poly_mul": "p * p",
+    "poly_divmod": "divmod(p, q)",
+    "poly_monic": "p.monic()",
+    "poly_coefficients": "p.coefficients",
     "poly_neg": "-p",
     "poly_reflect": "p.reflect()",
     "poly_scale": "p.scale(Fraction(2, 3))",
@@ -332,7 +453,9 @@ def test_constructors_keep_no_spare_tuples(call):
         "    ExactMatrix, ExactPoly, exterior_power, tensor_product)\n"
         "rows = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(2, 5), 1]]\n"
         "m = ExactMatrix.from_rows(rows)\n"
-        "p = ExactPoly.from_coefficients([Fraction(1, 2), 3, Fraction(2, 5)])\n"
+        "coeffs = [Fraction(1, 2), 3, Fraction(2, 5)]\n"
+        "p = ExactPoly.from_coefficients(coeffs)\n"
+        "q = ExactPoly.from_coefficients([Fraction(1, 3), 1])\n"
         "v = [Fraction(1, 3), Fraction(2, 7)]\n"
         "before = sys.getallocatedblocks()\n"
         "for _ in range(20000):\n"

@@ -445,12 +445,55 @@ def test_growth_signature_singular_with_rotation():
 
 
 def test_growth_signature_integer_roots_beside_zero():
-    # min poly x^3 - 5x^2 + 6x: the factor x is stripped before the divisor
-    # search, so 2 and 3 are split off exactly and nothing is isolated
+    # min poly x^3 - 5x^2 + 6x: the roots 0, 2 and 3 are split off exactly
+    # and nothing is isolated
     sig = growth_signature(M([[0, 0, 0], [0, 2, 0], [0, 0, 3]]))
     assert sig.rho_exact == 3
     assert sig.rho_interval == (Fraction(3), Fraction(3))
     assert sig.s == 0
+
+
+def test_integer_roots_of_every_size_are_found():
+    # x (x + 7) (x - 100019) (2x - 1) (x^2 + 1) (x - 10**12 - 39): integer
+    # roots far apart in size, beside a rational root and a complex pair,
+    # however hard the lowest nonzero coefficient is to factor.
+    h = P([1])
+    factors = [[0, 1], [7, 1], [-100019, 1], [-1, 2], [1, 0, 1], [-(10**12 + 39), 1]]
+    for factor in factors:
+        h = h * P(factor)
+    roots = exact_linalg._integer_roots(h.monic())
+    assert roots == [-7, 0, 100019, 10**12 + 39]
+    assert all(type(r) is Fraction for r in roots)
+    assert exact_linalg._integer_roots(P([1, 0, 1])) == []
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    st.sets(st.integers(-(10**15), 10**15), max_size=5),
+    st.integers(1, 10**6),
+    st.integers(2, 10**6),
+)
+def test_integer_roots_are_the_planted_roots(roots, c, lead):
+    # x^2 + c has no real root and lead x + 1 no integer root.
+    h = P([c, 0, 1]) * P([1, lead])
+    for r in roots:
+        h = h * P([-r, 1])
+    assert exact_linalg._integer_roots(h.monic()) == sorted(roots)
+
+
+def test_root_moduli_rational_part_below_the_leading_numerator():
+    # x^2 - 1/4 is stored as (-1, 0, 4) / 4: every coefficient below the
+    # top is smaller than the leading numerator, and there is no integer
+    # root; (x - 3)(x + 1/2)(x - 1/3) has one beside two rational roots.
+    h = P([Fraction(-1, 4), 0, 1])
+    assert (h.num, h.den) == ((-1, 0, 4), 4)
+    out = root_moduli(h)
+    half = (Fraction(1, 2), Fraction(1, 2))
+    assert out == [(complex(-0.5, 0.0), half), (complex(0.5, 0.0), half)]
+    out = root_moduli(P([-3, 1]) * P([Fraction(1, 2), 1]) * P([Fraction(-1, 3), 1]))
+    (z1, (lo1, hi1)), (z2, (lo2, hi2)), (z3, exact) = out
+    assert lo1 <= Fraction(1, 3) <= hi1 < lo2 <= Fraction(1, 2) <= hi2
+    assert (z3, exact) == (complex(3.0, 0.0), (Fraction(3), Fraction(3)))
 
 
 def test_growth_signature_float_inside_interval():

@@ -91,6 +91,16 @@ def test_params_validation():
         twist_recurrence_series(TwistParams(S, d=1, t=0.0, A=1.0, B=1.0), 0)
 
 
+@pytest.mark.parametrize(
+    "t, A, B",
+    [(math.nan, 1.0, 1.0), (math.inf, 1.0, 1.0), (-math.inf, 1.0, 1.0),
+     (0.5, math.inf, 1.0), (0.5, math.nan, 1.0), (0.5, 1.0, math.inf)],
+)
+def test_params_reject_non_finite_values(t, A, B):
+    with pytest.raises(DomainError, match="finite"):
+        TwistParams(S, d=1, t=t, A=A, B=B)
+
+
 def test_slope_by_kind():
     # spherical 1 - d, P-twist -2d; the d = 1 sphere alone has slope 0
     def slopes(kind):
