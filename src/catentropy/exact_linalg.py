@@ -11,12 +11,14 @@ comparisons.
 Arithmetic is exact.  An ``ExactMatrix`` is one int numerator matrix, and
 an ``ExactPoly`` one tuple of int numerators, over one positive common
 denominator, normalised so that the representation is unique.  Products,
-powers, determinants, inverses, the characteristic and minimal
-polynomials, polynomial division, gcds and the squarefree split run on
-Python ints (fraction-free elimination, pseudo-division, exact integer
-division).  ``fractions.Fraction`` appears only at the edges: ``rows``,
-``entry`` and ``coefficients``.  Roots without an exact form are isolated
-on Gaussian-dyadic grids ``(x + iy) / 2**bits``: a Durand-Kerner iteration
+powers, determinants, inverses, polynomial division, gcds and the
+squarefree split run on Python ints (fraction-free elimination,
+pseudo-division, exact integer division), and so does the one
+Faddeev-LeVerrier pass that gives the characteristic polynomial chi and
+the minimal polynomial ``chi / gcd(entries of adj(xI - M))``.
+``fractions.Fraction`` appears only at the edges: ``rows``, ``entry`` and
+``coefficients``.  Roots without an exact form are isolated on
+Gaussian-dyadic grids ``(x + iy) / 2**bits``: a Durand-Kerner iteration
 in Gaussian ints, then disks of radius ``n |p(z) / p'(z)|`` certified by
 exact int Horner values and compared as squares of ints.  Floating point
 only appears in reported approximations and in the start points of the
@@ -674,75 +676,61 @@ def exterior_power(m: ExactMatrix, k: int) -> ExactMatrix:
 # ---------------------------------------------------------------------------
 
 
+def _faddeev_leverrier(a: Sequence[Sequence[int]]) -> tuple[list[int], list]:
+    """``det(xI - N)`` (lowest degree first) and the ``B_0 = I, ..., B_{n-1}``
+    with ``adj(xI - N) = sum B_k x^(n-1-k)``, for an int matrix N, by the
+    Faddeev-LeVerrier recursion ``B_k = N B_{k-1} + c_k I`` with the ints
+    ``c_k = -tr(N B_{k-1}) / k``, so each trace division is exact."""
+    n = len(a)
+    mul = operator.mul
+    coeffs = [0] * n + [1]
+    bs = [[[int(i == j) for j in range(n)] for i in range(n)]]
+    for k in range(1, n + 1):
+        cols = list(zip(*bs[-1]))
+        b = [[sum(map(mul, row, col)) for col in cols] for row in a]
+        c, r = divmod(-sum(b[i][i] for i in range(n)), k)
+        if r:
+            raise InternalInconsistency("char-poly trace not divisible by %d" % k)
+        coeffs[n - k] = c
+        for i in range(n):
+            b[i][i] += c
+        bs.append(b)
+    return coeffs, bs[:-1]
+
+
+def _unscale(p: Sequence[int], den: int) -> ExactPoly:
+    """``p(den * x) / den**deg p``: monic int p of ``N = den * M`` taken to M."""
+    return ExactPoly([c * den**i for i, c in enumerate(p)], den ** (len(p) - 1))
+
+
 def char_poly(m: ExactMatrix) -> ExactPoly:
     """The monic characteristic polynomial det(xI - M), exactly, by the
-    Faddeev-LeVerrier trace recursion on the int numerator ``N = den * M``.
-
-    The coefficients c_k of det(xI - N) are ints, so each trace division
-    is exact; det(xI - M) has ``c_k / den**k`` at x^(n-k).
-    """
-    n = m.n
-    a = ExactMatrix(m.num)
-    coeffs = [0] * (n + 1)
-    coeffs[n] = m.den**n
-    mk = a
-    c = 0
-    for k in range(1, n + 1):
-        if k > 1:
-            mk = a @ (mk + ExactMatrix.identity(n).scale(c))
-        c, r = divmod(-sum(row[i] for i, row in enumerate(mk.num)), k)
-        if r:
-            raise InternalInconsistency(
-                "Faddeev-LeVerrier trace not divisible by %d" % k
-            )
-        coeffs[n - k] = c * m.den ** (n - k)
-    return ExactPoly(coeffs, m.den**n)
+    Faddeev-LeVerrier pass on ``N = den * M`` that also gives ``min_poly``
+    (Gantmacher, *The Theory of Matrices* I, ch. IV, sec. 6)."""
+    return _unscale(_faddeev_leverrier(m.num)[0], m.den)
 
 
 def min_poly(m: ExactMatrix) -> ExactPoly:
-    """Monic least-degree polynomial annihilating M, found by fraction-free
-    linear dependency search over the flattened powers I, N, N^2, ... of
-    the int numerator ``N = den * M``.
-
-    Each stored vector ``vec`` is the int combination ``sum rep[i] N^i``
-    reduced against the earlier ones and divided by its content.  The
-    first vanishing ``vec`` gives ``p(N) = 0`` with ``p = sum rep[i] x^i``;
-    then ``p(den * x) / (rep[k] * den**k)`` is the min poly of M.
-    """
-    n = m.n
-    step = ExactMatrix(m.num)
-    basis: list[tuple[list[int], list[int], int]] = []
-    power = ExactMatrix.identity(n)
-    k = 0
-    while True:
-        vec = [x for row in power.num for x in row]
-        rep = [0] * k + [1]
-        for bvec, brep, piv in basis:
-            c = vec[piv]
-            if c:
-                b = bvec[piv]
-                vec = [b * x - c * y for x, y in zip(vec, bvec)]
-                rep = [b * x - c * y for x, y in zip(rep, brep)] + [
-                    b * x for x in rep[len(brep):]
-                ]
-        g = math.gcd(*vec, *rep)
-        if g > 1:
-            vec = [x // g for x in vec]
-            rep = [x // g for x in rep]
-        piv = next((i for i, a in enumerate(vec) if a != 0), None)
-        if piv is None:
-            return ExactPoly(
-                [c * m.den**i for i, c in enumerate(rep)], rep[k] * m.den**k
-            )
-        basis.append((vec, rep, piv))
-        power = power @ step
-        k += 1
+    """Monic least-degree polynomial annihilating M: ``f / d_{n-1}`` for
+    f = det(xI - N) and d_{n-1} the monic gcd of the entries of
+    ``adj(xI - N)``, both from the Faddeev-LeVerrier pass of ``char_poly``
+    on ``N = den * M`` (Gantmacher, op. cit.).  The gcd fold starts at
+    ``gcd(f, f')``, which d_{n-1} divides (f / d_{n-1} has every root of f,
+    so each root of d_{n-1} is one of f of higher multiplicity); so a
+    squarefree f reads no adjugate entry."""
+    f, bs = _faddeev_leverrier(m.num)
+    d = poly_gcd(ExactPoly(f), ExactPoly(f).derivative()).num
+    for i, j in itertools.product(range(m.n), repeat=2):
+        if len(d) == 1:
+            break
+        e = [b[i][j] for b in reversed(bs)]
+        if any(_divide(e, d)[1]):  # else d divides e: the gcd stays d
+            d = poly_gcd(ExactPoly(d), ExactPoly(e)).num
+    return _unscale(_divide(f, d)[0], m.den)
 
 
 def nilpotency_index(m: ExactMatrix) -> Optional[int]:
     """Smallest j with M^j = 0, or None if M is not nilpotent."""
-    if m.is_zero:
-        return 1
     power = m
     for j in range(1, m.n + 1):
         if power.is_zero:
@@ -1495,6 +1483,8 @@ class GrowthSignature:
     precision cap and their tie was not provable under the degree cap of
     the exact tie proof; the conservative (larger) s was then reported.
     A tie the proof settles merges the classes and leaves ``tied`` unset.
+    ``rho_float`` lies inside ``rho_interval`` unless it is farther than the
+    tolerance from its midpoint (a huge rho, or a tolerance below an ulp).
     """
 
     rho_interval: tuple[Fraction, Fraction]
@@ -1564,10 +1554,11 @@ def growth_signature(
         )
 
     rho_float = _interval_midpoint_float(lo, hi)
-    # The reported float must lie inside the certified interval; hull in
-    # its rounding error (at most half an ulp, far below any tolerance).
+    # Hull the float in when its rounding error (half an ulp) is within
+    # the tolerance, so the interval stays about that wide at most.
     as_fraction = Fraction(rho_float)
-    lo, hi = min(lo, as_fraction), max(hi, as_fraction)
+    if abs(as_fraction - (lo + hi) / 2) <= width:
+        lo, hi = min(lo, as_fraction), max(hi, as_fraction)
     return GrowthSignature(
         rho_interval=(lo, hi),
         rho_float=rho_float,

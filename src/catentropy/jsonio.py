@@ -121,6 +121,20 @@ def _entry_to_fraction(x: Any, where: str) -> Fraction:
     raise ParseError("%s: unsupported entry %r" % (where, x))
 
 
+def _is_int(x: Any) -> bool:
+    """A JSON integer; ``true`` and ``false`` are Python ints but not that."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _numbers(values: list, where: str) -> list[float]:
+    if any(isinstance(v, bool) for v in values):
+        raise ParseError("%s: booleans are not numbers" % where)
+    try:
+        return [float(v) for v in values]
+    except (TypeError, ValueError) as exc:
+        raise ParseError("%s must be numbers: %s" % (where, exc))
+
+
 def _load_json(text: str, what: str) -> Any:
     try:
         return json.loads(text)
@@ -166,21 +180,14 @@ def parse_sequence_text(text: str) -> tuple[PositiveSequence, Any]:
         doc = _load_json(text, "sequence file")
         values = doc.get("values")
         n_start = doc.get("n_start", 1)
-        if not isinstance(values, list) or not isinstance(n_start, int):
+        if not isinstance(values, list) or not _is_int(n_start):
             raise ParseError(
                 'sequence file needs integer "n_start" and array "values"'
             )
     else:
         n_start = 1
-        try:
-            values = [float(line) for line in stripped.splitlines() if line.strip()]
-        except ValueError as exc:
-            raise ParseError("bad sequence line: %s" % exc)
-    try:
-        values = [float(v) for v in values]
-    except (TypeError, ValueError) as exc:
-        raise ParseError("sequence values must be numbers: %s" % exc)
-    seq = PositiveSequence.from_values(values, n_start)
+        values = [line for line in stripped.splitlines() if line.strip()]
+    seq = PositiveSequence.from_values(_numbers(values, "sequence values"), n_start)
     return seq, {"n_start": seq.n_start, "values": list(seq.values)}
 
 
@@ -192,7 +199,7 @@ def parse_endo_text(text: str) -> tuple[EndoAction, Any]:
         raise ParseError("endomorphism file must be an object")
     dim = doc.get("dim")
     actions = doc.get("actions")
-    if not isinstance(dim, int) or not isinstance(actions, dict):
+    if not _is_int(dim) or not isinstance(actions, dict):
         raise ParseError('endomorphism file needs "dim" and an "actions" object')
     mats = []
     for p in range(dim + 1):
@@ -226,7 +233,7 @@ def parse_linebundle_text(text: str) -> tuple[LineBundleData, Any]:
     if not isinstance(doc, dict):
         raise ParseError("line-bundle file must be an object")
     dim = doc.get("dim")
-    if not isinstance(dim, int) or dim < 1:
+    if not _is_int(dim) or dim < 1:
         raise ParseError('"dim" must be a positive integer')
     c1 = parse_rows(doc.get("c1_action"), "c1_action")
     nef_raw = doc.get("nef", "unknown")
@@ -246,10 +253,9 @@ def parse_linebundle_text(text: str) -> tuple[LineBundleData, Any]:
                 raise ParseError("bad cohomology degree %r" % key)
             if not isinstance(values, list):
                 raise ParseError("cohomology[%s] must be an array" % key)
-            try:
-                cohom[k] = PositiveSequence.from_values(values)
-            except (TypeError, ValueError):
-                raise ParseError("cohomology[%s] entries must be numbers" % key)
+            cohom[k] = PositiveSequence.from_values(
+                _numbers(values, "cohomology[%s] entries" % key)
+            )
     lb = LineBundleData(dim=dim, c1_action=c1, nef_flag=nef,
                         cohomology_sequences=cohom)
     payload = {
@@ -273,7 +279,7 @@ def parse_quiver_text(text: str) -> tuple[Quiver, Any]:
         raise ParseError("quiver file must be an object")
     n = doc.get("vertices")
     arrows_raw = doc.get("arrows", [])
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise ParseError('"vertices" must be a positive integer')
     if not isinstance(arrows_raw, list):
         raise ParseError('"arrows" must be an array of [i, j] pairs')
@@ -282,7 +288,7 @@ def parse_quiver_text(text: str) -> tuple[Quiver, Any]:
         if (
             not isinstance(pair, list)
             or len(pair) != 2
-            or not all(isinstance(x, int) for x in pair)
+            or not all(_is_int(x) for x in pair)
         ):
             raise ParseError("arrow %d must be a pair of integers" % k)
         arrows.append((pair[0] - 1, pair[1] - 1))

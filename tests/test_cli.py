@@ -72,6 +72,19 @@ def test_growth_command_hyperbolic_12_digits(tmp_path):
     assert '"rho":2.61803398875' in out
 
 
+def test_rho_interval_below_float_resolution_stays_certified(tmp_path):
+    # At --tol 1e-20 the float nearest rho is 5.5e-17 away, outside the
+    # tolerance: the interval is not widened to take it in.
+    path = tmp_path / "m.json"
+    path.write_text('{"rows": [[2, 1], [1, 1]]}')
+    code, out = run_inproc(["--json", "--tol", "1e-20", "growth", str(path)])
+    assert code == 0
+    assert json.loads(out)["results"]["rho_interval"] == [
+        "40906781074217107/15625000000000000",
+        "2618033988749894849/1000000000000000000",
+    ]
+
+
 def test_growth_accepts_rational_strings(tmp_path):
     path = tmp_path / "m.json"
     path.write_text('{"rows": [["1/3", "0.25"], [0, "1/3"]]}')
@@ -225,6 +238,34 @@ def test_endo_non_array_labels_is_parse_error():
         "labels": {"0": 5},
     }
     proc = run_cli(["--json", "endo", "-"], stdin_text=json.dumps(doc))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("parse error:")
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        ("endo", {"dim": True, "actions": {"0": [[1]], "1": [[2]]}}),
+        ("linebundle", {"dim": True, "c1_action": [[0, 0], [1, 0]]}),
+        (
+            "linebundle",
+            {
+                "dim": 1,
+                "c1_action": [[0, 0], [1, 0]],
+                "cohomology": {"0": [True, 1, 2, 3, 4, 5, 6, 7]},
+            },
+        ),
+        ("estimate", {"n_start": True, "values": [1, 2, 3, 4, 5, 6, 7, 8]}),
+        ("estimate", {"values": [True, 2, 3, 4, 5, 6, 7, 8]}),
+        ("quiver", {"vertices": True}),
+        ("quiver", {"vertices": 2, "arrows": [[True, 2]]}),
+    ],
+)
+def test_json_booleans_are_not_integers(command, doc):
+    # true is a Python int; read as 1 it would give the input a second
+    # digest beside the one written with 1.
+    proc = run_cli(["--json", command, "-"], stdin_text=json.dumps(doc))
     assert proc.returncode == 2
     assert proc.stderr.startswith("parse error:")
     assert "Traceback" not in proc.stderr

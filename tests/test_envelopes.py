@@ -1,6 +1,6 @@
 """Golden ``--json`` envelopes, one input per route through the growth
 pipeline: a root of unity, an integer root, two large prime integer roots,
-numerically isolated roots, a rational quasi-unipotent matrix, a singular
+two close roots near 10**33, numerically isolated roots, a rational quasi-unipotent matrix, a singular
 matrix with a rotation block and a proven modulus tie; plus ``endo
 --kuenneth``, ``quiver`` on the 3-Kronecker quiver and ``twist`` on each
 bound and entropy branch.  Then the envelope's ``warnings`` for library
@@ -83,6 +83,28 @@ CASES = [
             '"multiplicity":1}],"quasi_unipotent_order":null,"rho":100019,'
             '"rho_exact":"100019","rho_interval":["100019","100019"],"s":0,'
             '"tied_moduli":false},"version":"0.1.0","warnings":[]}'
+        ),
+    ),
+    (
+        # rho = 10**33 + 4 + sqrt(24) is 5.4e16 from its nearest float, far
+        # beyond --tol: the interval stays as certified, without the float.
+        "growth-huge-close-roots",
+        ["growth"],
+        {"rows": [[10**33 + 7, 3], [5, 10**33 + 1]]},
+        (
+            '{"command":"growth",'
+            '"inputs_digest":"96f92b60c99c324f513065cf2239935d5f57036623143af9b7abab3be13c5ed6",'
+            '"results":{"dominant_factors":[{"factor":"x^2 - '
+            '2000000000000000000000000000000008*x + '
+            '1000000000000000000000000000000007999999999999999999999999999999992",'
+            '"multiplicity":1}],"quasi_unipotent_order":null,"rho":1e+33,'
+            '"rho_exact":{"modulus_rank":0,"root_of":"x^2 - '
+            '2000000000000000000000000000000008*x + '
+            '1000000000000000000000000000000007999999999999999999999999999999992"},'
+            '"rho_interval":["250000000000000000000000000000002224744871391589049'
+            '/250000000000000000","1000000000000000000000000000000008898979485566356197'
+            '/1000000000000000000"],"s":0,"tied_moduli":false},'
+            '"version":"0.1.0","warnings":[]}'
         ),
     ),
     (

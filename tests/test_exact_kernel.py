@@ -3,9 +3,11 @@
 
 Every operation is compared against a reference written here on lists of
 ``Fraction`` rows or coefficients, over random integer and rational
-matrices of size 1-6 and polynomials of degree at most 6.  The example
-count is bounded and the search derandomised, so the module's run time and
-outcome are fixed.
+matrices of size 1-6 and polynomials of degree at most 6.  The minimal
+polynomial also runs on conjugated block matrices with a repeated factor
+in the char poly, and on tensor squares against a product of root
+products built from power sums.  The example count is bounded and the
+search derandomised, so the module's run time and outcome are fixed.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import itertools
 import math
 import operator
 import pickle
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -26,6 +29,7 @@ from catentropy.errors import DomainError
 from catentropy.exact_linalg import (
     ExactMatrix,
     ExactPoly,
+    _squared_moduli_poly,
     char_poly,
     exterior_power,
     min_poly,
@@ -43,6 +47,46 @@ rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
 def matrices(draw, entries=st.one_of(ints, rationals), size=None):
     n = size if size is not None else draw(st.integers(1, 6))
     return [[draw(entries) for _ in range(n)] for _ in range(n)]
+
+
+@st.composite
+def derogatory_matrices(draw):
+    """``U diag(blocks) U^-1`` whose char poly has a repeated factor: a
+    companion block A twice, a Jordan-coupled ``[[A, I], [0, A]]`` or a
+    scalar block, beside an optional scalar block.  U is a product of
+    rational unitriangular matrices, or I: on block-diagonal input the gcd
+    fold of ``min_poly`` reads more than one adjugate entry."""
+    k = draw(st.integers(1, 3))
+    cs = draw(st.lists(ints, min_size=k, max_size=k))
+    a = [list(row) for row in ExactMatrix.companion(ExactPoly(cs + [1])).num]
+    kind = draw(st.sampled_from(["repeated", "jordan", "scalar"]))
+    if kind == "repeated":
+        blocks = [ExactMatrix.from_rows(a)] * 2
+    elif kind == "jordan":
+        ident = [[int(i == j) for j in range(k)] for i in range(k)]
+        zero = [[0] * k for _ in range(k)]
+        blocks = [ExactMatrix.from_rows(
+            [x + y for x, y in zip(a, ident)] + [x + y for x, y in zip(zero, a)]
+        )]
+    else:
+        blocks = [ExactMatrix.identity(draw(st.integers(2, 4))).scale(draw(rationals))]
+    room = 6 - sum(b.n for b in blocks)
+    if room and draw(st.booleans()):
+        blocks.append(ExactMatrix.identity(draw(st.integers(1, room))).scale(draw(ints)))
+    d = ExactMatrix.block_diag(*blocks)
+    n = d.n
+    if draw(st.booleans()):
+        entries = st.one_of(ints, rationals)
+        lower, upper = (
+            ExactMatrix.from_rows([
+                [draw(entries) if side(i, j) else int(i == j) for j in range(n)]
+                for i in range(n)
+            ])
+            for side in (operator.gt, operator.lt)
+        )
+        u = lower @ upper
+        d = u @ d @ u.inverse()
+    return [list(row) for row in d.rows]
 
 
 @st.composite
@@ -280,7 +324,7 @@ def test_exterior_power_entries_are_minors(rows, k):
 
 
 @SETTINGS
-@given(matrices())
+@given(st.one_of(matrices(), derogatory_matrices()))
 def test_char_and_min_poly_match_fraction_reference(rows):
     m = ExactMatrix.from_rows(rows)
     f = ref(rows)
@@ -297,6 +341,18 @@ def test_char_and_min_poly_match_fraction_reference(rows):
     assert q.degree == ref_min_poly_degree(f)
     assert all(x == 0 for row in eval_poly_at_matrix(q, f) for x in row)
     assert divmod(p, q)[1].is_zero
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_min_poly_of_tensor_square_is_the_product_of_distinct_root_products(n):
+    # a (x) a has each a_i a_j with i != j twice, so its char poly is never
+    # squarefree; for generic a its min poly is prod_{i <= j} (x - a_i a_j),
+    # built here from power sums of char_poly(a), not from a (x) a.
+    rng = random.Random(n)
+    a = ExactMatrix.from_rows([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)])
+    expected = ExactPoly(_squared_moduli_poly(char_poly(a).num))
+    assert poly_gcd(expected, expected.derivative()).degree == 0
+    assert min_poly(tensor_product(a, a)) == expected
 
 
 # -- polynomial kernel -------------------------------------------------------
@@ -437,6 +493,8 @@ ALLOCATION_CALLS = {
     "poly_neg": "-p",
     "poly_reflect": "p.reflect()",
     "poly_scale": "p.scale(Fraction(2, 3))",
+    "char_poly": "char_poly(m)",
+    "min_poly": "min_poly(m)",
 }
 
 
@@ -450,7 +508,8 @@ def test_constructors_keep_no_spare_tuples(call):
         "import sys\n"
         "from fractions import Fraction\n"
         "from catentropy.exact_linalg import (\n"
-        "    ExactMatrix, ExactPoly, exterior_power, tensor_product)\n"
+        "    ExactMatrix, ExactPoly, char_poly, exterior_power, min_poly,\n"
+        "    tensor_product)\n"
         "rows = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(2, 5), 1]]\n"
         "m = ExactMatrix.from_rows(rows)\n"
         "coeffs = [Fraction(1, 2), 3, Fraction(2, 5)]\n"
