@@ -18,6 +18,7 @@ from catentropy import (
     twist_entropy_report,
     twist_recurrence,
 )
+from catentropy.twist_zoo import twist_recurrence_series
 
 print("Shifts cost nothing:", shift_report(1), shift_report(-3))
 print("Fractional Serre functor with fifth power a double shift:",
@@ -36,7 +37,7 @@ p = TwistParams(TwistKind.SPHERICAL, d=2, t=-0.5, A=1.0, B=1.0)
 for n in (1, 10, 50):
     print("  n = %3d: bound = %10.3f  >= recurrence = %10.3f"
           % (n, twist_bound(p, n), twist_recurrence(p, n)))
-vals = [twist_recurrence(p, n) for n in range(1, 201)]
+vals = [float(v) for v in twist_recurrence_series(p, 200)]
 est = fit_growth(PositiveSequence.from_values(vals))
 import math
 print("  fitted growth rate %.6f matches e^{(1-d)t} = %.6f"

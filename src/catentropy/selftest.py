@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import math
 import random
-
-import mpmath
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -423,13 +421,15 @@ def check_twist_bound_recurrence(corrupt: bool = False) -> list[str]:
                         p = tz.TwistParams(kind, d=d, t=t, A=a, B=b)
                         rec = tz.twist_recurrence_series(p, 200)
                         exact_branch = t == 0.0 or p.slope == 0
-                        # Noise floor: the series accumulates at 80-bit
-                        # precision, so treat sub-2^-60 gaps as ties.
-                        eps = mpmath.mpf(2) ** -60
+                        # Noise floor: the series accumulates at 30-digit
+                        # precision, so treat sub-2^-60 gaps as ties.  The
+                        # comparison itself is exact.
+                        eps = Fraction(1, 2**60)
                         for n in (1, 2, 3, 7, 50, 200):
-                            bb, rr = tz.twist_bound_mp(p, n), rec[n - 1]
+                            bb = Fraction(tz.twist_bound_mp(p, n))
+                            rr = Fraction(rec[n - 1])
                             if exact_branch:
-                                if abs(bb - rr) > 1e-12 * rr:
+                                if abs(bb - rr) > Fraction(1e-12) * rr:
                                     failures.append(
                                         "%s d=%d t=%g n=%d: closed form off"
                                         % (kind.value, d, t, n)

@@ -15,14 +15,14 @@ recurrence it came from.
 
 from __future__ import annotations
 
+import decimal
 import math
 import warnings
 from dataclasses import dataclass
+from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
 from typing import Optional
-
-import mpmath
 
 from .errors import CatEntropyWarning, DomainError
 
@@ -116,45 +116,61 @@ def fractional_cy_report(n: int, m: int) -> dict:
     return {"h_t_slope": Fraction(m, n), "h_pol": 0}
 
 
-#: Working precision for bound/recurrence evaluation; mpmath exponents are
-#: unbounded, so values far beyond float range stay finite internally.
-_WORK_BITS = 80
+#: Working context for bound/recurrence evaluation: 30 digits, and an
+#: exponent range so wide that values far beyond float range stay finite
+#: internally.  An exp past even that range rounds to Infinity (whose float
+#: is inf) instead of raising.
+_CONTEXT = decimal.Context(
+    prec=30,
+    Emax=decimal.MAX_EMAX,
+    Emin=decimal.MIN_EMIN,
+    traps=[decimal.InvalidOperation, decimal.DivisionByZero],
+)
 
 
-def twist_bound_mp(p: TwistParams, n: int) -> mpmath.mpf:
+def twist_bound_mp(p: TwistParams, n: int) -> Decimal:
     """Closed-form upper bound for the weighted dimension sum after n
-    twists, as an mpmath value.
+    twists, as a 30-digit Decimal.
 
     Branches (in selection order): slope 0 and t = 0 equal the recurrence
     exactly; for any other slope and t != 0 the geometric closed form
-    dominates the finite sum.
+    dominates the finite sum.  With x = e^t the gap, closed form minus
+    partial sum, is for every n >= 1
+
+        A * (x^(alpha n) * (1 - x) + x) / (x^alpha - 1)    for t < 0,
+        A * x^(alpha n + 1) / (1 - x^alpha)                for t > 0,
+
+    and both are positive (alpha < 0 here, so x^alpha > 1 exactly when
+    x < 1).
     """
     if n < 1:
         raise DomainError("n must be >= 1")
     t, alpha = p.t_snapped, p.slope
-    with mpmath.workprec(_WORK_BITS):
-        a, b, tm = mpmath.mpf(p.A), mpmath.mpf(p.B), mpmath.mpf(t)
+    with decimal.localcontext(_CONTEXT):
+        a, b, tm = Decimal(p.A), Decimal(p.B), Decimal(t)
         if alpha == 0:
-            return n * mpmath.exp(tm) * a + b
+            return n * tm.exp() * a + b
         if t == 0.0:
             return n * a + b
         if t < 0:
-            return mpmath.exp(alpha * n * tm) / (mpmath.exp(alpha * tm) - 1) * a + b
-        return mpmath.exp(tm) / (1 - mpmath.exp(alpha * tm)) * a + b
+            # exp(alpha n t) / (exp(alpha t) - 1), divided through by
+            # exp(alpha t) so that no inf/inf arises at extreme t
+            return (alpha * (n - 1) * tm).exp() / (1 - (-alpha * tm).exp()) * a + b
+        return tm.exp() / (1 - (alpha * tm).exp()) * a + b
 
 
 def twist_recurrence_series(p: TwistParams, n_max: int) -> list:
     """Partial sums B + A * sum_{j=1..n} exp((slope*j + 1 - slope) t) for
-    n = 1..n_max, accumulated term by term (mpmath values)."""
+    n = 1..n_max, accumulated term by term (30-digit Decimals)."""
     if n_max < 1:
         raise DomainError("n must be >= 1")
     t, alpha = p.t_snapped, p.slope
     out = []
-    with mpmath.workprec(_WORK_BITS):
-        a, tm = mpmath.mpf(p.A), mpmath.mpf(t)
-        acc = mpmath.mpf(p.B)
+    with decimal.localcontext(_CONTEXT):
+        a, tm = Decimal(p.A), Decimal(t)
+        acc = Decimal(p.B)
         for j in range(1, n_max + 1):
-            acc = acc + a * mpmath.exp((alpha * j + 1 - alpha) * tm)
+            acc = acc + a * ((alpha * j + 1 - alpha) * tm).exp()
             out.append(acc)
     return out
 

@@ -12,8 +12,6 @@ import subprocess
 import sys
 from fractions import Fraction
 
-import mpmath
-
 from catentropy import exact_linalg as xl
 from catentropy import growth_estimator as ge
 from catentropy import quiver_hereditary as qh
@@ -195,19 +193,20 @@ def test_criterion_5_line_bundle_suite():
 
 def test_criterion_6_twist_suite():
     failures = []
-    eps = mpmath.mpf(2) ** -60
+    # exact comparisons of the 30-digit values
+    eps = Fraction(1, 2**60)
     for kind in (tz.TwistKind.SPHERICAL, tz.TwistKind.PTWIST):
         for d in (1, 2, 3, 4):
             for t in (-1.0, -0.1, 0.0, 0.1, 1.0):
                 for a in (0.5, 1.0, 10.0):
                     for b in (0.5, 1.0, 10.0):
                         p = tz.TwistParams(kind, d=d, t=t, A=a, B=b)
-                        rec = tz.twist_recurrence_series(p, 200)
+                        rec = [Fraction(v) for v in tz.twist_recurrence_series(p, 200)]
                         exact_branch = t == 0.0 or p.slope == 0
                         for n in range(1, 201):
-                            bb, rr = tz.twist_bound_mp(p, n), rec[n - 1]
+                            bb, rr = Fraction(tz.twist_bound_mp(p, n)), rec[n - 1]
                             if exact_branch:
-                                if abs(bb - rr) > 1e-12 * rr:
+                                if abs(bb - rr) > Fraction(1e-12) * rr:
                                     failures.append(
                                         "%s d=%d t=%g A=%g B=%g n=%d: not equal"
                                         % (kind.value, d, t, a, b, n)

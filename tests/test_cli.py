@@ -31,11 +31,13 @@ def run_inproc(args):
     return code, buf.getvalue()
 
 
-def test_cli_imports_without_numpy():
-    # numpy would cost every CLI process about half its cold start
+@pytest.mark.parametrize("module", ["numpy", "mpmath"])
+def test_cli_imports_without_numpy(module):
+    # test-only oracles: numpy would cost every CLI process about half its
+    # cold start, mpmath about a fifth of its import time
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import catentropy.cli, sys; print('numpy' in sys.modules)"],
+         "import catentropy.cli, sys; print(%r in sys.modules)" % module],
         capture_output=True,
         text=True,
     )

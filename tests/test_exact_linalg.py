@@ -5,7 +5,6 @@ import random
 import warnings
 from fractions import Fraction
 
-import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st

@@ -117,7 +117,8 @@ def test_t_snap_warns_near_zero():
 
 
 def test_bound_dominates_recurrence_on_grid():
-    eps = mpmath.mpf(2) ** -60
+    # exact comparisons of the 30-digit values
+    eps = Fraction(1, 2**60)
     for kind in (S, P):
         for d in (1, 2, 3, 4):
             for t in (-1.0, -0.1, 0.0, 0.1, 1.0):
@@ -125,9 +126,9 @@ def test_bound_dominates_recurrence_on_grid():
                 rec = twist_recurrence_series(p, 120)
                 exact_branch = t == 0.0 or p.slope == 0
                 for n in (1, 2, 17, 120):
-                    bb, rr = twist_bound_mp(p, n), rec[n - 1]
+                    bb, rr = Fraction(twist_bound_mp(p, n)), Fraction(rec[n - 1])
                     if exact_branch:
-                        assert abs(bb - rr) <= 1e-12 * rr
+                        assert abs(bb - rr) <= Fraction(1e-12) * rr
                     else:
                         assert rr - bb <= rr * eps, (kind, d, t, n)
 
@@ -138,15 +139,72 @@ def test_negative_t_bound_is_strictly_above_partial_sum():
     p = TwistParams(S, d=3, t=-0.5, A=1.0, B=1.0)
     rec = twist_recurrence_series(p, 50)
     for n in (5, 20, 50):
-        assert twist_bound_mp(p, n) > rec[n - 1] * (1 + mpmath.mpf(1e-3))
+        bb, rr = Fraction(twist_bound_mp(p, n)), Fraction(rec[n - 1])
+        assert bb > rr * (1 + Fraction(1e-3))
 
 
 def test_overflow_range_stays_finite_in_mp():
     p = TwistParams(P, d=4, t=-1.0, A=1.0, B=1.0)
     vals = twist_recurrence_series(p, 200)
-    assert mpmath.isfinite(vals[-1])
+    assert vals[-1].is_finite()
     assert twist_recurrence(p, 200) == math.inf  # beyond float range
-    assert twist_bound_mp(p, 200) > vals[-1]
+    assert Fraction(twist_bound_mp(p, 200)) > Fraction(vals[-1])
+
+
+def _oracle(p, n):
+    """Float views of the bound and the partial sum at n, evaluated at 400
+    bits, where mpmath's unbounded exponents keep every value finite."""
+    alpha = p.slope
+    with mpmath.workprec(400):
+        a, b, x = mpmath.mpf(p.A), mpmath.mpf(p.B), mpmath.mpf(p.t_snapped)
+        terms = [mpmath.exp((1 + alpha * (j - 1)) * x) for j in range(1, n + 1)]
+        rec = b + a * mpmath.fsum(terms)
+        if alpha == 0 or x == 0:
+            bound = rec
+        elif x < 0:
+            bound = mpmath.exp(alpha * n * x) / (mpmath.exp(alpha * x) - 1) * a + b
+        else:
+            bound = mpmath.exp(x) / (1 - mpmath.exp(alpha * x)) * a + b
+        return float(bound), float(rec)
+
+
+@pytest.mark.parametrize("kind", [S, P])
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 7])
+@pytest.mark.parametrize("t", [1e-12, -1e-12, 3e-12, -5e-11, 1e-9, -1e-9])
+def test_small_t_matches_high_precision_reference(kind, d, t):
+    # 1 - exp(alpha t) cancels about 12 digits here; the float views must
+    # still be the correctly rounded values of the exact expressions
+    p = TwistParams(kind, d=d, t=t, A=1.0, B=1.0)
+    for n in (1, 7, 60):
+        assert (twist_bound(p, n), twist_recurrence(p, n)) == _oracle(p, n), n
+
+
+@pytest.mark.parametrize("kind", [S, P])
+@pytest.mark.parametrize("t", [1e308, -1e308, 1e20, -1e20, 700.0, -800.0])
+def test_extreme_t_matches_high_precision_reference(kind, t):
+    # exponentials past any float (and, at 1e308, past Decimal's range)
+    # give inf or 0, never an exception or an inf/inf
+    p = TwistParams(kind, d=3, t=t, A=1.0, B=1.0)
+    for n in (1, 2, 7):
+        assert (twist_bound(p, n), twist_recurrence(p, n)) == _oracle(p, n), n
+
+
+def test_bound_gap_is_the_stated_positive_rational_function():
+    # with x = e^t the sum is a rational function of x; check the gap
+    # stated in the twist_bound_mp docstring exactly, for t < 0 (x < 1)
+    # and t > 0 (x > 1), against the closed form in the evaluated shape
+    for x in map(Fraction, ("1/3", "1/2", "9/10", "11/10", "2", "3")):
+        for alpha in range(-1, -9, -1):
+            for n in range(1, 41):
+                total = sum(x ** (alpha * (j - 1) + 1) for j in range(1, n + 1))
+                if x < 1:
+                    closed = x ** (alpha * (n - 1)) / (1 - x ** -alpha)
+                    gap = (x ** (alpha * n) * (1 - x) + x) / (x**alpha - 1)
+                else:
+                    closed = x / (1 - x**alpha)
+                    gap = x ** (alpha * n + 1) / (1 - x**alpha)
+                assert closed - total == gap, (x, alpha, n)
+                assert gap > 0, (x, alpha, n)
 
 
 def test_recurrence_growth_matches_entropy_slope():
