@@ -23,9 +23,8 @@ from .errors import (
     ParseError,
 )
 from .exact_linalg import MAX_BITS, MAX_PRECISION_BITS, growth_signature
-from .growth_estimator import fit_growth
+from .growth_estimator import RESIDUAL_TRUST_THRESHOLD, fit_growth
 from .quiver_hereditary import coxeter_matrix, euler_form, hereditary_report
-from .selftest import run_selftest
 from .sl2z_dynamics import Context, crosscheck_with_lattice, parse_word, trichotomy_report
 from .twist_zoo import (
     TwistKind,
@@ -339,10 +338,10 @@ def _cmd_estimate(args, messages: list[str]) -> tuple[dict, object]:
     est = fit_growth(
         seq, n_lo=args.n_lo, n_hi=args.n_hi, drop_head_fraction=args.drop_head
     )
-    if est.residual > 0.1:
+    if est.residual > RESIDUAL_TRUST_THRESHOLD:
         messages.append(
-            "residual %.3f exceeds 0.1: a single regression cannot separate "
-            "upper from lower growth here" % est.residual
+            "residual %.3f exceeds %g: a single regression cannot separate "
+            "upper from lower growth here" % (est.residual, RESIDUAL_TRUST_THRESHOLD)
         )
     return jsonio.serialize_estimate(est), payload
 
@@ -367,6 +366,8 @@ def main(argv=None, stdout=None) -> int:
         return EXIT_PARSE if exc.code not in (0, None) else EXIT_OK
 
     if args.cmd == "selftest":
+        from .selftest import run_selftest
+
         rc = run_selftest(
             name_filter=args.filter,
             corrupt=args.corrupt,

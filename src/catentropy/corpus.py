@@ -45,7 +45,6 @@ def random_unimodular(rng: random.Random, n: int, ops: int = 5) -> ExactMatrix:
 @dataclass(frozen=True)
 class QuasiUnipotentSample:
     matrix: ExactMatrix
-    jordan_poly: ExactPoly  # product of the cyclotomic block polynomials
     max_multiplicity: int   # known j*: growth exponent is j* - 1
 
 
@@ -74,12 +73,8 @@ def random_quasi_unipotent(
         *[ExactMatrix.companion(p) for p in blocks]
     )
     u = random_unimodular(rng, j_mat.n, ops=rng.randint(3, 7))
-    prod = ExactPoly.one()
-    for p in blocks:
-        prod = prod * p
     return QuasiUnipotentSample(
         matrix=u @ j_mat @ u.inverse(),
-        jordan_poly=prod,
         max_multiplicity=jmax,
     )
 

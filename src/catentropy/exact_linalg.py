@@ -745,22 +745,16 @@ def nilpotency_index(m: ExactMatrix) -> Optional[int]:
 
 
 class _NeedMoreBits(Exception):
-    """A level that cannot certify.  ``centres`` holds the converged root
-    centres of the failed isolation, worth carrying to the next level, or
-    None when the iteration did not converge."""
-
-    def __init__(self, centres: Optional[tuple[int, list]] = None):
-        super().__init__()
-        self.centres = centres
+    """A precision level that cannot certify."""
 
 
 @dataclass
 class _RootBox:
+    """A root whose modulus is known exactly."""
+
     z: complex                    # float approximation of the root
     part: int                     # index of the owning squarefree part
-    mod_lo: Fraction
-    mod_hi: Fraction
-    exact_sq: Optional[Fraction]  # modulus squared, when exactly known
+    exact_sq: Fraction            # modulus squared
     order: Optional[int] = None   # order as a root of unity, when it is one
 
 
@@ -885,12 +879,13 @@ def _ceil_sqrt(n: int) -> int:
 
 def _isolate_numeric(
     h: ExactPoly, bits: int, start: Optional[tuple[int, list]] = None
-) -> list[tuple[int, int, int]]:
+) -> tuple[Optional[tuple[int, list]], Optional[list[tuple[int, int, int]]]]:
     """Approximate all roots of a squarefree h with certified, pairwise
-    disjoint position disks on the grid ``2**-bits``.  Returns (x, y, rho)
-    for each disk of centre ``(x + iy) / 2**bits`` and radius
-    ``rho / 2**bits``; raises _NeedMoreBits when the disks cannot be
-    certified.
+    disjoint position disks on the grid ``2**-bits``.  Returns (centres,
+    disks): the centres ``(bits, [(x, y), ...])`` the iteration converged
+    to, None when it did not converge; and (x, y, rho) for each disk of
+    centre ``(x + iy) / 2**bits`` and radius ``rho / 2**bits``, None when
+    the disks cannot be certified.
 
     The iteration starts from ``start``, centres ``(e, points)`` on a grid
     ``2**-e`` no finer than this one: the machine roots of
@@ -912,7 +907,7 @@ def _isolate_numeric(
         scaled, [(x << shift, y << shift) for x, y in points], bits
     )
     if centres is None:
-        raise _NeedMoreBits()
+        return None, None
     dscaled = _scaled_coefficients([k * c for k, c in enumerate(h.num)][1:], bits)
     disks = []
     for x, y in centres:
@@ -922,13 +917,13 @@ def _isolate_numeric(
         # of 2**(bits n) p and D of 2**(bits (n - 1)) p'.
         d2 = dr * dr + di * di
         if not d2:
-            raise _NeedMoreBits((bits, centres))
+            return (bits, centres), None
         rho = _ceil_sqrt(-(-(n * n * (pr * pr + pi * pi)) // d2))
         disks.append((x, y, rho))
     for (x1, y1, r1), (x2, y2, r2) in itertools.combinations(disks, 2):
         if (x1 - x2) ** 2 + (y1 - y2) ** 2 <= (r1 + r2) ** 2:
-            raise _NeedMoreBits((bits, centres))
-    return disks
+            return (bits, centres), None
+    return (bits, centres), disks
 
 
 def _integer_roots(h: ExactPoly) -> list[Fraction]:
@@ -993,9 +988,26 @@ def _sqrt_interval(m2: Fraction, width: Fraction) -> tuple[Fraction, Fraction]:
     return Fraction(t, scale), Fraction(t + 2, scale)
 
 
+def _float(x: Fraction) -> float:
+    """x as a float.  x is a root coordinate or modulus, so when it is
+    beyond the float range, so is the spectral radius."""
+    try:
+        return float(x)
+    except OverflowError:
+        raise DomainError("the spectral radius exceeds the float range") from None
+
+
+def _sqrt_float(q: Fraction) -> float:
+    """sqrt(q) as a float for q >= 0, also where q itself is beyond the
+    float range: q is scaled by a power of 4 to about 2**1000 first, so a
+    q within the float range is converted as it is."""
+    k = max(0, q.numerator.bit_length() - q.denominator.bit_length() - 1000) // 2
+    return _float(Fraction(math.sqrt(q / 4**k)) * 2**k)
+
+
 def _rational_box(r: Fraction, part: int) -> _RootBox:
     order = 1 if r == 1 else 2 if r == -1 else None
-    return _RootBox(complex(float(r), 0.0), part, abs(r), abs(r), r * r, order)
+    return _RootBox(complex(_float(r), 0.0), part, r * r, order)
 
 
 def _exact_roots_of_part(h: ExactPoly, part: int) -> tuple[list[_RootBox], ExactPoly]:
@@ -1022,9 +1034,7 @@ def _exact_roots_of_part(h: ExactPoly, part: int) -> tuple[list[_RootBox], Exact
         for j in range(d):
             if math.gcd(j, d) == 1:
                 z = cmath.exp(2j * cmath.pi * j / d)
-                boxes.append(
-                    _RootBox(z, part, Fraction(1), Fraction(1), Fraction(1), d)
-                )
+                boxes.append(_RootBox(z, part, Fraction(1), d))
     if rest.degree == 1:
         boxes.append(_rational_box(-rest[0] / rest[1], part))
         rest = ExactPoly.one()
@@ -1033,82 +1043,74 @@ def _exact_roots_of_part(h: ExactPoly, part: int) -> tuple[list[_RootBox], Exact
         disc = b * b - 4 * c
         if disc < 0:
             # Conjugate pair: modulus squared is the constant term.
-            re = float(-b / 2)
-            im = math.sqrt(float(-disc)) / 2
+            re = _float(-b / 2)
+            im = _sqrt_float(-disc) / 2
             for sign in (1, -1):
-                boxes.append(
-                    _RootBox(complex(re, sign * im), part, Fraction(0), Fraction(0), c)
-                )
+                boxes.append(_RootBox(complex(re, sign * im), part, c))
             rest = ExactPoly.one()
         elif b == 0:
             # Real pair +-sqrt(-c): modulus squared is -c.
-            r = math.sqrt(float(-c))
+            r = _sqrt_float(-c)
             for sign in (1, -1):
-                boxes.append(
-                    _RootBox(complex(sign * r, 0.0), part, Fraction(0), Fraction(0), -c)
-                )
+                boxes.append(_RootBox(complex(sign * r, 0.0), part, -c))
             rest = ExactPoly.one()
     return boxes, rest
 
 
-def _build_classes(
-    exact_boxes: list[_RootBox],
+def _exact_classes(exact_boxes: list[_RootBox], width: Fraction) -> list[_ModClass]:
+    """One class per exact modulus, with pairwise disjoint brackets of
+    width at most ``width`` (points for rational moduli)."""
+    classes: list[_ModClass] = []
+    by_sq: dict[Fraction, _ModClass] = {}
+    for box in exact_boxes:
+        cls = by_sq.get(box.exact_sq)
+        if cls is None:
+            lo, hi = _sqrt_interval(box.exact_sq, width)
+            cls = by_sq[box.exact_sq] = _ModClass(box.exact_sq, lo, hi, set(), [])
+            classes.append(cls)
+        cls.parts.add(box.part)
+        cls.positions.append(box.z)
+    # Distinct exact moduli always separate: shrink their brackets.
+    for ca, cb in itertools.combinations(classes, 2):
+        width = min(ca.hi - ca.lo, cb.hi - cb.lo)
+        for _ in range(300):
+            if not ca.overlaps(cb):
+                break
+            width = width / 16
+            ca.lo, ca.hi = _sqrt_interval(ca.exact_sq, width)
+            cb.lo, cb.hi = _sqrt_interval(cb.exact_sq, width)
+    return classes
+
+
+def _numeric_classes(
     numeric_parts: list[tuple[int, ExactPoly]],
     neg_pairs_poly: ExactPoly,
-    width: Fraction,
     bits: int,
     starts: list[Optional[tuple[int, list]]],
 ) -> list[_ModClass]:
-    """One pass of class construction on the grid ``2**-bits``.
+    """The classes of the numerically isolated roots on the grid
+    ``2**-bits``; raises _NeedMoreBits when they cannot be certified.
 
     ``starts`` holds the start points of the root iteration for each
-    numeric part, then for ``neg_pairs_poly``.  Each isolation that
-    certifies replaces its entry with its centres, for the next level.  One
-    that fails replaces it with its converged centres, or clears it when
-    the iteration did not converge, so the next level starts from the
-    default points.
+    numeric part, then for ``neg_pairs_poly``.  Each isolation replaces its
+    entry with the centres it converged to, or clears it when the
+    iteration did not converge, so the next level starts from the default
+    points.
     """
 
     def isolate(key: int, h: ExactPoly) -> list[tuple[int, int, int]]:
-        try:
-            disks = _isolate_numeric(h, bits, starts[key])
-        except _NeedMoreBits as exc:
-            starts[key] = exc.centres
-            raise
-        starts[key] = (bits, [(x, y) for x, y, _ in disks])
+        starts[key], disks = _isolate_numeric(h, bits, starts[key])
+        if disks is None:
+            raise _NeedMoreBits()
         return disks
 
-    numeric_boxes: list[_RootBox] = []
-    disks = []  # (x, y, rho) on the grid, parallel to numeric_boxes
-    unit = 1 << bits
+    disks = []  # (x, y, rho, part) on the grid
     for key, (idx, h) in enumerate(numeric_parts):
-        for x, y, rho in isolate(key, h):
-            # The centre's modulus lies in [a, a + 1] in grid units.
-            a = math.isqrt(x * x + y * y)
-            lo = Fraction(max(0, a - rho), unit)
-            hi = Fraction(a + 1 + rho, unit)
-            numeric_boxes.append(
-                _RootBox(complex(x / unit, y / unit), idx, lo, hi, None)
-            )
-            disks.append((x, y, rho))
+        disks += [(x, y, rho, idx) for x, y, rho in isolate(key, h)]
 
-    classes: list[_ModClass] = []
-    by_sq: dict[Fraction, int] = {}
-    for box in exact_boxes:
-        if box.exact_sq in by_sq:
-            cls = classes[by_sq[box.exact_sq]]
-            cls.parts.add(box.part)
-            cls.positions.append(box.z)
-        else:
-            lo, hi = _sqrt_interval(box.exact_sq, width)
-            by_sq[box.exact_sq] = len(classes)
-            classes.append(
-                _ModClass(box.exact_sq, lo, hi, {box.part}, [box.z])
-            )
-
-    # Union-find over numeric boxes: conjugate partners always share a
+    # Union-find over the disks: conjugate partners always share a
     # modulus; so do +/- partners (roots of gcd(R(x), R(-x))).
-    parent = list(range(len(numeric_boxes)))
+    parent = list(range(len(disks)))
 
     def find(i):
         while parent[i] != i:
@@ -1124,19 +1126,19 @@ def _build_classes(
         and radius r; None when there is none or more than one."""
         hits = [
             k
-            for k, (xk, yk, rk) in enumerate(disks)
+            for k, (xk, yk, rk, _) in enumerate(disks)
             if (xk - x) ** 2 + (yk - y) ** 2 <= (rk + r) ** 2
         ]
         return hits[0] if len(hits) == 1 else None
 
-    for i, (x, y, r) in enumerate(disks):
+    for i, (x, y, r, _) in enumerate(disks):
         if abs(y) > r:  # certainly not a real root
             j = locate(x, -y, r)
             if j is None:
                 raise _NeedMoreBits()  # conjugate root not localizable
             if j != i:
                 union(i, j)
-    if neg_pairs_poly.degree >= 1 and numeric_boxes:
+    if neg_pairs_poly.degree >= 1:
         for x, y, r in isolate(len(numeric_parts), neg_pairs_poly):
             i = locate(x, y, r)
             j = locate(-x, -y, r)
@@ -1145,35 +1147,29 @@ def _build_classes(
             if i != j:
                 union(i, j)
 
-    groups: dict[int, list[_RootBox]] = {}
-    for i, box in enumerate(numeric_boxes):
-        groups.setdefault(find(i), []).append(box)
-    for boxes in groups.values():
-        lo = max(b.mod_lo for b in boxes)
-        hi = min(b.mod_hi for b in boxes)
+    groups: dict[int, list[tuple[int, int, int, int]]] = {}
+    for i, disk in enumerate(disks):
+        groups.setdefault(find(i), []).append(disk)
+    unit = 1 << bits
+    classes = []
+    for group in groups.values():
+        # Each centre's modulus lies in [a, a + 1] in grid units.
+        moduli = [(math.isqrt(x * x + y * y), r) for x, y, r, _ in group]
+        lo = max(max(0, a - r) for a, r in moduli)
+        hi = min(a + 1 + r for a, r in moduli)
         if hi < lo:
             # Members proven equal must have consistent intervals.
             raise _NeedMoreBits()
         classes.append(
-            _ModClass(None, lo, hi, {b.part for b in boxes},
-                      [b.z for b in boxes])
+            _ModClass(
+                None,
+                Fraction(lo, unit),
+                Fraction(hi, unit),
+                {part for *_, part in group},
+                [complex(x / unit, y / unit) for x, y, _, _ in group],
+            )
         )
     return classes
-
-
-def _separate_exact(classes: list[_ModClass]) -> None:
-    """Distinct exact moduli always separate: shrink their brackets."""
-    for a, b in itertools.combinations(range(len(classes)), 2):
-        ca, cb = classes[a], classes[b]
-        if ca.exact_sq is None or cb.exact_sq is None or ca.exact_sq == cb.exact_sq:
-            continue
-        width = min(ca.hi - ca.lo, cb.hi - cb.lo)
-        for _ in range(300):
-            if not ca.overlaps(cb):
-                break
-            width = width / 16
-            ca.lo, ca.hi = _sqrt_interval(ca.exact_sq, width)
-            cb.lo, cb.hi = _sqrt_interval(cb.exact_sq, width)
 
 
 def _squared_moduli_poly(g: Sequence[int]) -> list[int]:
@@ -1346,10 +1342,11 @@ def _modulus_classes(
     """Group the roots split by ``_split_roots`` into classes of equal
     modulus with certified rational intervals, pairwise disjoint.
 
-    At every level, overlapping classes whose tie ``_prove_tie`` proves
-    are merged.  Returns (classes, hit_cap).  When the escalation cap is
-    reached, still-overlapping classes are merged pessimistically and
-    flagged.
+    The exact classes are built once; each precision level isolates the
+    numeric roots anew and adds their classes.  At every level,
+    overlapping classes whose tie ``_prove_tie`` proves are merged.
+    Returns (classes, hit_cap).  When the escalation cap is reached,
+    still-overlapping classes are merged pessimistically and flagged.
     """
     neg_pairs_poly = ExactPoly.one()
     if numeric_parts:
@@ -1362,13 +1359,12 @@ def _modulus_classes(
         for h in [h for _, h in numeric_parts] + [neg_pairs_poly]
     ]
     rests = dict(numeric_parts)
+    exact = _exact_classes(exact_boxes, width)
 
     bits = start_bits
     while True:
         try:
-            classes = _build_classes(
-                exact_boxes, numeric_parts, neg_pairs_poly, width, bits, starts
-            )
+            numeric = _numeric_classes(numeric_parts, neg_pairs_poly, bits, starts)
         except _NeedMoreBits:
             if bits >= max_bits:
                 raise PrecisionExhausted(
@@ -1376,9 +1372,8 @@ def _modulus_classes(
                 )
             bits *= 2
             continue
-        _separate_exact(classes)
         classes = _merge_pairs(
-            classes, lambda ca, cb: _merge_if_tied(ca, cb, rests, bits)
+            exact + numeric, lambda ca, cb: _merge_if_tied(ca, cb, rests, bits)
         )
         unresolved = any(
             classes[a].overlaps(classes[b])
@@ -1553,7 +1548,7 @@ def growth_signature(
             factor=parts[next(iter(top.parts))][0], modulus_rank=0
         )
 
-    rho_float = _interval_midpoint_float(lo, hi)
+    rho_float = _float((lo + hi) / 2)
     # Hull the float in when its rounding error (half an ulp) is within
     # the tolerance, so the interval stays about that wide at most.
     as_fraction = Fraction(rho_float)
@@ -1580,8 +1575,3 @@ def _fraction_sqrt(m2: Fraction) -> Optional[Fraction]:
     if num * num == m2.numerator and den * den == m2.denominator:
         return Fraction(num, den)
     return None
-
-
-def _interval_midpoint_float(lo: Fraction, hi: Fraction) -> float:
-    mid = (lo + hi) / 2
-    return mid.numerator / mid.denominator

@@ -207,15 +207,14 @@ def parse_endo_text(text: str) -> tuple[EndoAction, Any]:
         if key not in actions:
             raise ParseError("missing action for codimension %d" % p)
         mats.append(parse_rows(actions[key], "actions[%s]" % key))
-    labels = None
-    if "labels" in doc and doc["labels"] is not None:
-        raw = doc["labels"]
+    raw = doc.get("labels")
+    if raw is not None:
         if not isinstance(raw, dict):
             raise ParseError('"labels" must map codimension to name arrays')
         labels = [raw.get(str(p)) for p in range(dim + 1)]
         if any(x is not None and not isinstance(x, list) for x in labels):
             raise ParseError('"labels" entries must be arrays of names')
-    endo = EndoAction.from_matrices(mats, labels)
+    endo = EndoAction.from_matrices(mats)
     payload = {
         "dim": dim,
         "actions": {

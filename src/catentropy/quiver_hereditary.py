@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
@@ -39,7 +38,6 @@ class Quiver:
 
     vertex_count: int
     arrows: tuple[tuple[int, int], ...]
-    topological_order: tuple[int, ...]
 
     @staticmethod
     def from_arrows(
@@ -52,45 +50,39 @@ class Quiver:
                 raise DomainError("arrow endpoint out of range: (%d, %d)" % (i, j))
             if i == j:
                 raise DomainError("loops are not allowed: (%d, %d)" % (i, j))
-        order = _topological_order(vertex_count, arrows)
-        if order is None:
+        if not _is_acyclic(vertex_count, arrows):
             raise DomainError("quiver has an oriented cycle")
-        return Quiver(vertex_count, tuple((i, j) for i, j in arrows), order)
+        return Quiver(vertex_count, tuple((i, j) for i, j in arrows))
 
     def arrow_count(self, i: int, j: int) -> int:
         return sum(1 for a, b in self.arrows if (a, b) == (i, j))
 
 
-def _topological_order(n: int, arrows) -> Optional[tuple[int, ...]]:
+def _is_acyclic(n: int, arrows) -> bool:
+    """Whether the arrows on n vertices form no oriented cycle: Kahn's
+    algorithm removes every vertex."""
     indeg = [0] * n
     outs: list[list[int]] = [[] for _ in range(n)]
     for i, j in arrows:
         indeg[j] += 1
         outs[i].append(j)
-    stack = sorted(v for v in range(n) if indeg[v] == 0)
-    order = []
+    stack = [v for v in range(n) if indeg[v] == 0]
+    removed = 0
     while stack:
-        v = stack.pop(0)
-        order.append(v)
+        v = stack.pop()
+        removed += 1
         for w in outs[v]:
             indeg[w] -= 1
             if indeg[w] == 0:
                 stack.append(w)
-    return tuple(order) if len(order) == n else None
-
-
-class BasisTag(Enum):
-    SIMPLES = "simples"
-    PROJECTIVES = "projectives"
-    USER_SUPPLIED = "user_supplied"
+    return removed == n
 
 
 @dataclass(frozen=True)
 class EulerLattice:
-    """Gram matrix of the Euler pairing in a declared basis."""
+    """Gram matrix of the Euler pairing in some basis."""
 
     gram: ExactMatrix
-    basis_tag: BasisTag = BasisTag.SIMPLES
 
 
 def euler_form(q: Quiver) -> EulerLattice:
@@ -104,7 +96,7 @@ def euler_form(q: Quiver) -> EulerLattice:
         ]
         for i in range(n)
     ]
-    return EulerLattice(ExactMatrix.from_rows(rows), BasisTag.SIMPLES)
+    return EulerLattice(ExactMatrix.from_rows(rows))
 
 
 def coxeter_matrix(q: Quiver) -> ExactMatrix:

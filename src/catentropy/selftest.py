@@ -497,7 +497,7 @@ def _quiver_corpus(corrupt: bool) -> list[tuple[qh.EulerLattice, xl.ExactMatrix]
         # Bump one Gram entry; the Coxeter matrix no longer preserves it.
         rows = [list(r) for r in lat.gram.rows]
         rows[0][1] += 1
-        lat = qh.EulerLattice(xl.ExactMatrix.from_rows(rows), lat.basis_tag)
+        lat = qh.EulerLattice(xl.ExactMatrix.from_rows(rows))
     out.append((lat, phi))
     return out
 

@@ -46,13 +46,9 @@ class EndoAction:
 
     dim: int
     actions: tuple[ExactMatrix, ...]
-    labels: Optional[tuple[Optional[tuple[str, ...]], ...]] = None
 
     @staticmethod
-    def from_matrices(
-        actions: Sequence[ExactMatrix],
-        labels: Optional[Sequence[Optional[Sequence[str]]]] = None,
-    ) -> "EndoAction":
+    def from_matrices(actions: Sequence[ExactMatrix]) -> "EndoAction":
         d = len(actions) - 1
         if d < 1:
             raise DomainError("an endomorphism action needs dim >= 1")
@@ -66,14 +62,7 @@ class EndoAction:
         for m in actions:
             if not m.is_integer:
                 raise DomainError("pullback matrices must have integer entries")
-        lab = None
-        if labels is not None:
-            if len(labels) != d + 1:
-                raise DomainError("labels must cover every codimension")
-            lab = tuple(
-                tuple(str(x) for x in l) if l is not None else None for l in labels
-            )
-        return EndoAction(d, tuple(actions), lab)
+        return EndoAction(d, tuple(actions))
 
 
 @dataclass(frozen=True)

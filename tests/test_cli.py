@@ -31,10 +31,11 @@ def run_inproc(args):
     return code, buf.getvalue()
 
 
-@pytest.mark.parametrize("module", ["numpy", "mpmath"])
+@pytest.mark.parametrize("module", ["numpy", "mpmath", "catentropy.selftest"])
 def test_cli_imports_without_numpy(module):
     # test-only oracles: numpy would cost every CLI process about half its
-    # cold start, mpmath about a fifth of its import time
+    # cold start, mpmath about a fifth of its import time; the selftest
+    # corpus is compiled only for the selftest subcommand
     proc = subprocess.run(
         [sys.executable, "-c",
          "import catentropy.cli, sys; print(%r in sys.modules)" % module],
@@ -284,6 +285,37 @@ def test_twist_non_finite_parameter_is_domain_error(flags):
     assert proc.returncode == 3
     assert proc.stdout == ""
     assert proc.stderr.startswith("domain error:")
+
+
+HUGE = str(10**400)
+
+
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        ("growth", {"rows": [[HUGE]]}),
+        ("endo", {"dim": 2, "actions": {"0": [[1]], "1": [[HUGE]], "2": [[1]]}}),
+    ],
+    ids=["growth", "endo"],
+)
+def test_spectral_radius_beyond_float_range_is_domain_error(command, doc):
+    proc = run_cli(["--json", command, "-"], stdin_text=json.dumps(doc))
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("domain error:")
+    assert "Traceback" not in proc.stderr
+
+
+def test_huge_discriminant_with_float_spectral_radius():
+    # x^2 + 10^400: the discriminant is beyond the float range, but the
+    # roots +-10^200 i are not.
+    doc = {"rows": [[0, "-" + HUGE], [1, 0]]}
+    proc = run_cli(["--json", "growth", "-"], stdin_text=json.dumps(doc))
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    results = json.loads(proc.stdout)["results"]
+    assert results["rho"] == 1e200
+    assert results["rho_exact"] == str(10**200)
 
 
 def test_classify_command():

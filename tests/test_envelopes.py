@@ -324,13 +324,13 @@ def test_envelope_is_pinned(tmp_path, command, doc, expected):
 
 def test_golden_tie_is_proven_at_the_first_level(tmp_path, monkeypatch):
     levels = []
-    build = exact_linalg._build_classes
+    build = exact_linalg._numeric_classes
 
     def spy(*args):
-        levels.append(args[4])
+        levels.append(args[2])
         return build(*args)
 
-    monkeypatch.setattr(exact_linalg, "_build_classes", spy)
+    monkeypatch.setattr(exact_linalg, "_numeric_classes", spy)
     code, out = run_json(tmp_path, ["growth"], {"rows": TIED_ACTION})
     assert code == 0
     assert json.loads(out)["results"]["tied_moduli"] is False

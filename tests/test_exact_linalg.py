@@ -355,13 +355,13 @@ def test_growth_signature_proves_cross_part_tie(monkeypatch):
     a = ExactMatrix.companion(P([-1, -2, 1]) ** 2)
     b = ExactMatrix.companion(P([1, 0, 6, 0, 1]))
     levels = []
-    build = exact_linalg._build_classes
+    build = exact_linalg._numeric_classes
 
     def spy(*args):
-        levels.append(args[4])
+        levels.append(args[2])
         return build(*args)
 
-    monkeypatch.setattr(exact_linalg, "_build_classes", spy)
+    monkeypatch.setattr(exact_linalg, "_numeric_classes", spy)
     with warnings.catch_warnings():
         warnings.simplefilter("error", TiedModuli)
         sig = growth_signature(ExactMatrix.block_diag(a, b), max_bits=256)
@@ -373,6 +373,31 @@ def test_growth_signature_proves_cross_part_tie(monkeypatch):
     }
     lo, hi = sig.rho_interval
     assert lo * lo - 2 * lo - 1 < 0 < hi * hi - 2 * hi - 1
+
+
+def test_exact_classes_are_built_once_per_ladder(monkeypatch):
+    # The quadratic part climbs two precision levels beside the exact
+    # root 3; the exact class is bracketed once, not once per level.
+    m = ExactMatrix.block_diag(
+        ExactMatrix.companion(P([-(2**121), 1, 2**120])), M([[3]])
+    )
+    levels, brackets = [], []
+    build, bracket = exact_linalg._numeric_classes, exact_linalg._sqrt_interval
+
+    def spy_build(*args):
+        levels.append(args[2])
+        return build(*args)
+
+    def spy_bracket(*args):
+        brackets.append(args)
+        return bracket(*args)
+
+    monkeypatch.setattr(exact_linalg, "_numeric_classes", spy_build)
+    monkeypatch.setattr(exact_linalg, "_sqrt_interval", spy_bracket)
+    sig = growth_signature(m)
+    assert levels == [64, 128]
+    assert len(brackets) == 1
+    assert sig.rho_exact == 3
 
 
 def test_growth_signature_proves_tie_with_exact_modulus():

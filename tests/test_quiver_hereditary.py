@@ -10,7 +10,6 @@ from catentropy.corpus import kronecker_quiver, linear_quiver, random_acyclic_qu
 from catentropy.errors import DimensionMismatch, DomainError, NotAnIsometry
 from catentropy.exact_linalg import ExactMatrix, growth_signature
 from catentropy.quiver_hereditary import (
-    BasisTag,
     EulerLattice,
     Quiver,
     check_isometry,
@@ -34,7 +33,6 @@ def test_quiver_rejects_cycles_and_loops():
 def test_euler_form_a2():
     lat = euler_form(Quiver.from_arrows(2, [(0, 1)]))
     assert lat.gram == M([[1, -1], [0, 1]])
-    assert lat.basis_tag is BasisTag.SIMPLES
 
 
 def test_euler_form_no_arrows():
@@ -139,7 +137,7 @@ def test_hereditary_report_rejects_non_isometry():
 
 
 def test_hereditary_report_rejects_rational_matrix():
-    lat = EulerLattice(ExactMatrix.identity(2), BasisTag.USER_SUPPLIED)
+    lat = EulerLattice(ExactMatrix.identity(2))
     with pytest.raises(DomainError):
         hereditary_report(lat, M([["1/2", 0], [0, 2]]))
 
@@ -147,7 +145,7 @@ def test_hereditary_report_rejects_rational_matrix():
 def test_hereditary_report_degenerate_pairing():
     # a zero user-supplied pairing makes every sequence vanish: nothing
     # survives, not even the summed fallback
-    lat = EulerLattice(ExactMatrix.zeros(2), BasisTag.USER_SUPPLIED)
+    lat = EulerLattice(ExactMatrix.zeros(2))
     from catentropy.errors import AllPairingsDegenerate
 
     with pytest.raises(AllPairingsDegenerate):
