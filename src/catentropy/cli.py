@@ -3,6 +3,12 @@
 Exit codes: 0 success, 1 self-test failure, 2 parse error, 3 domain
 error, 4 internal inconsistency.  ``--json`` emits a canonical envelope
 that is byte-identical across runs on the same canonical input.
+
+Each subcommand imports the modules it runs when it runs, so a process
+loads only those.  Handlers that use `exact_linalg` import it before
+their other catentropy modules: compiled after them, its transient
+compile memory (about 4 MB when no bytecode cache is written) lands on a
+larger heap and raises the process's peak RSS by about 1 MB.
 """
 
 from __future__ import annotations
@@ -22,23 +28,15 @@ from .errors import (
     InternalInconsistency,
     ParseError,
 )
-from .exact_linalg import MAX_BITS, MAX_PRECISION_BITS, growth_signature
-from .growth_estimator import RESIDUAL_TRUST_THRESHOLD, fit_growth
-from .quiver_hereditary import coxeter_matrix, euler_form, hereditary_report
-from .sl2z_dynamics import Context, crosscheck_with_lattice, parse_word, trichotomy_report
-from .twist_zoo import (
-    TwistKind,
-    TwistParams,
-    twist_bound,
-    twist_entropy_report,
-    twist_recurrence,
-)
-from .variety_dynamics import (
-    kuenneth_self_product,
-    line_bundle_report,
-    pullback_entropy_report,
-    validate_geometric,
-)
+
+#: Copies of ``sl2z_dynamics.Context``, ``twist_zoo.TwistKind`` and
+#: ``exact_linalg.MAX_BITS`` / ``MAX_PRECISION_BITS``.  Importing those
+#: modules to build the parser would load them for every subcommand;
+#: tests/test_cli.py pins each copy to its source.
+CONTEXTS = ("a2cy3", "elliptic")
+TWIST_KINDS = ("spherical", "ptwist")
+MAX_BITS = 1024
+MAX_PRECISION_BITS = 4096
 
 EXIT_OK = 0
 EXIT_SELFTEST = 1
@@ -194,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="classify a twist word")
     p.add_argument(
         "--context",
-        choices=[c.value for c in Context],
+        choices=CONTEXTS,
         required=True,
     )
     p.add_argument("tokens", nargs="+", help="word tokens, e.g. T1 T2^-1 [3]")
@@ -211,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("linebundle", help="line-bundle file (- for stdin)")
 
     p = sub.add_parser("twist", help="twist bounds and entropy branches")
-    p.add_argument("--kind", choices=[k.value for k in TwistKind], required=True)
+    p.add_argument("--kind", choices=TWIST_KINDS, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--A", type=float, required=True)
@@ -251,12 +249,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_growth(args, messages: list[str]) -> tuple[dict, object]:
+    from .exact_linalg import growth_signature
+
     m, payload = jsonio.parse_matrix_text(_read_input(args.matrix))
     sig = growth_signature(m, args.tol, args.precision)
     return jsonio.serialize_growth(sig), payload
 
 
 def _cmd_classify(args, messages: list[str]) -> tuple[dict, object]:
+    from . import exact_linalg  # noqa: F401  first, see the module docstring
+    from .sl2z_dynamics import (
+        Context,
+        crosscheck_with_lattice,
+        parse_word,
+        trichotomy_report,
+    )
+
     context = Context(args.context)
     word = parse_word(args.tokens, context)
     report = trichotomy_report(word)
@@ -270,6 +278,13 @@ def _cmd_classify(args, messages: list[str]) -> tuple[dict, object]:
 
 
 def _cmd_endo(args, messages: list[str]) -> tuple[dict, object]:
+    from . import exact_linalg  # noqa: F401  first, see the module docstring
+    from .variety_dynamics import (
+        kuenneth_self_product,
+        pullback_entropy_report,
+        validate_geometric,
+    )
+
     endo, payload = jsonio.parse_endo_text(_read_input(args.endo))
     rep = pullback_entropy_report(endo, args.tol, args.precision)
     messages.extend(validate_geometric(rep.table))
@@ -280,6 +295,9 @@ def _cmd_endo(args, messages: list[str]) -> tuple[dict, object]:
 
 
 def _cmd_linebundle(args, messages: list[str]) -> tuple[dict, object]:
+    from . import exact_linalg  # noqa: F401  first, see the module docstring
+    from .variety_dynamics import line_bundle_report
+
     lb, payload = jsonio.parse_linebundle_text(_read_input(args.linebundle))
     rep = line_bundle_report(lb)
     if rep.h_pol_exact is None:
@@ -290,6 +308,14 @@ def _cmd_linebundle(args, messages: list[str]) -> tuple[dict, object]:
 
 
 def _cmd_twist(args, messages: list[str]) -> tuple[dict, object]:
+    from .twist_zoo import (
+        TwistKind,
+        TwistParams,
+        twist_bound,
+        twist_entropy_report,
+        twist_recurrence,
+    )
+
     params = TwistParams(
         kind=TwistKind(args.kind),
         d=args.d,
@@ -314,6 +340,9 @@ def _cmd_twist(args, messages: list[str]) -> tuple[dict, object]:
 
 
 def _cmd_quiver(args, messages: list[str]) -> tuple[dict, object]:
+    from . import exact_linalg  # noqa: F401  first, see the module docstring
+    from .quiver_hereditary import coxeter_matrix, euler_form, hereditary_report
+
     quiver, payload = jsonio.parse_quiver_text(_read_input(args.quiver))
     lattice = euler_form(quiver)
     if args.isometry:
@@ -334,6 +363,8 @@ def _cmd_quiver(args, messages: list[str]) -> tuple[dict, object]:
 
 
 def _cmd_estimate(args, messages: list[str]) -> tuple[dict, object]:
+    from .growth_estimator import RESIDUAL_TRUST_THRESHOLD, fit_growth
+
     seq, payload = jsonio.parse_sequence_text(_read_input(args.sequence))
     est = fit_growth(
         seq, n_lo=args.n_lo, n_hi=args.n_hi, drop_head_fraction=args.drop_head
@@ -359,9 +390,8 @@ _COMMANDS = {
 
 def main(argv=None, stdout=None) -> int:
     out = stdout if stdout is not None else sys.stdout
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_PARSE if exc.code not in (0, None) else EXIT_OK
 

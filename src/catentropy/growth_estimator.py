@@ -17,7 +17,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
-from typing import Mapping, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Mapping, Optional, Sequence, Union
 
 from .errors import (
     DimensionMismatch,
@@ -26,7 +26,9 @@ from .errors import (
     WindowTooShort,
     ZeroPairingAt,
 )
-from .exact_linalg import ExactMatrix
+
+if TYPE_CHECKING:
+    from .exact_linalg import ExactMatrix
 
 #: Evaluation points for entropy-from-tables reports, symmetric around the
 #: distinguished value t = 0.

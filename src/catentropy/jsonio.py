@@ -7,29 +7,28 @@ printed with 12 significant digits (round-half-even), exact rationals as
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from fractions import Fraction
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
+from . import __version__
 from .errors import ParseError
-from .exact_linalg import ExactMatrix, GrowthSignature, RootOfFactor
-from .growth_estimator import EstimatedSignature, PositiveSequence
-from .quiver_hereditary import HereditaryReport, Quiver
-from .sl2z_dynamics import TrichotomyReport
-from .twist_zoo import TwistEntropyReport, ValueOrInterval
-from .variety_dynamics import (
-    DegreeTable,
-    EndoAction,
-    KuennethResult,
-    LineBundleData,
-    LineBundleReport,
-    NefFlag,
-    PullbackEntropyReport,
-)
 
-VERSION = "0.1.0"
+if TYPE_CHECKING:
+    from .exact_linalg import ExactMatrix, GrowthSignature
+    from .growth_estimator import EstimatedSignature, PositiveSequence
+    from .quiver_hereditary import HereditaryReport, Quiver
+    from .sl2z_dynamics import TrichotomyReport
+    from .twist_zoo import TwistEntropyReport, ValueOrInterval
+    from .variety_dynamics import (
+        DegreeTable,
+        EndoAction,
+        KuennethResult,
+        LineBundleData,
+        LineBundleReport,
+        PullbackEntropyReport,
+    )
 
 
 def format_float(x: float) -> str:
@@ -85,6 +84,8 @@ def _emit(obj: Any, out: list[str]) -> None:
 
 
 def inputs_digest(command: str, payload: Any) -> str:
+    import hashlib
+
     text = canonical_json({"command": command, "input": payload})
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -95,7 +96,7 @@ def envelope(command: str, payload: Any, results: Any, warnings: list[str]) -> d
         "inputs_digest": inputs_digest(command, payload),
         "results": results,
         "warnings": list(warnings),
-        "version": VERSION,
+        "version": __version__,
     }
 
 
@@ -143,6 +144,8 @@ def _load_json(text: str, what: str) -> Any:
 
 
 def parse_rows(rows: Any, where: str) -> ExactMatrix:
+    from .exact_linalg import ExactMatrix
+
     if not isinstance(rows, list) or not rows:
         raise ParseError("%s: expected a nonempty array of rows" % where)
     width = None
@@ -175,6 +178,8 @@ def parse_matrix_text(text: str) -> tuple[ExactMatrix, Any]:
 def parse_sequence_text(text: str) -> tuple[PositiveSequence, Any]:
     """Sequence file: {"n_start": int, "values": [...]} or plain
     newline-separated positive numbers with n_start = 1."""
+    from .growth_estimator import PositiveSequence
+
     stripped = text.strip()
     if stripped.startswith("{"):
         doc = _load_json(text, "sequence file")
@@ -194,6 +199,8 @@ def parse_sequence_text(text: str) -> tuple[PositiveSequence, Any]:
 def parse_endo_text(text: str) -> tuple[EndoAction, Any]:
     """Endomorphism file: {"dim": d, "actions": {"0": rows, ..., "d": rows},
     "labels": optional map}."""
+    from .variety_dynamics import EndoAction
+
     doc = _load_json(text, "endomorphism file")
     if not isinstance(doc, dict):
         raise ParseError("endomorphism file must be an object")
@@ -228,6 +235,9 @@ def parse_endo_text(text: str) -> tuple[EndoAction, Any]:
 def parse_linebundle_text(text: str) -> tuple[LineBundleData, Any]:
     """Line-bundle file: {"dim": d, "c1_action": rows, "nef":
     "nef"|"antinef"|"unknown", "cohomology": {"k": sequence} optional}."""
+    from .growth_estimator import PositiveSequence
+    from .variety_dynamics import LineBundleData, NefFlag
+
     doc = _load_json(text, "line-bundle file")
     if not isinstance(doc, dict):
         raise ParseError("line-bundle file must be an object")
@@ -273,6 +283,8 @@ def parse_linebundle_text(text: str) -> tuple[LineBundleData, Any]:
 def parse_quiver_text(text: str) -> tuple[Quiver, Any]:
     """Quiver file: {"vertices": n, "arrows": [[i, j], ...]} with 1-based
     vertex indices."""
+    from .quiver_hereditary import Quiver
+
     doc = _load_json(text, "quiver file")
     if not isinstance(doc, dict):
         raise ParseError("quiver file must be an object")
@@ -313,6 +325,8 @@ def _outward(lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
 
 
 def serialize_growth(sig: GrowthSignature) -> dict:
+    from .exact_linalg import RootOfFactor
+
     exact = None
     if isinstance(sig.rho_exact, Fraction):
         exact = str(sig.rho_exact)

@@ -33,6 +33,7 @@ from .exact_linalg import (
     tensor_product,
 )
 from .growth_estimator import EstimatedSignature, PositiveSequence, fit_growth
+from .twist_zoo import shift_report
 
 
 @dataclass(frozen=True)
@@ -338,16 +339,19 @@ def line_bundle_report(lb: LineBundleData) -> LineBundleReport:
 
 @dataclass(frozen=True)
 class SerreFunctorReport:
-    h_t_slope: int
+    h_t_slope: Fraction
     line_bundle: LineBundleReport
 
 
 def serre_functor_report(dim: int, omega: LineBundleData) -> SerreFunctorReport:
     """The Serre functor twists by the canonical bundle and shifts by dim:
-    its entropy function has slope dim in t, and its polynomial entropy is
-    that of tensoring by the canonical bundle."""
+    its entropy function is that of the shift, slope dim in t, and its
+    polynomial entropy is that of tensoring by the canonical bundle."""
     if omega.dim != dim:
         raise DimensionMismatch(
             "canonical bundle data is for dimension %d, not %d" % (omega.dim, dim)
         )
-    return SerreFunctorReport(h_t_slope=dim, line_bundle=line_bundle_report(omega))
+    return SerreFunctorReport(
+        h_t_slope=shift_report(dim)["h_t_slope"],
+        line_bundle=line_bundle_report(omega),
+    )

@@ -31,19 +31,120 @@ def run_inproc(args):
     return code, buf.getvalue()
 
 
-@pytest.mark.parametrize("module", ["numpy", "mpmath", "catentropy.selftest"])
-def test_cli_imports_without_numpy(module):
-    # test-only oracles: numpy would cost every CLI process about half its
-    # cold start, mpmath about a fifth of its import time; the selftest
-    # corpus is compiled only for the selftest subcommand
+#: Prints the catentropy, numpy and mpmath entries of ``sys.modules`` after
+#: running the CLI on the arguments that follow.
+LOADED_MODULES = """
+import io, sys
+from catentropy.cli import main
+code = main(sys.argv[1:], stdout=io.StringIO())
+print(code, *sorted(m for m in sys.modules
+                    if m.split(".")[0] in ("catentropy", "numpy", "mpmath")))
+"""
+
+#: Loaded by every subcommand: the package, the parser and the envelope.
+CLI_BASE = {"catentropy", "catentropy.cli", "catentropy.errors", "catentropy.jsonio"}
+
+ENDO_DIM_2 = '{"dim": 2, "actions": {"0": [[1]], "1": [[2, 1], [1, 1]], "2": [[1]]}}'
+
+#: Subcommand -> (arguments, standard input, the domain modules it loads).
+SUBCOMMAND_RUNS = {
+    "growth": (["growth", "-"], '{"rows": [[2, 1], [1, 1]]}', ["exact_linalg"]),
+    "classify": (
+        ["classify", "--context", "a2cy3", "T1", "T2^-1"],
+        None,
+        ["exact_linalg", "sl2z_dynamics"],
+    ),
+    "endo": (
+        ["endo", "--kuenneth", "-"],
+        ENDO_DIM_2,
+        ["exact_linalg", "growth_estimator", "twist_zoo", "variety_dynamics"],
+    ),
+    "linebundle": (
+        ["linebundle", "-"],
+        '{"dim": 1, "c1_action": [[0, 0], [1, 0]], "nef": "nef"}',
+        ["exact_linalg", "growth_estimator", "twist_zoo", "variety_dynamics"],
+    ),
+    "twist": (
+        ["twist", "--kind", "spherical", "--d", "2", "--t", "0.5",
+         "--A", "1", "--B", "1", "--n", "10"],
+        None,
+        ["twist_zoo"],
+    ),
+    "quiver": (
+        ["quiver", "-"],
+        '{"vertices": 2, "arrows": [[1, 2], [1, 2], [1, 2]]}',
+        ["exact_linalg", "growth_estimator", "quiver_hereditary"],
+    ),
+    "estimate": (
+        ["estimate", "-"],
+        json.dumps({"values": [2**n for n in range(1, 21)]}),
+        ["growth_estimator"],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", SUBCOMMAND_RUNS)
+def test_subcommand_loads_only_its_modules(name):
+    # A subcommand's process compiles and runs only the modules it uses;
+    # numpy and mpmath are test-only oracles and selftest's corpus is
+    # for the selftest subcommand.
+    command, stdin_text, modules = SUBCOMMAND_RUNS[name]
     proc = subprocess.run(
-        [sys.executable, "-c",
-         "import catentropy.cli, sys; print(%r in sys.modules)" % module],
+        [sys.executable, "-c", LOADED_MODULES, "--json", *command],
+        input=stdin_text,
         capture_output=True,
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    code, *loaded = proc.stdout.split()
+    assert code == "0"
+    assert set(loaded) == CLI_BASE | {"catentropy." + m for m in modules}
+
+
+def test_package_import_loads_no_domain_module():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, catentropy; "
+         "print(*sorted(m for m in sys.modules if m.startswith('catentropy')))"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "catentropy\n"
+
+
+def test_parser_copies_match_their_sources():
+    from catentropy import cli
+    from catentropy.sl2z_dynamics import Context
+    from catentropy.twist_zoo import TwistKind
+
+    assert cli.CONTEXTS == tuple(c.value for c in Context)
+    assert cli.TWIST_KINDS == tuple(k.value for k in TwistKind)
+    assert cli.MAX_BITS == exact_linalg.MAX_BITS
+    assert cli.MAX_PRECISION_BITS == exact_linalg.MAX_PRECISION_BITS
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (
+            ["classify", "--context", "k3", "T1"],
+            "argument --context: invalid choice: 'k3' "
+            "(choose from 'a2cy3', 'elliptic')",
+        ),
+        (
+            ["twist", "--kind", "flop", "--d", "2", "--t", "0",
+             "--A", "1", "--B", "1", "--n", "10"],
+            "argument --kind: invalid choice: 'flop' "
+            "(choose from 'spherical', 'ptwist')",
+        ),
+    ],
+)
+def test_invalid_choice_is_parse_error(capsys, args, message):
+    code, out = run_inproc(["--json", *args])
+    assert code == 2
+    assert out == ""
+    assert message in capsys.readouterr().err
 
 
 def test_growth_command_parabolic(tmp_path):
@@ -134,9 +235,6 @@ def _spy_modulus_classes(monkeypatch) -> list:
 
     monkeypatch.setattr(exact_linalg, "_modulus_classes", spy)
     return calls
-
-
-ENDO_DIM_2 = '{"dim": 2, "actions": {"0": [[1]], "1": [[2, 1], [1, 1]], "2": [[1]]}}'
 
 
 @pytest.mark.parametrize(

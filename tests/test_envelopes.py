@@ -2,8 +2,10 @@
 pipeline: a root of unity, an integer root, two large prime integer roots,
 two close roots near 10**33, numerically isolated roots, a rational quasi-unipotent matrix, a singular
 matrix with a rotation block and a proven modulus tie; plus ``endo
---kuenneth``, ``quiver`` on the 3-Kronecker quiver and ``twist`` on each
-bound and entropy branch.  Then the envelope's ``warnings`` for library
+--kuenneth``, ``quiver`` on the 3-Kronecker quiver, ``twist`` on each
+bound and entropy branch, ``classify`` in both contexts, ``linebundle``
+with and without a positivity flag and ``estimate`` with and without the
+residual warning.  Then the envelope's ``warnings`` for library
 warnings raised outside ``growth``.
 
 A refactor of the exact pipeline must keep these bytes unchanged.  Each
@@ -299,6 +301,108 @@ CASES = [
             '"kind":"ptwist","n":15,"note":null,'
             '"recurrence_at_n":7301.85651391,"unknown_at_t":false},'
             '"version":"0.1.0","warnings":[]}'
+        ),
+    ),
+    (
+        "classify-a2cy3-hyperbolic",
+        ["classify", "--context", "a2cy3", "T1", "T2^-1"],
+        None,
+        (
+            '{"command":"classify",'
+            '"inputs_digest":"6058d4dd93b01f9453df7e210bd814dcf03a8cda2ab1897d222569d8b589b91c",'
+            '"results":{"classification":"hyperbolic","crosscheck":{"consistent":true,'
+            '"log_rho":0.962423650119,"s":0},"h_cat":{"exact":"log((3+sqrt(5))/2)",'
+            '"float":0.962423650119},"h_pol":0,"pseudo_anosov":true,"trace":3},'
+            '"version":"0.1.0","warnings":[]}'
+        ),
+    ),
+    (
+        "classify-a2cy3-parabolic",
+        ["classify", "--context", "a2cy3", "T1^3", "[2]"],
+        None,
+        (
+            '{"command":"classify",'
+            '"inputs_digest":"c56eb0d0738deb51baaa373cee96e3a2c2ecd7da40ade6a7cb32dfef59423ce0",'
+            '"results":{"classification":"parabolic_non_central","crosscheck":{"consistent":true,'
+            '"log_rho":0,"s":1},"h_cat":{"exact":"0","float":0},"h_pol":1,'
+            '"pseudo_anosov":false,"trace":2},"version":"0.1.0","warnings":[]}'
+        ),
+    ),
+    (
+        "classify-elliptic-rotation",
+        ["classify", "--context", "elliptic", "S"],
+        None,
+        (
+            '{"command":"classify",'
+            '"inputs_digest":"361b93d7530324dbd512e4a52b4fec5471704d71886d193eec2bd673081e2ca1",'
+            '"results":{"classification":"elliptic_or_central","crosscheck":{"consistent":true,'
+            '"log_rho":0,"s":0},"h_cat":{"exact":"0","float":0},"h_pol":0,'
+            '"pseudo_anosov":false,"trace":0},"version":"0.1.0","warnings":[]}'
+        ),
+    ),
+    (
+        "linebundle-nef-cohomology",
+        ["linebundle"],
+        {
+            "dim": 2,
+            "c1_action": [[0, 0, 0], [1, 0, 0], [0, 1, 0]],
+            "nef": "nef",
+            "cohomology": {"0": [(n + 1) * (n + 2) // 2 for n in range(1, 41)]},
+        },
+        (
+            '{"command":"linebundle",'
+            '"inputs_digest":"d77f3da2747245f02d51b237b4cdc0adb4dafe4476e13fa8205a56e0aacf807c",'
+            '"results":{"empirical_fits":{"0":{"residual":0.00164655181495,'
+            '"rho_hat":1.0054254028,"s_hat":1.74423946123,"window":[11,40]}},'
+            '"empirical_s_hat":1.74423946123,"exp_signature":{"dominant_factors":'
+            '[{"factor":"x - 1","multiplicity":3}],"quasi_unipotent_order":null,'
+            '"rho":1,"rho_exact":"1","rho_interval":["1","1"],"s":2,'
+            '"tied_moduli":false},"h_cat":0,"h_pol_exact":2,"h_pol_lower":2,'
+            '"h_pol_upper":2},"version":"0.1.0","warnings":[]}'
+        ),
+    ),
+    (
+        "linebundle-unknown-flag",
+        ["linebundle"],
+        {
+            "dim": 3,
+            "c1_action": [[0, 0, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]],
+            "nef": "unknown",
+        },
+        (
+            '{"command":"linebundle",'
+            '"inputs_digest":"9bc189a4fbc9938724c5cf562467e5229b7f7d2766dba14b15949776ab1bc8e0",'
+            '"results":{"empirical_fits":null,"empirical_s_hat":null,'
+            '"exp_signature":{"dominant_factors":[{"factor":"x - 1",'
+            '"multiplicity":4}],"quasi_unipotent_order":null,"rho":1,'
+            '"rho_exact":"1","rho_interval":["1","1"],"s":3,"tied_moduli":false},'
+            '"h_cat":0,"h_pol_exact":null,"h_pol_lower":3,"h_pol_upper":3},'
+            '"version":"0.1.0","warnings":["no positivity flag: only the bounds '
+            '[nu, dim] are certified"]}'
+        ),
+    ),
+    (
+        "estimate-polynomial",
+        ["estimate"],
+        {"n_start": 1, "values": [n * n + 3 * n + 1 for n in range(1, 41)]},
+        (
+            '{"command":"estimate",'
+            '"inputs_digest":"1082f08ae65ff4c554f335abfd56dd077aa9ddff02bcc53d0493900b7c59b942",'
+            '"results":{"residual":0.00151093112825,"rho_hat":1.00511902383,'
+            '"s_hat":1.75514532823,"window":[11,40]},"version":"0.1.0","warnings":[]}'
+        ),
+    ),
+    (
+        "estimate-oscillating-residual",
+        ["estimate"],
+        {"n_start": 3, "values": [1 if n % 2 else 50 for n in range(1, 25)]},
+        (
+            '{"command":"estimate",'
+            '"inputs_digest":"d4a6bbba68e1d0fb7ca73fca7e2cfedab47f85f68de2c8cc05e6ccd237abd223",'
+            '"results":{"residual":1.94612049744,"rho_hat":0.962667167881,'
+            '"s_hat":1.22867232575,"window":[9,26]},"version":"0.1.0",'
+            '"warnings":["residual 1.946 exceeds 0.1: a single regression cannot '
+            'separate upper from lower growth here"]}'
         ),
     ),
 ]
