@@ -13,8 +13,8 @@ an ``ExactPoly`` one tuple of int numerators, over one positive common
 denominator, normalised so that the representation is unique.  Products,
 powers, determinants, inverses, polynomial division, gcds and the
 squarefree split run on Python ints (fraction-free elimination,
-pseudo-division, exact integer division), and so does the one
-Faddeev-LeVerrier pass that gives the characteristic polynomial chi and
+pseudo-division, exact integer division), and so do the characteristic
+polynomial chi (Newton's identities on the power sums ``tr(M^k)``) and
 the minimal polynomial ``chi / gcd(entries of adj(xI - M))``.
 ``fractions.Fraction`` appears only at the edges: ``rows``, ``entry`` and
 ``coefficients``.  Roots without an exact form are isolated on
@@ -241,25 +241,18 @@ class ExactPoly:
         return "ExactPoly(coefficients=%r)" % (self.coefficients,)
 
     def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
         terms = []
         for k in range(self.degree, -1, -1):
             c = self[k]
-            if c == 0:
-                continue
+            xs = "x" if k == 1 else "x^%d" % k
             if k == 0:
                 body = str(abs(c))
             else:
-                xs = "x" if k == 1 else "x^%d" % k
                 body = xs if abs(c) == 1 else "%s*%s" % (abs(c), xs)
-            sign = "-" if c < 0 else "+"
-            terms.append((sign, body))
-        first_sign, first_body = terms[0]
-        out = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in terms[1:]:
-            out += " %s %s" % (sign, body)
-        return out
+            if c:
+                terms.append(("- " if c < 0 else "+ ") + body)
+        out = " ".join(terms) or "+ 0"
+        return out[2:] if out[0] == "+" else "-" + out[2:]
 
 
 def _divide(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int], int]:
@@ -465,12 +458,8 @@ class ExactMatrix:
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:
         """The entries as ``Fraction``s (built once, on first use)."""
         if self._rows is None:
-            den = self.den
-            object.__setattr__(
-                self,
-                "_rows",
-                tuple([tuple([Fraction(x, den) for x in row]) for row in self.num]),
-            )
+            rows = [tuple([Fraction(x, self.den) for x in row]) for row in self.num]
+            object.__setattr__(self, "_rows", tuple(rows))
         return self._rows
 
     def entry(self, i: int, j: int) -> Fraction:
@@ -505,21 +494,15 @@ class ExactMatrix:
         )
 
     def __neg__(self) -> "ExactMatrix":
-        return ExactMatrix(
-            tuple([tuple([-x for x in row]) for row in self.num]), self.den
-        )
+        num = tuple([tuple([-x for x in row]) for row in self.num])
+        return ExactMatrix(num, self.den)
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         self._same_size(other)
         cols = list(zip(*other.num))
         mul = operator.mul
-        return ExactMatrix(
-            tuple([
-                tuple([sum(map(mul, row, col)) for col in cols])
-                for row in self.num
-            ]),
-            self.den * other.den,
-        )
+        num = [tuple([sum(map(mul, row, col)) for col in cols]) for row in self.num]
+        return ExactMatrix(tuple(num), self.den * other.den)
 
     __mul__ = __matmul__
 
@@ -600,9 +583,7 @@ class ExactMatrix:
 
     def _same_size(self, other: "ExactMatrix"):
         if self.n != other.n:
-            raise DimensionMismatch(
-                "matrix sizes differ: %d vs %d" % (self.n, other.n)
-            )
+            raise DimensionMismatch("matrix sizes differ: %d vs %d" % (self.n, other.n))
 
     def __repr__(self) -> str:
         return "ExactMatrix(%s)" % self
@@ -676,26 +657,52 @@ def exterior_power(m: ExactMatrix, k: int) -> ExactMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _faddeev_leverrier(a: Sequence[Sequence[int]]) -> tuple[list[int], list]:
-    """``det(xI - N)`` (lowest degree first) and the ``B_0 = I, ..., B_{n-1}``
-    with ``adj(xI - N) = sum B_k x^(n-1-k)``, for an int matrix N, by the
-    Faddeev-LeVerrier recursion ``B_k = N B_{k-1} + c_k I`` with the ints
-    ``c_k = -tr(N B_{k-1}) / k``, so each trace division is exact."""
-    n = len(a)
-    mul = operator.mul
-    coeffs = [0] * n + [1]
-    bs = [[[int(i == j) for j in range(n)] for i in range(n)]]
-    for k in range(1, n + 1):
-        cols = list(zip(*bs[-1]))
-        b = [[sum(map(mul, row, col)) for col in cols] for row in a]
-        c, r = divmod(-sum(b[i][i] for i in range(n)), k)
+def _power_sums(m: ExactMatrix) -> list[int]:
+    """``[n, tr(N), ..., tr(N^n)]`` for the int matrix ``N = den * M``, from
+    about 2 sqrt(n) products: baby steps ``N^1..N^r``, r = ceil(sqrt n), and
+    giant steps ``N^r, N^2r, ...``, each ``tr(N^(qr) N^j)`` one entrywise
+    sum (the split of Paterson and Stockmeyer, SIAM J. Comput. 2, 1973)."""
+    n = m.n
+    baby = [ExactMatrix(m.num)]
+    for _ in range(_ceil_sqrt(n) - 1):
+        baby.append(baby[-1] @ baby[0])
+    p = [n] + [b.trace().numerator for b in baby]
+    # N^j flattened by columns: tr(G N^j) is its dot product with G by rows.
+    cols = [[x for col in zip(*b.num) for x in col] for b in baby]
+    giant = baby[-1]
+    while len(p) <= n:
+        flat = [x for row in giant.num for x in row]
+        p += [sum(map(operator.mul, flat, c)) for c in cols[: n + 1 - len(p)]]
+        if len(p) <= n:
+            giant = giant @ baby[-1]
+    return p
+
+
+def _from_power_sums(p: Sequence[int]) -> list[int]:
+    """The monic int polynomial (lowest degree first) of degree len(p) - 1
+    whose roots have the power sums ``p[1:]``, by Newton's identities
+    ``k c_k = -(c_{k-1} p_1 + ... + c_0 p_k)``, each division exact."""
+    c, sums = [1], p[1:]
+    for k in range(1, len(p)):
+        q, r = divmod(-sum(map(operator.mul, reversed(c), sums)), k)
         if r:
-            raise InternalInconsistency("char-poly trace not divisible by %d" % k)
-        coeffs[n - k] = c
-        for i in range(n):
-            b[i][i] += c
-        bs.append(b)
-    return coeffs, bs[:-1]
+            raise InternalInconsistency("power sum not divisible by %d" % k)
+        c.append(q)
+    return c[::-1]
+
+
+def _adjugate_row(a: Sequence[Sequence[int]], f: Sequence[int], i: int) -> list:
+    """Row i of ``adj(xI - N) = sum B_k x^(n-1-k)``, each entry an int
+    polynomial lowest degree first, for the int matrix N with rows a and
+    char poly f.  The B_k commute with N, so ``B_0 = I`` and ``B_k =
+    B_{k-1} N + f_{n-k} I`` cost one row times N each."""
+    n, mul = len(a), operator.mul
+    cols = list(zip(*a))
+    rows = [[int(j == i) for j in range(n)]]
+    for k in range(1, n):
+        rows.append([sum(map(mul, rows[-1], col)) for col in cols])
+        rows[-1][i] += f[n - k]
+    return list(zip(*rows[::-1]))
 
 
 def _unscale(p: Sequence[int], den: int) -> ExactPoly:
@@ -704,26 +711,24 @@ def _unscale(p: Sequence[int], den: int) -> ExactPoly:
 
 
 def char_poly(m: ExactMatrix) -> ExactPoly:
-    """The monic characteristic polynomial det(xI - M), exactly, by the
-    Faddeev-LeVerrier pass on ``N = den * M`` that also gives ``min_poly``
-    (Gantmacher, *The Theory of Matrices* I, ch. IV, sec. 6)."""
-    return _unscale(_faddeev_leverrier(m.num)[0], m.den)
+    """The monic characteristic polynomial det(xI - M), exactly: Newton's
+    identities on the power sums ``tr(N^k)``, k <= n, of ``N = den * M``."""
+    return _unscale(_from_power_sums(_power_sums(m)), m.den)
 
 
 def min_poly(m: ExactMatrix) -> ExactPoly:
     """Monic least-degree polynomial annihilating M: ``f / d_{n-1}`` for
     f = det(xI - N) and d_{n-1} the monic gcd of the entries of
-    ``adj(xI - N)``, both from the Faddeev-LeVerrier pass of ``char_poly``
-    on ``N = den * M`` (Gantmacher, op. cit.).  The gcd fold starts at
-    ``gcd(f, f')``, which d_{n-1} divides (f / d_{n-1} has every root of f,
-    so each root of d_{n-1} is one of f of higher multiplicity); so a
-    squarefree f reads no adjugate entry."""
-    f, bs = _faddeev_leverrier(m.num)
+    ``adj(xI - N)``, N = den * M (Gantmacher, *The Theory of Matrices* I,
+    ch. IV, sec. 6).  The gcd fold starts at ``gcd(f, f')``, which d_{n-1}
+    divides (f / d_{n-1} has every root of f, so each root of d_{n-1} is
+    one of f of higher multiplicity).  It reads the entries in row-major
+    order, building each adjugate row when it reaches it, and stops once
+    the gcd is 1: a squarefree f builds no row."""
+    f = _from_power_sums(_power_sums(m))
     d = poly_gcd(ExactPoly(f), ExactPoly(f).derivative()).num
-    for i, j in itertools.product(range(m.n), repeat=2):
-        if len(d) == 1:
-            break
-        e = [b[i][j] for b in reversed(bs)]
+    entries = (e for i in range(m.n) for e in _adjugate_row(m.num, f, i))
+    while len(d) > 1 and (e := next(entries, None)) is not None:
         if any(_divide(e, d)[1]):  # else d divides e: the gcd stays d
             d = poly_gcd(ExactPoly(d), ExactPoly(e)).num
     return _unscale(_divide(f, d)[0], m.den)
@@ -978,8 +983,6 @@ class _ModClass:
 def _sqrt_interval(m2: Fraction, width: Fraction) -> tuple[Fraction, Fraction]:
     """Rational bracket of sqrt(m2) of width at most ``width``; a point
     when m2 is a perfect square."""
-    if m2 == 0:
-        return Fraction(0), Fraction(0)
     exact = _fraction_sqrt(m2)
     if exact is not None:
         return exact, exact
@@ -1010,6 +1013,18 @@ def _rational_box(r: Fraction, part: int) -> _RootBox:
     return _RootBox(complex(_float(r), 0.0), part, r * r, order)
 
 
+_CANDIDATE_CACHE: dict[int, list[tuple[int, int]]] = {}
+
+
+def _cyclotomic_candidates(deg: int) -> list[tuple[int, int]]:
+    """``(d, phi(d))`` for each d < 2 deg^2 + 2 with phi(d) <= deg, d
+    increasing: every Phi_d of degree at most deg (phi(d) >= sqrt(d / 2))."""
+    if deg not in _CANDIDATE_CACHE:
+        phis = [(d, euler_phi(d)) for d in range(1, 2 * deg * deg + 2)]
+        _CANDIDATE_CACHE[deg] = [(d, phi) for d, phi in phis if phi <= deg]
+    return _CANDIDATE_CACHE[deg]
+
+
 def _exact_roots_of_part(h: ExactPoly, part: int) -> tuple[list[_RootBox], ExactPoly]:
     """Split off roots whose modulus is exactly computable: rational roots,
     roots of cyclotomic factors (modulus 1), and complex quadratic pairs
@@ -1020,12 +1035,11 @@ def _exact_roots_of_part(h: ExactPoly, part: int) -> tuple[list[_RootBox], Exact
     for r in _integer_roots(rest):
         rest = rest.exact_div(ExactPoly([-r.numerator, 1]))
         boxes.append(_rational_box(r, part))
-    deg0 = rest.degree
     # Phi_d is monic, so dividing by it never scales the numerators.
-    for d in range(1, 2 * deg0 * deg0 + 2):
+    for d, phi in _cyclotomic_candidates(rest.degree):
         if rest.degree < 1:
             break
-        if euler_phi(d) > rest.degree:
+        if phi > rest.degree:
             continue
         quot, rem = divmod(rest, cyclotomic_poly(d))
         if not rem.is_zero:
@@ -1160,14 +1174,10 @@ def _numeric_classes(
         if hi < lo:
             # Members proven equal must have consistent intervals.
             raise _NeedMoreBits()
+        parts = {part for *_, part in group}
+        positions = [complex(x / unit, y / unit) for x, y, _, _ in group]
         classes.append(
-            _ModClass(
-                None,
-                Fraction(lo, unit),
-                Fraction(hi, unit),
-                {part for *_, part in group},
-                [complex(x / unit, y / unit) for x, y, _, _ in group],
-            )
+            _ModClass(None, Fraction(lo, unit), Fraction(hi, unit), parts, positions)
         )
     return classes
 
@@ -1188,12 +1198,9 @@ def _squared_moduli_poly(g: Sequence[int]) -> list[int]:
         for i in range(1, min(k - 1, n) + 1):
             acc += g[n - i] * p[k - i]
         p.append(-acc)
-    sums = [0] + [(p[k] * p[k] + p[2 * k]) // 2 for k in range(1, big_n + 1)]
-    e = [1]
-    for k in range(1, big_n + 1):
-        acc = sum((-1) ** (i - 1) * e[k - i] * sums[i] for i in range(1, k + 1))
-        e.append(acc // k)
-    return [(-1) ** k * c for k, c in enumerate(e)][::-1]
+    return _from_power_sums(
+        [big_n] + [(p[k] * p[k] + p[2 * k]) // 2 for k in range(1, big_n + 1)]
+    )
 
 
 def _sturm_chain(t: Sequence[int]) -> list[Sequence[int]]:
@@ -1300,21 +1307,14 @@ def _merge_if_tied(
             "moduli proven equal have disjoint certified brackets"
         )
     exact = ca.exact_sq if ca.exact_sq is not None else cb.exact_sq
-    return _ModClass(
-        exact, lo, hi, ca.parts | cb.parts, ca.positions + cb.positions
-    )
+    return _ModClass(exact, lo, hi, ca.parts | cb.parts, ca.positions + cb.positions)
 
 
 def _merge_at_cap(ca: _ModClass, cb: _ModClass) -> _ModClass:
     """The pessimistic union of two classes still overlapping at the cap."""
-    return _ModClass(
-        None,
-        min(ca.lo, cb.lo),
-        max(ca.hi, cb.hi),
-        ca.parts | cb.parts,
-        ca.positions + cb.positions,
-        merged_at_cap=True,
-    )
+    lo, hi = min(ca.lo, cb.lo), max(ca.hi, cb.hi)
+    positions = ca.positions + cb.positions
+    return _ModClass(None, lo, hi, ca.parts | cb.parts, positions, merged_at_cap=True)
 
 
 def _split_roots(
@@ -1375,13 +1375,9 @@ def _modulus_classes(
         classes = _merge_pairs(
             exact + numeric, lambda ca, cb: _merge_if_tied(ca, cb, rests, bits)
         )
-        unresolved = any(
-            classes[a].overlaps(classes[b])
-            for a, b in itertools.combinations(range(len(classes)), 2)
-        )
-        too_wide = any(
-            c.exact_sq is None and c.hi - c.lo > width for c in classes
-        )
+        pairs = itertools.combinations(classes, 2)
+        unresolved = any(ca.overlaps(cb) for ca, cb in pairs)
+        too_wide = any(c.exact_sq is None and c.hi - c.lo > width for c in classes)
         if not unresolved and not too_wide:
             return classes, False
         if bits >= max_bits:
@@ -1417,10 +1413,7 @@ def root_moduli(
             "root moduli could not be separated at the escalation cap",
             classes=classes,
         )
-    out = []
-    for cls in classes:
-        for z in cls.positions:
-            out.append((z, (cls.lo, cls.hi)))
+    out = [(z, (cls.lo, cls.hi)) for cls in classes for z in cls.positions]
     out.sort(key=lambda item: (item[1][0], item[0].real, item[0].imag))
     return out
 
@@ -1531,9 +1524,7 @@ def growth_signature(
             TiedModuli,
         )
 
-    dom_factors = tuple(
-        [(h, mult) for idx, (h, mult) in enumerate(parts) if idx in top.parts]
-    )
+    dom_factors = tuple([parts[idx] for idx in sorted(top.parts)])
     s = max(mult for _, mult in dom_factors) - 1
 
     lo, hi = top.lo, top.hi

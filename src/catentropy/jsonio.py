@@ -83,11 +83,24 @@ def _emit(obj: Any, out: list[str]) -> None:
         raise TypeError("cannot serialize %r" % type(obj).__name__)
 
 
-def inputs_digest(command: str, payload: Any) -> str:
+def _sha256():
+    """CPython's builtin SHA-256 (``_sha2`` from 3.12, ``_sha256`` before),
+    as ``random`` takes its SHA-512: ``hashlib`` loads OpenSSL's libcrypto,
+    several MB, for the one digest of a CLI process.  ``hashlib`` only
+    where the build lacks the builtin module."""
+    for name in ("_sha2", "_sha256"):
+        try:
+            return __import__(name).sha256
+        except ImportError:
+            pass
     import hashlib
 
+    return hashlib.sha256
+
+
+def inputs_digest(command: str, payload: Any) -> str:
     text = canonical_json({"command": command, "input": payload})
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return _sha256()(text.encode("utf-8")).hexdigest()
 
 
 def envelope(command: str, payload: Any, results: Any, warnings: list[str]) -> dict:

@@ -3,10 +3,11 @@
 
 Every operation is compared against a reference written here on lists of
 ``Fraction`` rows or coefficients, over random integer and rational
-matrices of size 1-6 and polynomials of degree at most 6.  The minimal
-polynomial also runs on conjugated block matrices with a repeated factor
-in the char poly, and on tensor squares against a product of root
-products built from power sums.  The example count is bounded and the
+matrices of size 1-6 and polynomials of degree at most 6; the char and
+minimal polynomials also at every size 1-17.  The minimal polynomial
+also runs on conjugated block matrices with a repeated factor in the
+char poly, and on tensor squares against a product of root products
+built from power sums.  The example count is bounded and the
 search derandomised, so the module's run time and outcome are fixed.
 """
 
@@ -25,6 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from catentropy import exact_linalg
 from catentropy.errors import DomainError
 from catentropy.exact_linalg import (
     ExactMatrix,
@@ -341,6 +343,77 @@ def test_char_and_min_poly_match_fraction_reference(rows):
     assert q.degree == ref_min_poly_degree(f)
     assert all(x == 0 for row in eval_poly_at_matrix(q, f) for x in row)
     assert divmod(p, q)[1].is_zero
+
+
+@pytest.mark.parametrize("n", range(1, 18))
+def test_char_and_min_poly_match_fraction_reference_at_each_size(n):
+    # The power sums take baby steps N^1..N^r, r = ceil(sqrt n), and giant
+    # steps N^r, N^2r, ...; sizes 1-17 cover each n = r^2 and n = r^2 + 1.
+    rng = random.Random(n)
+    for entry in (lambda: rng.randint(-9, 9),
+                  lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 4))):
+        rows = [[entry() for _ in range(n)] for _ in range(n)]
+        m, f = ExactMatrix.from_rows(rows), ref(rows)
+        p = char_poly(m)
+        assert p.degree == n and p.leading == 1
+        for x in range(n + 1):
+            shifted = [[x * (i == j) - f[i][j] for j in range(n)] for i in range(n)]
+            assert p(Fraction(x)) == ref_det(shifted)
+        q = min_poly(m)
+        assert q.leading == 1 and q.degree == ref_min_poly_degree(f)
+        assert all(x == 0 for row in eval_poly_at_matrix(q, f) for x in row)
+
+
+def _conjugated(d: ExactMatrix) -> ExactMatrix:
+    """``U d U^-1`` for a fixed integer unitriangular U."""
+    n = d.n
+    u = ExactMatrix.from_rows(
+        [[(i + 2 * j) % 3 - 1 if j > i else int(i == j) for j in range(n)]
+         for i in range(n)]
+    )
+    return u @ d @ u.inverse()
+
+
+def _rows_built(monkeypatch, m: ExactMatrix) -> int:
+    calls = []
+
+    def spy(a, f, i):
+        calls.append(i)
+        return row_builder(a, f, i)
+
+    row_builder = exact_linalg._adjugate_row
+    monkeypatch.setattr(exact_linalg, "_adjugate_row", spy)
+    min_poly(m)
+    monkeypatch.undo()
+    assert calls == list(range(len(calls)))
+    return len(calls)
+
+
+def test_min_poly_builds_adjugate_rows_only_while_the_gcd_can_fall(monkeypatch):
+    # A = C(x^3 + 2x^2 + 2).  A squarefree char poly needs no adjugate row;
+    # a Jordan-coupled [[A, I], [0, A]] has d_{n-1} = 1, found in its first
+    # row; block_diag(A, A) has d_{n-1} = char poly of A, and every row is
+    # read to confirm it.
+    a = ExactMatrix.companion(ExactPoly([2, 0, 2, 1]))
+    ident, zero = ExactMatrix.identity(3), ExactMatrix.zeros(3)
+    jordan = ExactMatrix(
+        tuple([ra + ri for ra, ri in zip(a.num, ident.num)]
+              + [rz + ra for rz, ra in zip(zero.num, a.num)])
+    )
+    tie = ExactMatrix.block_diag(  # C((x^2 - 2x - 1)^2) + C(x^4 + 6x^2 + 1)
+        ExactMatrix.companion(ExactPoly([1, 4, 2, -4, 1])),
+        ExactMatrix.companion(ExactPoly([1, 0, 6, 0, 1])),
+    )
+    for m, rows in [
+        (a, 0),
+        (_conjugated(ExactMatrix.block_diag(a, a.scale(2))), 0),
+        (jordan, 1),
+        (_conjugated(jordan), 1),
+        (_conjugated(tie), 1),
+        (ExactMatrix.block_diag(a, a), 6),
+    ]:
+        assert _rows_built(monkeypatch, m) == rows
+        assert min_poly(m).degree == ref_min_poly_degree(ref(m.rows))
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
