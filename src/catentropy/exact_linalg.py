@@ -13,9 +13,11 @@ an ``ExactPoly`` one tuple of int numerators, over one positive common
 denominator, normalised so that the representation is unique.  Products,
 powers, determinants, inverses, polynomial division, gcds and the
 squarefree split run on Python ints (fraction-free elimination,
-pseudo-division, exact integer division), and so do the characteristic
-polynomial chi (Newton's identities on the power sums ``tr(M^k)``) and
-the minimal polynomial ``chi / gcd(entries of adj(xI - M))``.
+pseudo-division, exact integer division, and a gcd modulo a prime that
+proves most coprime pairs coprime before Euclid runs), and so do the
+characteristic polynomial chi (Newton's identities on the power sums
+``tr(M^k)``), the minimal polynomial ``chi / gcd(entries of adj(xI - M))``
+and the integer roots (p-adic lifts of the roots modulo a small prime).
 ``fractions.Fraction`` appears only at the edges: ``rows``, ``entry`` and
 ``coefficients``.  Roots without an exact form are isolated on
 Gaussian-dyadic grids ``(x + iy) / 2**bits``: a Durand-Kerner iteration
@@ -28,6 +30,7 @@ root iteration, never in the decision path.
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 import operator
@@ -208,7 +211,7 @@ class ExactPoly:
         return ExactPoly(self.num, self.num[-1]) if self.num else self
 
     def derivative(self) -> "ExactPoly":
-        return ExactPoly([k * c for k, c in enumerate(self.num)][1:], self.den)
+        return ExactPoly(_derivative(self.num), self.den)
 
     def reflect(self) -> "ExactPoly":
         """The polynomial p(-x)."""
@@ -302,15 +305,53 @@ def poly_gcd(a: ExactPoly, b: ExactPoly) -> ExactPoly:
     return ExactPoly(x, x[-1] if x else 1)
 
 
+def _gcd_degree_mod(a: Sequence[int], b: Sequence[int], q: int) -> int:
+    """Degree of ``gcd(a mod q, b mod q)`` over GF(q), for int polynomials
+    and a prime q not dividing lead(a).  A primitive int multiple of the
+    rational gcd divides a in Z[x] (Gauss's lemma), so it keeps its degree
+    mod q: 0 proves ``gcd(a, b) = 1``."""
+    x, y = [c % q for c in a], [c % q for c in b]
+    while True:
+        while y and not y[-1]:
+            y.pop()
+        if not y:
+            return len(x) - 1
+        inv, dy = pow(y[-1], -1, q), len(y) - 1
+        for k in range(len(x) - 1, dy - 1, -1):
+            if c := x[k] * inv % q:
+                for j in range(dy):
+                    x[k - dy + j] = (x[k - dy + j] - c * y[j]) % q
+        x, y = y, x[:dy]
+
+
+#: Prime of the coprimality certificate.  A squarefree f fails it only when
+#: it divides disc(f), so a derogatory input pays for one modular gcd.
+_CERTIFICATE_PRIME = 32749
+
+
+def _coprime(a: Sequence[int], b: Sequence[int]) -> bool:
+    """Whether a gcd modulo ``_CERTIFICATE_PRIME`` proves the int
+    polynomials a and b coprime over the rationals; False decides nothing."""
+    q = _CERTIFICATE_PRIME
+    return bool(a[-1] % q) and not _gcd_degree_mod(a, b, q)
+
+
+def _derivative(a: Sequence[int]) -> list[int]:
+    return [k * c for k, c in enumerate(a)][1:]
+
+
 def squarefree_decomposition(p: ExactPoly) -> list[tuple[ExactPoly, int]]:
     """Yun decomposition ``p = c * prod h_j ** j`` into monic, pairwise
     coprime squarefree parts, returned as ``(h_j, j)`` sorted by
-    multiplicity and skipping trivial parts."""
+    multiplicity and skipping trivial parts.  Yun's first ``gcd(p, p')``
+    runs only where ``_coprime`` cannot prove it 1."""
     if p.is_zero:
         raise DomainError("squarefree decomposition of the zero polynomial")
     p = p.monic()
     if p.degree == 0:
         return []
+    if _coprime(p.num, _derivative(p.num)):
+        return [(p, 1)]
     g = poly_gcd(p, p.derivative())
     out = []
     if g.degree == 0:
@@ -328,36 +369,27 @@ def squarefree_decomposition(p: ExactPoly) -> list[tuple[ExactPoly, int]]:
     return out
 
 
-_CYCLOTOMIC_CACHE: dict[int, ExactPoly] = {}
-
-
+@functools.cache
 def cyclotomic_poly(d: int) -> ExactPoly:
     """The d-th cyclotomic polynomial, computed by exact division of x^d - 1."""
     if d < 1:
         raise ValueError("cyclotomic index must be positive")
-    if d in _CYCLOTOMIC_CACHE:
-        return _CYCLOTOMIC_CACHE[d]
     num = ExactPoly.from_coefficients([-1] + [0] * (d - 1) + [1])
     for e in range(1, d):
         if d % e == 0:
             num = num.exact_div(cyclotomic_poly(e))
-    _CYCLOTOMIC_CACHE[d] = num
     return num
 
 
 def euler_phi(k: int) -> int:
-    out = k
-    m = k
-    p = 2
+    out, m, p = k, k, 2
     while p * p <= m:
         if m % p == 0:
             out -= out // p
             while m % p == 0:
                 m //= p
         p += 1
-    if m > 1:
-        out -= out // m
-    return out
+    return out - out // m if m > 1 else out
 
 
 # ---------------------------------------------------------------------------
@@ -508,11 +540,8 @@ class ExactMatrix:
 
     def scale(self, c: Rat) -> "ExactMatrix":
         c = _to_fraction(c)
-        a = c.numerator
-        return ExactMatrix(
-            tuple([tuple([a * x for x in row]) for row in self.num]),
-            self.den * c.denominator,
-        )
+        num = tuple([tuple([c.numerator * x for x in row]) for row in self.num])
+        return ExactMatrix(num, self.den * c.denominator)
 
     def __pow__(self, m: int) -> "ExactMatrix":
         base = self if m >= 0 else self.inverse()
@@ -573,9 +602,8 @@ class ExactMatrix:
                     a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], pivot_row)]
             prev = p
         den = self.den
-        return ExactMatrix(
-            tuple([tuple([den * x for x in row[n:]]) for row in a]), prev
-        )
+        num = tuple([tuple([den * x for x in row[n:]]) for row in a])
+        return ExactMatrix(num, prev)
 
     def entry_abs_sum(self) -> Fraction:
         """Sum of absolute values of all entries (an exact matrix norm)."""
@@ -598,17 +626,13 @@ def _bareiss_det(rows: Sequence[Sequence[int]]) -> int:
     """Determinant of an int matrix; every Bareiss division is exact."""
     n = len(rows)
     a = [list(row) for row in rows]
-    sign = 1
-    prev = 1
+    sign = prev = 1
     for k in range(n - 1):
         if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
+            i = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if i is None:
                 return 0
+            a[k], a[i], sign = a[i], a[k], -sign
         pivot_row = a[k]
         p = pivot_row[k]
         for i in range(k + 1, n):
@@ -722,11 +746,13 @@ def min_poly(m: ExactMatrix) -> ExactPoly:
     ``adj(xI - N)``, N = den * M (Gantmacher, *The Theory of Matrices* I,
     ch. IV, sec. 6).  The gcd fold starts at ``gcd(f, f')``, which d_{n-1}
     divides (f / d_{n-1} has every root of f, so each root of d_{n-1} is
-    one of f of higher multiplicity).  It reads the entries in row-major
-    order, building each adjugate row when it reaches it, and stops once
-    the gcd is 1: a squarefree f builds no row."""
+    one of f of higher multiplicity); a gcd modulo a prime (``_coprime``)
+    proves most squarefree f squarefree before Euclid would run.  It reads
+    the entries in row-major order, building each adjugate row when it
+    reaches it, and stops once the gcd is 1: a squarefree f builds no row."""
     f = _from_power_sums(_power_sums(m))
-    d = poly_gcd(ExactPoly(f), ExactPoly(f).derivative()).num
+    df = _derivative(f)
+    d = [1] if _coprime(f, df) else poly_gcd(ExactPoly(f), ExactPoly(df)).num
     entries = (e for i in range(m.n) for e in _adjugate_row(m.num, f, i))
     while len(d) > 1 and (e := next(entries, None)) is not None:
         if any(_divide(e, d)[1]):  # else d divides e: the gcd stays d
@@ -865,8 +891,7 @@ def _durand_kerner(
                         qr, qi = qr * du - qi * dv, qr * dv + qi * du
                     else:
                         skipped += 1
-            qr <<= e * skipped
-            qi <<= e * skipped
+            qr, qi = qr << e * skipped, qi << e * skipped
             q2 = qr * qr + qi * qi
             dx = (2 * (pr * qr + pi * qi) + q2) // (2 * q2)
             dy = (2 * (pi * qr - pr * qi) + q2) // (2 * q2)
@@ -886,22 +911,17 @@ def _isolate_numeric(
     h: ExactPoly, bits: int, start: Optional[tuple[int, list]] = None
 ) -> tuple[Optional[tuple[int, list]], Optional[list[tuple[int, int, int]]]]:
     """Approximate all roots of a squarefree h with certified, pairwise
-    disjoint position disks on the grid ``2**-bits``.  Returns (centres,
-    disks): the centres ``(bits, [(x, y), ...])`` the iteration converged
-    to, None when it did not converge; and (x, y, rho) for each disk of
-    centre ``(x + iy) / 2**bits`` and radius ``rho / 2**bits``, None when
-    the disks cannot be certified.
-
-    The iteration starts from ``start``, centres ``(e, points)`` on a grid
-    ``2**-e`` no finer than this one: the machine roots of
-    ``_machine_roots`` at the first precision level, the centres of the
-    previous level after that, or, for None, the points
-    ``(0.4 + 0.9i)**k``.  Start points only change how many sweeps run.
-    Each disk is certified in exact int arithmetic: the disk of centre z
-    and radius ``n |p(z) / p'(z)|`` holds a root of p (Henrici, Applied and
-    Computational Complex Analysis I, 6.4), and disjoint disks hold one
-    root each.
-    """
+    disjoint position disks on the grid ``2**-bits``.  Returns the centres
+    ``(bits, [(x, y), ...])`` the iteration converged to (None if it did
+    not) and a disk (x, y, rho) of centre ``(x + iy) / 2**bits`` and radius
+    ``rho / 2**bits`` per root (None if they cannot be certified).
+    ``start``, centres ``(e, points)`` on a grid ``2**-e`` no finer than
+    this one, only changes how many sweeps run: the ``_machine_roots``
+    points at the first level, the previous level's centres after that, or
+    for None the points ``(0.4 + 0.9i)**k``.  The disk of centre z and
+    radius ``n |p(z) / p'(z)|`` holds a root of p (Henrici, Applied and
+    Computational Complex Analysis I, 6.4), checked in exact ints, and
+    disjoint disks hold one root each."""
     n = h.degree
     if start is None:
         start = _dyadic_points([(0.4 + 0.9j) ** k for k in range(n)], bits)
@@ -913,7 +933,7 @@ def _isolate_numeric(
     )
     if centres is None:
         return None, None
-    dscaled = _scaled_coefficients([k * c for k, c in enumerate(h.num)][1:], bits)
+    dscaled = _scaled_coefficients(_derivative(h.num), bits)
     disks = []
     for x, y in centres:
         pr, pi = _gaussian_value(scaled, x, y)
@@ -932,36 +952,41 @@ def _isolate_numeric(
 
 
 def _integer_roots(h: ExactPoly) -> list[Fraction]:
-    """Integer roots of the squarefree h, in increasing order.
-
-    Every root has modulus below a power of two ``hi`` by Fujiwara's
-    bound, so the real roots lie in ``(-hi, hi]``.  A Sturm count bisects
-    that interval, dropping pieces with no root, down to unit intervals
-    ``(c - 1, c]``; each of those holds an integer root exactly when
-    ``h(c) == 0``.
-    """
-    if h.degree < 1:
+    """Integer roots of the squarefree h, in increasing order, by p-adic
+    lifting (Loos, SIAM J. Comput. 12, 1983).  At the first prime q where
+    h's int numerator H keeps its degree and stays squarefree, each root
+    of H mod q (found at every residue) is simple, so Newton's step lifts
+    it to one root mod ``q**k``, past twice Fujiwara's root bound ``hi``.
+    An integer root is the symmetric residue c of one of them, kept when
+    ``H(c) == 0``.  A skipped prime divides ``res(H, H')``, so once their
+    product passes Hadamard's bound on it, H was not squarefree."""
+    a, da = h.num, _derivative(h.num)
+    n = len(a) - 1
+    if n < 1:
         return []
-    top = h.num[-1].bit_length()
-    # |c / lead| < 2**(j * e_j) for each nonzero coefficient c of x^(n - j),
-    # j >= 1, with e_j from bit lengths.
-    e = [(c.bit_length() - top + j) // j for j, c in enumerate(h.num[::-1]) if j and c]
+    top = a[-1].bit_length()
+    # |c / lead| < 2**(j * e_j) for each nonzero coefficient c of x^(n - j)
+    e = [(c.bit_length() - top + j) // j for j, c in enumerate(a[::-1]) if j and c]
     hi = 2 << max([0, *e])
-    chain = _sturm_chain(h.num)
-    roots = []
-    stack = [(-hi, _sign_changes(chain, -hi, 0), hi, _sign_changes(chain, hi, 0))]
-    while stack:
-        a, va, b, vb = stack.pop()
-        if va == vb:
-            continue
-        if b - a == 1:
-            if not _dyadic_value(h.num, b, 0):
-                roots.append(Fraction(b))
-            continue
-        m = (a + b) // 2
-        vm = _sign_changes(chain, m, 0)
-        stack += [(m, vm, b, vb), (a, va, m, vm)]
-    return roots
+    # |res(H, H')| <= |H|_2^(n - 1) |H'|_2^n, with |v|_2 below 2**bits(v).
+    bits = [(sum([c * c for c in v]).bit_length() + 1) // 2 for v in (a, da)]
+    budget, skipped, q = 1 << ((n - 1) * bits[0] + n * bits[1]), 1, 2
+    while not a[-1] % q or _gcd_degree_mod(a, da, q):
+        skipped *= q
+        if skipped > budget:
+            raise InternalInconsistency("integer roots asked of a non-squarefree part")
+        # The next prime: skipped holds every prime up to q.
+        q = next(k for k in itertools.count(q + 1) if math.gcd(k, skipped) == 1)
+    roots, aq = [], [c % q for c in a]
+    for r in [r for r in range(q) if not _dyadic_value(aq, r, 0) % q]:
+        m = q
+        while m <= 2 * hi:
+            m *= m
+            r = (r - _dyadic_value(a, r, 0) * pow(_dyadic_value(da, r, 0), -1, m)) % m
+        c = r - m if 2 * r > m else r
+        if not _dyadic_value(a, c, 0):
+            roots.append(Fraction(c))
+    return sorted(roots)
 
 
 @dataclass
@@ -1013,16 +1038,12 @@ def _rational_box(r: Fraction, part: int) -> _RootBox:
     return _RootBox(complex(_float(r), 0.0), part, r * r, order)
 
 
-_CANDIDATE_CACHE: dict[int, list[tuple[int, int]]] = {}
-
-
+@functools.cache
 def _cyclotomic_candidates(deg: int) -> list[tuple[int, int]]:
     """``(d, phi(d))`` for each d < 2 deg^2 + 2 with phi(d) <= deg, d
     increasing: every Phi_d of degree at most deg (phi(d) >= sqrt(d / 2))."""
-    if deg not in _CANDIDATE_CACHE:
-        phis = [(d, euler_phi(d)) for d in range(1, 2 * deg * deg + 2)]
-        _CANDIDATE_CACHE[deg] = [(d, phi) for d, phi in phis if phi <= deg]
-    return _CANDIDATE_CACHE[deg]
+    phis = [(d, euler_phi(d)) for d in range(1, 2 * deg * deg + 2)]
+    return [(d, phi) for d, phi in phis if phi <= deg]
 
 
 def _exact_roots_of_part(h: ExactPoly, part: int) -> tuple[list[_RootBox], ExactPoly]:
@@ -1030,8 +1051,7 @@ def _exact_roots_of_part(h: ExactPoly, part: int) -> tuple[list[_RootBox], Exact
     roots of cyclotomic factors (modulus 1), and complex quadratic pairs
     (modulus squared equals the constant term).  Each box records its order
     as a root of unity: 1 for the root 1, 2 for -1, d for a root of Phi_d."""
-    boxes = []
-    rest = h.monic()
+    boxes, rest = [], h.monic()
     for r in _integer_roots(rest):
         rest = rest.exact_div(ExactPoly([-r.numerator, 1]))
         boxes.append(_rational_box(r, part))
@@ -1074,16 +1094,15 @@ def _exact_roots_of_part(h: ExactPoly, part: int) -> tuple[list[_RootBox], Exact
 def _exact_classes(exact_boxes: list[_RootBox], width: Fraction) -> list[_ModClass]:
     """One class per exact modulus, with pairwise disjoint brackets of
     width at most ``width`` (points for rational moduli)."""
-    classes: list[_ModClass] = []
     by_sq: dict[Fraction, _ModClass] = {}
     for box in exact_boxes:
         cls = by_sq.get(box.exact_sq)
         if cls is None:
             lo, hi = _sqrt_interval(box.exact_sq, width)
             cls = by_sq[box.exact_sq] = _ModClass(box.exact_sq, lo, hi, set(), [])
-            classes.append(cls)
         cls.parts.add(box.part)
         cls.positions.append(box.z)
+    classes = list(by_sq.values())
     # Distinct exact moduli always separate: shrink their brackets.
     for ca, cb in itertools.combinations(classes, 2):
         width = min(ca.hi - ca.lo, cb.hi - cb.lo)
@@ -1104,13 +1123,10 @@ def _numeric_classes(
 ) -> list[_ModClass]:
     """The classes of the numerically isolated roots on the grid
     ``2**-bits``; raises _NeedMoreBits when they cannot be certified.
-
-    ``starts`` holds the start points of the root iteration for each
-    numeric part, then for ``neg_pairs_poly``.  Each isolation replaces its
-    entry with the centres it converged to, or clears it when the
-    iteration did not converge, so the next level starts from the default
-    points.
-    """
+    ``starts`` holds the iteration's start points for each numeric part,
+    then for ``neg_pairs_poly``.  Each isolation replaces its entry with
+    the centres it converged to, or None when it did not converge, so the
+    next level starts from the default points."""
 
     def isolate(key: int, h: ExactPoly) -> list[tuple[int, int, int]]:
         starts[key], disks = _isolate_numeric(h, bits, starts[key])
@@ -1132,17 +1148,11 @@ def _numeric_classes(
             i = parent[i]
         return i
 
-    def union(i, j):
-        parent[find(i)] = find(j)
-
     def locate(x: int, y: int, r: int) -> Optional[int]:
         """Index of the unique disk that meets the disk of centre x + iy
         and radius r; None when there is none or more than one."""
-        hits = [
-            k
-            for k, (xk, yk, rk, _) in enumerate(disks)
-            if (xk - x) ** 2 + (yk - y) ** 2 <= (rk + r) ** 2
-        ]
+        hits = [k for k, (xk, yk, rk, _) in enumerate(disks)
+                if (xk - x) ** 2 + (yk - y) ** 2 <= (rk + r) ** 2]
         return hits[0] if len(hits) == 1 else None
 
     for i, (x, y, r, _) in enumerate(disks):
@@ -1151,7 +1161,7 @@ def _numeric_classes(
             if j is None:
                 raise _NeedMoreBits()  # conjugate root not localizable
             if j != i:
-                union(i, j)
+                parent[find(i)] = find(j)
     if neg_pairs_poly.degree >= 1:
         for x, y, r in isolate(len(numeric_parts), neg_pairs_poly):
             i = locate(x, y, r)
@@ -1159,7 +1169,7 @@ def _numeric_classes(
             if i is None or j is None:
                 raise _NeedMoreBits()
             if i != j:
-                union(i, j)
+                parent[find(i)] = find(j)
 
     groups: dict[int, list[tuple[int, int, int, int]]] = {}
     for i, disk in enumerate(disks):
@@ -1208,7 +1218,7 @@ def _sturm_chain(t: Sequence[int]) -> list[Sequence[int]]:
     member a positive multiple of the classical one, divided by its
     content.  t need not be squarefree: the chain then ends at a multiple
     of gcd(t, t'), and sign changes still count distinct real roots."""
-    chain = [t, [k * c for k, c in enumerate(t)][1:]]
+    chain = [t, _derivative(t)]
     while len(chain[-1]) > 1:
         r = _primitive(_divide(chain[-2], chain[-1])[1])
         if not r:
@@ -1297,9 +1307,7 @@ def _merge_if_tied(
 ) -> Optional[_ModClass]:
     """One class for two overlapping classes, not both exact, whose moduli
     ``_prove_tie`` proves equal; its bracket is the intersection."""
-    if ca.exact_sq is not None and cb.exact_sq is not None:
-        return None
-    if not _prove_tie(ca, cb, rests, bits):
+    if None not in (ca.exact_sq, cb.exact_sq) or not _prove_tie(ca, cb, rests, bits):
         return None
     lo, hi = max(ca.lo, cb.lo), min(ca.hi, cb.hi)
     if hi < lo:
@@ -1322,8 +1330,7 @@ def _split_roots(
 ) -> tuple[list[_RootBox], list[tuple[int, ExactPoly]]]:
     """The exact root boxes of all squarefree parts, and the (part index,
     remaining factor) pairs whose roots need numeric isolation."""
-    exact_boxes: list[_RootBox] = []
-    numeric_parts: list[tuple[int, ExactPoly]] = []
+    exact_boxes, numeric_parts = [], []
     for idx, (h, _) in enumerate(parts):
         boxes, rest = _exact_roots_of_part(h, idx)
         exact_boxes.extend(boxes)
@@ -1353,7 +1360,8 @@ def _modulus_classes(
         radical = ExactPoly.one()
         for _, h in numeric_parts:
             radical = radical * h
-        neg_pairs_poly = poly_gcd(radical, radical.reflect())
+        if not _coprime(radical.num, radical.reflect().num):
+            neg_pairs_poly = poly_gcd(radical, radical.reflect())
     starts = [
         _dyadic_points(_machine_roots(h), start_bits)
         for h in [h for _, h in numeric_parts] + [neg_pairs_poly]
@@ -1401,7 +1409,7 @@ def root_moduli(
         )
     if h.is_zero or h.degree < 1:
         raise DomainError("root isolation needs a nonzero polynomial of degree >= 1")
-    if poly_gcd(h, h.derivative()).degree != 0:
+    if not _coprime(h.num, _derivative(h.num)) and poly_gcd(h, h.derivative()).degree:
         raise DomainError("root isolation requires a squarefree polynomial")
     width = Fraction(1, 2**precision)
     start = max(START_BITS, precision + 48)
@@ -1511,9 +1519,7 @@ def growth_signature(
 
     exact_boxes, numeric_parts = _split_roots(parts)
     width = tolerance if isinstance(tolerance, Fraction) else Fraction(tolerance)
-    classes, hit_cap = _modulus_classes(
-        exact_boxes, numeric_parts, width, max_bits=max_bits
-    )
+    classes, _ = _modulus_classes(exact_boxes, numeric_parts, width, max_bits=max_bits)
 
     top = max(classes, key=lambda c: c.lo)
     tied = top.merged_at_cap
@@ -1528,16 +1534,11 @@ def growth_signature(
     s = max(mult for _, mult in dom_factors) - 1
 
     lo, hi = top.lo, top.hi
-    rho_exact: Optional[Union[Fraction, RootOfFactor]] = None
-    if top.exact_sq is not None:
-        root = _fraction_sqrt(top.exact_sq)
-        if root is not None:
-            rho_exact = root
-            lo = hi = root
-    if rho_exact is None and not tied and len(top.parts) == 1:
-        rho_exact = RootOfFactor(
-            factor=parts[next(iter(top.parts))][0], modulus_rank=0
-        )
+    rho_exact = None if top.exact_sq is None else _fraction_sqrt(top.exact_sq)
+    if rho_exact is not None:
+        lo = hi = rho_exact
+    elif not tied and len(top.parts) == 1:
+        rho_exact = RootOfFactor(parts[next(iter(top.parts))][0], modulus_rank=0)
 
     rho_float = _float((lo + hi) / 2)
     # Hull the float in when its rounding error (half an ulp) is within
@@ -1561,8 +1562,7 @@ def _is_power_of_x(h: ExactPoly) -> bool:
 
 
 def _fraction_sqrt(m2: Fraction) -> Optional[Fraction]:
-    num = math.isqrt(m2.numerator)
-    den = math.isqrt(m2.denominator)
+    num, den = math.isqrt(m2.numerator), math.isqrt(m2.denominator)
     if num * num == m2.numerator and den * den == m2.denominator:
         return Fraction(num, den)
     return None

@@ -145,18 +145,35 @@ def twist_bound_mp(p: TwistParams, n: int) -> Decimal:
     """
     if n < 1:
         raise DomainError("n must be >= 1")
+    return _bounds(p, [n])[0]
+
+
+def twist_bound_series(p: TwistParams, n_max: int) -> list:
+    """``[twist_bound_mp(p, n) for n in 1..n_max]``, Decimal for Decimal,
+    with exp(t), exp(-alpha t) and, for t > 0, the whole bound evaluated
+    once instead of once per n."""
+    if n_max < 1:
+        raise DomainError("n must be >= 1")
+    return _bounds(p, range(1, n_max + 1))
+
+
+def _bounds(p: TwistParams, ns) -> list:
+    """The closed forms of twist_bound_mp at each n of ns (n >= 1); only
+    the Decimal operations that depend on n run once per n."""
     t, alpha = p.t_snapped, p.slope
     with decimal.localcontext(_CONTEXT):
         a, b, tm = Decimal(p.A), Decimal(p.B), Decimal(t)
         if alpha == 0:
-            return n * tm.exp() * a + b
+            et = tm.exp()
+            return [n * et * a + b for n in ns]
         if t == 0.0:
-            return n * a + b
+            return [n * a + b for n in ns]
         if t < 0:
             # exp(alpha n t) / (exp(alpha t) - 1), divided through by
             # exp(alpha t) so that no inf/inf arises at extreme t
-            return (alpha * (n - 1) * tm).exp() / (1 - (-alpha * tm).exp()) * a + b
-        return tm.exp() / (1 - (alpha * tm).exp()) * a + b
+            den = 1 - (-alpha * tm).exp()
+            return [(alpha * (n - 1) * tm).exp() / den * a + b for n in ns]
+        return [tm.exp() / (1 - (alpha * tm).exp()) * a + b] * len(ns)
 
 
 def twist_recurrence_series(p: TwistParams, n_max: int) -> list:

@@ -202,9 +202,10 @@ def test_criterion_6_twist_suite():
                     for b in (0.5, 1.0, 10.0):
                         p = tz.TwistParams(kind, d=d, t=t, A=a, B=b)
                         rec = [Fraction(v) for v in tz.twist_recurrence_series(p, 200)]
+                        bounds = tz.twist_bound_series(p, 200)
                         exact_branch = t == 0.0 or p.slope == 0
                         for n in range(1, 201):
-                            bb, rr = Fraction(tz.twist_bound_mp(p, n)), rec[n - 1]
+                            bb, rr = Fraction(bounds[n - 1]), rec[n - 1]
                             if exact_branch:
                                 if abs(bb - rr) > Fraction(1e-12) * rr:
                                     failures.append(

@@ -23,7 +23,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from catentropy import exact_linalg
@@ -36,6 +36,7 @@ from catentropy.exact_linalg import (
     exterior_power,
     min_poly,
     poly_gcd,
+    squarefree_decomposition,
     tensor_product,
 )
 
@@ -374,46 +375,61 @@ def _conjugated(d: ExactMatrix) -> ExactMatrix:
     return u @ d @ u.inverse()
 
 
-def _rows_built(monkeypatch, m: ExactMatrix) -> int:
-    calls = []
+def _rows_and_gcds(monkeypatch, m: ExactMatrix) -> tuple[int, int, ExactPoly]:
+    """The adjugate rows ``min_poly(m)`` builds, the rational gcds it and
+    ``squarefree_decomposition`` of its result make, and the min poly."""
+    rows, gcds = [], []
 
-    def spy(a, f, i):
-        calls.append(i)
+    def row_spy(a, f, i):
+        rows.append(i)
         return row_builder(a, f, i)
 
-    row_builder = exact_linalg._adjugate_row
-    monkeypatch.setattr(exact_linalg, "_adjugate_row", spy)
-    min_poly(m)
+    def gcd_spy(a, b):
+        gcds.append((a, b))
+        return gcd(a, b)
+
+    row_builder, gcd = exact_linalg._adjugate_row, exact_linalg.poly_gcd
+    monkeypatch.setattr(exact_linalg, "_adjugate_row", row_spy)
+    monkeypatch.setattr(exact_linalg, "poly_gcd", gcd_spy)
+    p = min_poly(m)
+    squarefree_decomposition(p)
     monkeypatch.undo()
-    assert calls == list(range(len(calls)))
-    return len(calls)
+    assert rows == list(range(len(rows)))
+    return len(rows), len(gcds), p
 
 
 def test_min_poly_builds_adjugate_rows_only_while_the_gcd_can_fall(monkeypatch):
-    # A = C(x^3 + 2x^2 + 2).  A squarefree char poly needs no adjugate row;
-    # a Jordan-coupled [[A, I], [0, A]] has d_{n-1} = 1, found in its first
-    # row; block_diag(A, A) has d_{n-1} = char poly of A, and every row is
-    # read to confirm it.
-    a = ExactMatrix.companion(ExactPoly([2, 0, 2, 1]))
+    # A = C(x^3 + 2x^2 + 2).  A squarefree char poly needs no adjugate row,
+    # and the gcd modulo a prime proves it squarefree without a rational
+    # gcd; a Jordan-coupled [[A, I], [0, A]] has d_{n-1} = 1, found in its
+    # first row; block_diag(A, A) has d_{n-1} = char poly of A, and every
+    # row is read to confirm it.  Each derogatory input still reaches
+    # Euclid.
+    f = ExactPoly([2, 0, 2, 1])
+    a = ExactMatrix.companion(f)
     ident, zero = ExactMatrix.identity(3), ExactMatrix.zeros(3)
     jordan = ExactMatrix(
         tuple([ra + ri for ra, ri in zip(a.num, ident.num)]
               + [rz + ra for rz, ra in zip(zero.num, a.num)])
     )
+    p, q = ExactPoly([1, 4, 2, -4, 1]), ExactPoly([1, 0, 6, 0, 1])
     tie = ExactMatrix.block_diag(  # C((x^2 - 2x - 1)^2) + C(x^4 + 6x^2 + 1)
-        ExactMatrix.companion(ExactPoly([1, 4, 2, -4, 1])),
-        ExactMatrix.companion(ExactPoly([1, 0, 6, 0, 1])),
+        ExactMatrix.companion(p), ExactMatrix.companion(q)
     )
-    for m, rows in [
-        (a, 0),
-        (_conjugated(ExactMatrix.block_diag(a, a.scale(2))), 0),
-        (jordan, 1),
-        (_conjugated(jordan), 1),
-        (_conjugated(tie), 1),
-        (ExactMatrix.block_diag(a, a), 6),
+    for m, rows, derogatory, expected in [
+        (a, 0, False, f),
+        (_conjugated(ExactMatrix.block_diag(a, a.scale(2))), 0, False,
+         f * ExactPoly([16, 0, 4, 1])),
+        (jordan, 1, True, f * f),
+        (_conjugated(jordan), 1, True, f * f),
+        (_conjugated(tie), 1, True, p * q),
+        (ExactMatrix.block_diag(a, a), 6, True, f),
     ]:
-        assert _rows_built(monkeypatch, m) == rows
-        assert min_poly(m).degree == ref_min_poly_degree(ref(m.rows))
+        built, gcds, mp = _rows_and_gcds(monkeypatch, m)
+        assert built == rows
+        assert (gcds > 0) == derogatory
+        assert mp == expected
+        assert mp.degree == ref_min_poly_degree(ref(m.rows))
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -481,6 +497,22 @@ def pview(p: ExactPoly):
     assert all(type(c) is Fraction for c in p.coefficients)
     assert p.degree == len(p.num) - 1
     return list(p.coefficients)
+
+
+@SETTINGS
+@given(
+    st.lists(ints, min_size=1, max_size=4),
+    st.lists(ints, max_size=4),
+    st.lists(ints, min_size=1, max_size=3),
+    st.sampled_from([2, 3, 5, 32749]),
+)
+def test_gcd_degree_mod_never_undercuts_the_rational_gcd(cu, cv, cg, q):
+    # The coprimality certificate is sound: modulo a prime not dividing
+    # lead(a), a = u g and b = v g keep a gcd of at least deg gcd(a, b).
+    g = ExactPoly(cg)
+    a, b = ExactPoly(cu) * g, ExactPoly(cv) * g
+    assume(not a.is_zero and a.num[-1] % q)
+    assert exact_linalg._gcd_degree_mod(a.num, b.num, q) >= poly_gcd(a, b).degree
 
 
 @SETTINGS

@@ -6,7 +6,7 @@ import warnings
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from catentropy.corpus import random_quasi_unipotent, random_unimodular
@@ -489,6 +489,56 @@ def test_integer_roots_of_every_size_are_found():
     assert roots == [-7, 0, 100019, 10**12 + 39]
     assert all(type(r) is Fraction for r in roots)
     assert exact_linalg._integer_roots(P([1, 0, 1])) == []
+    # Roots within a factor 2 of the power-of-two Fujiwara bound 2**(k + 1)
+    # of x^2 - (2**k - 1)**2, and beside a root 1 that halves it.
+    for k in (2, 5, 13, 29, 61, 200):
+        r = 2**k - 1
+        assert exact_linalg._integer_roots(P([-r * r, 0, 1])) == [-r, r]
+        assert exact_linalg._integer_roots(P([r, -r - 1, 1])) == [1, r]
+
+
+def _spy_primes(monkeypatch) -> list[int]:
+    """The list into which the primes ``_integer_roots`` tries now go."""
+    tried = []
+    degree_mod = exact_linalg._gcd_degree_mod
+    monkeypatch.setattr(
+        exact_linalg,
+        "_gcd_degree_mod",
+        lambda a, b, q: tried.append(q) or degree_mod(a, b, q),
+    )
+    return tried
+
+
+def test_integer_roots_skip_only_primes_dividing_the_discriminant(monkeypatch):
+    # prod_{i=1..14} (x - i) (x^2 + 1): two roots meet mod every prime up to
+    # 13, and i^2 + 1 = 0 mod 17 for i = 4, so the search tries 19 last.
+    # Its discriminant is prod_{i<j} (j - i)^2 * 4 * prod (i^2 + 1)^2.
+    tried = _spy_primes(monkeypatch)
+    h = P([1, 0, 1])
+    for i in range(1, 15):
+        h = h * P([-i, 1])
+    assert exact_linalg._integer_roots(h) == list(range(1, 15))
+    assert tried == [2, 3, 5, 7, 11, 13, 17, 19]
+    disc = 4 * math.prod((j - i) ** 2 for i in range(1, 15) for j in range(i + 1, 15))
+    disc *= math.prod((i * i + 1) ** 2 for i in range(1, 15))
+    assert all(disc % q == 0 for q in tried[:-1]) and disc % 19
+    # A leading numerator 210 = 2 * 3 * 5 * 7 skips those primes without a
+    # modular gcd: (210 x - 1) (x - 6) (x + 11) (x^2 + 3) tries 11 first.
+    tried.clear()
+    h = P([-1, 210]) * P([-6, 1]) * P([11, 1]) * P([3, 0, 1])
+    assert exact_linalg._integer_roots(h.monic()) == [-11, 6]
+    assert tried[0] == 11
+
+
+def test_integer_roots_of_a_square_raise_after_a_bounded_search(monkeypatch):
+    # (x - 3)^2 (x^2 + 1) stays a square mod every prime.  A squarefree H
+    # skips only primes dividing res(H, H'), so once the primes skipped
+    # multiply past Hadamard's bound on it (2**32 here), H was not
+    # squarefree: ten primes, 2 to 29, and no endless search.
+    tried = _spy_primes(monkeypatch)
+    with pytest.raises(InternalInconsistency, match="non-squarefree"):
+        exact_linalg._integer_roots(P([-3, 1]) ** 2 * P([1, 0, 1]))
+    assert tried == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -497,6 +547,12 @@ def test_integer_roots_of_every_size_are_found():
     st.integers(1, 10**6),
     st.integers(2, 10**6),
 )
+# Clustered roots, 0 among them: every prime below 41 sees two of them meet.
+@example(roots=set(range(-20, 21)), c=1, lead=2)
+@example(roots={-20, -13, -1, 0, 1, 7, 20}, c=3, lead=105)
+# Roots a quarter of the Fujiwara bound, beside leads divisible by 3 * 5 * 7.
+@example(roots={-(2**62 - 1), 0, 2**62 - 1}, c=5, lead=3 * 5 * 7 * 2)
+@example(roots={-(10**15), 10**15}, c=1, lead=3 * 5 * 7)
 def test_integer_roots_are_the_planted_roots(roots, c, lead):
     # x^2 + c has no real root and lead x + 1 no integer root.
     h = P([c, 0, 1]) * P([1, lead])

@@ -16,6 +16,7 @@ from catentropy.twist_zoo import (
     shift_report,
     twist_bound,
     twist_bound_mp,
+    twist_bound_series,
     twist_entropy_report,
     twist_recurrence,
     twist_recurrence_series,
@@ -89,6 +90,8 @@ def test_params_validation():
         twist_bound(TwistParams(P, d=1, t=0.0, A=1.0, B=1.0), 0)
     with pytest.raises(DomainError):
         twist_recurrence_series(TwistParams(S, d=1, t=0.0, A=1.0, B=1.0), 0)
+    with pytest.raises(DomainError):
+        twist_bound_series(TwistParams(S, d=2, t=-1.0, A=1.0, B=1.0), 0)
 
 
 @pytest.mark.parametrize(
@@ -131,6 +134,21 @@ def test_bound_dominates_recurrence_on_grid():
                         assert abs(bb - rr) <= Fraction(1e-12) * rr
                     else:
                         assert rr - bb <= rr * eps, (kind, d, t, n)
+
+
+def test_bound_series_is_the_bound_at_each_n_on_the_criterion_6_grid():
+    # twist_bound_series evaluates exp(t), exp(-alpha t) and the whole t > 0
+    # bound once per parameter set; each value is still the same Decimal,
+    # digits and exponent alike.
+    for kind in (S, P):
+        for d in (1, 2, 3, 4):
+            for t in (-1.0, -0.1, 0.0, 0.1, 1.0):
+                for a in (0.5, 1.0, 10.0):
+                    for b in (0.5, 1.0, 10.0):
+                        p = TwistParams(kind, d=d, t=t, A=a, B=b)
+                        series = [str(v) for v in twist_bound_series(p, 200)]
+                        one_by_one = [str(twist_bound_mp(p, n)) for n in range(1, 201)]
+                        assert series == one_by_one, (kind, d, t, a, b)
 
 
 def test_negative_t_bound_is_strictly_above_partial_sum():
