@@ -681,24 +681,48 @@ def exterior_power(m: ExactMatrix, k: int) -> ExactMatrix:
 # ---------------------------------------------------------------------------
 
 
+def _packed_product(a: list[int], b: list[int], n: int, amax: int) -> list[int]:
+    """Flat row-major ``A B`` for n x n int matrices, ``amax = max|A|``, by
+    Kronecker substitution: row k of B becomes the int ``sum_j B[k][j]
+    2^(w j)``, so the int ``sum_k A[i][k] row_k(B)`` has row i of AB as
+    its digits.  They are at most ``n amax max|B|`` in size (as is B when
+    A != 0); w is that bound's bit length plus a sign bit, rounded up to
+    whole bytes, so each digit, stored as ``x + 2^(w - 1)``, packs and
+    unpacks by one ``to_bytes`` / ``from_bytes`` pass with no carry."""
+    wb = (n * amax * max(map(abs, b))).bit_length() // 8 + 1
+    half, rw, frm = 1 << (8 * wb - 1), n * wb, int.from_bytes
+    off = frm((bytes(wb - 1) + b"\x80") * n, "little")  # 2^(w - 1) at each digit
+    buf = b"".join([(x + half).to_bytes(wb, "little") for x in b])
+    rows = [frm(buf[s : s + rw], "little") - off for s in range(0, n * rw, rw)]
+    buf = b"".join(
+        [(sum(map(operator.mul, a[s : s + n], rows)) + off).to_bytes(rw, "little")
+         for s in range(0, n * n, n)]
+    )
+    return [frm(buf[s : s + wb], "little") - half for s in range(0, n * rw, wb)]
+
+
 def _power_sums(m: ExactMatrix) -> list[int]:
     """``[n, tr(N), ..., tr(N^n)]`` for the int matrix ``N = den * M``, from
     about 2 sqrt(n) products: baby steps ``N^1..N^r``, r = ceil(sqrt n), and
     giant steps ``N^r, N^2r, ...``, each ``tr(N^(qr) N^j)`` one entrywise
-    sum (the split of Paterson and Stockmeyer, SIAM J. Comput. 2, 1973)."""
+    sum (the split of Paterson and Stockmeyer, SIAM J. Comput. 2, 1973).
+    Powers of N commute, so each product puts the higher power on the
+    right, where ``_packed_product`` packs it at the width of that
+    product's own entries: n int products per step, not n^2 dot products."""
     n = m.n
-    baby = [ExactMatrix(m.num)]
+    baby = [[x for row in m.num for x in row]]
+    amax = max(map(abs, baby[0]))
     for _ in range(_ceil_sqrt(n) - 1):
-        baby.append(baby[-1] @ baby[0])
-    p = [n] + [b.trace().numerator for b in baby]
+        baby.append(_packed_product(baby[0], baby[-1], n, amax))
+    p = [n] + [sum(b[:: n + 1]) for b in baby]
     # N^j flattened by columns: tr(G N^j) is its dot product with G by rows.
-    cols = [[x for col in zip(*b.num) for x in col] for b in baby]
-    giant = baby[-1]
+    cols = [[x for i in range(n) for x in b[i::n]] for b in baby]
+    giant = step = baby[-1]
+    smax = max(map(abs, step))
     while len(p) <= n:
-        flat = [x for row in giant.num for x in row]
-        p += [sum(map(operator.mul, flat, c)) for c in cols[: n + 1 - len(p)]]
+        p += [sum(map(operator.mul, giant, c)) for c in cols[: n + 1 - len(p)]]
         if len(p) <= n:
-            giant = giant @ baby[-1]
+            giant = _packed_product(step, giant, n, smax)
     return p
 
 
@@ -736,7 +760,8 @@ def _unscale(p: Sequence[int], den: int) -> ExactPoly:
 
 def char_poly(m: ExactMatrix) -> ExactPoly:
     """The monic characteristic polynomial det(xI - M), exactly: Newton's
-    identities on the power sums ``tr(N^k)``, k <= n, of ``N = den * M``."""
+    identities on the power sums ``tr(N^k)``, k <= n, of ``N = den * M``,
+    whose matrix products pack each row into one int (``_power_sums``)."""
     return _unscale(_from_power_sums(_power_sums(m)), m.den)
 
 
@@ -1046,6 +1071,18 @@ def _cyclotomic_candidates(deg: int) -> list[tuple[int, int]]:
     return [(d, phi) for d, phi in phis if phi <= deg]
 
 
+@functools.cache
+def _cyclotomic_at_2(d: int) -> int:
+    """``Phi_d(2)``, a divisor of ``H(2)`` for every int H that Phi_d
+    divides: ``2^d - 1`` over ``Phi_e(2)`` for the e < d dividing d, so no
+    Phi_d is built for a candidate d that the filter skips."""
+    out = 2**d - 1
+    for e in range(1, d):
+        if d % e == 0:
+            out //= _cyclotomic_at_2(e)
+    return out
+
+
 def _exact_roots_of_part(h: ExactPoly, part: int) -> tuple[list[_RootBox], ExactPoly]:
     """Split off roots whose modulus is exactly computable: rational roots,
     roots of cyclotomic factors (modulus 1), and complex quadratic pairs
@@ -1055,16 +1092,19 @@ def _exact_roots_of_part(h: ExactPoly, part: int) -> tuple[list[_RootBox], Exact
     for r in _integer_roots(rest):
         rest = rest.exact_div(ExactPoly([-r.numerator, 1]))
         boxes.append(_rational_box(r, part))
-    # Phi_d is monic, so dividing by it never scales the numerators.
+    # Phi_d is monic, so dividing by it never scales the numerators, and
+    # Phi_d | H in Q[x] puts the quotient in Z[x] (H the int numerator of
+    # rest): Phi_d(2) >= 1 then divides H(2), and most d fail that first.
+    h2 = _dyadic_value(rest.num, 2, 0)
     for d, phi in _cyclotomic_candidates(rest.degree):
         if rest.degree < 1:
             break
-        if phi > rest.degree:
+        if phi > rest.degree or h2 % _cyclotomic_at_2(d):
             continue
         quot, rem = divmod(rest, cyclotomic_poly(d))
         if not rem.is_zero:
             continue
-        rest = quot
+        rest, h2 = quot, _dyadic_value(quot.num, 2, 0)
         for j in range(d):
             if math.gcd(j, d) == 1:
                 z = cmath.exp(2j * cmath.pi * j / d)

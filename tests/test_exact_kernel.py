@@ -4,7 +4,9 @@
 Every operation is compared against a reference written here on lists of
 ``Fraction`` rows or coefficients, over random integer and rational
 matrices of size 1-6 and polynomials of degree at most 6; the char and
-minimal polynomials also at every size 1-17.  The minimal polynomial
+minimal polynomials also at every size 1-17, where the power sums are
+also compared with traces of repeated ``ExactMatrix`` products on
+inputs that push the packed products' digit width.  The minimal polynomial
 also runs on conjugated block matrices with a repeated factor in the
 char poly, and on tensor squares against a product of root products
 built from power sums.  The example count is bounded and the
@@ -363,6 +365,32 @@ def test_char_and_min_poly_match_fraction_reference_at_each_size(n):
         q = min_poly(m)
         assert q.leading == 1 and q.degree == ref_min_poly_degree(f)
         assert all(x == 0 for row in eval_poly_at_matrix(q, f) for x in row)
+
+
+@pytest.mark.parametrize("n", range(1, 18))
+def test_power_sums_match_repeated_products_at_packing_widths(n):
+    # Each packed product sizes its digits from n max|A| max|B|.  Constant
+    # matrices reach that bound in every entry of every power (c J)^k =
+    # c^k n^(k-1) J; with c < 0 every other power has only negative
+    # digits, which borrow from their neighbours.  c = 2 and c = -128 make
+    # every bound a power of 2 when n is one.
+    rng = random.Random(n)
+    huge = 10**30
+    cases = [[[c] * n for _ in range(n)] for c in (0, 1, -1, -3, -7, 2, -128)]
+    cases += [
+        [[rng.choice((-huge, huge)) for _ in range(n)] for _ in range(n)],
+        [[rng.randint(-huge, huge) for _ in range(n)] for _ in range(n)],
+        [[Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n)]
+         for _ in range(n)],
+    ]
+    for rows in cases:
+        m = ExactMatrix.from_rows(rows)
+        num = ExactMatrix(m.num)
+        expected, power = [n], num
+        for _ in range(n):
+            expected.append(power.trace())
+            power = power @ num
+        assert exact_linalg._power_sums(m) == expected
 
 
 def _conjugated(d: ExactMatrix) -> ExactMatrix:

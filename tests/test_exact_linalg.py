@@ -530,6 +530,39 @@ def test_integer_roots_skip_only_primes_dividing_the_discriminant(monkeypatch):
     assert tried[0] == 11
 
 
+def test_cyclotomic_prefilter_keeps_every_order_d_factor(monkeypatch):
+    # Phi_d | H forces Phi_d(2) | H(2), so the filter never skips a factor.
+    # x^2 + 2 makes H(2) a multiple of 3 = Phi_2(2) = Phi_6(2) without
+    # Phi_2 or Phi_6 dividing H (unless d = 6), so an exact division must
+    # reject at least one of them.  2x^3 + x + 5 makes the part's numerator
+    # H differ from Phi_d g, and Phi_e (x^2 + 2) leaves a second cyclotomic
+    # factor after the first is divided out.
+    divisions = []
+    divmod_poly = ExactPoly.__divmod__
+
+    def spy(a, b):
+        out = divmod_poly(a, b)
+        divisions.append((b, out[1].is_zero))
+        return out
+
+    monkeypatch.setattr(ExactPoly, "__divmod__", spy)
+    orders = [d for d in range(1, 129) if exact_linalg.euler_phi(d) <= 8]
+    assert orders[-1] == 30 and len(orders) == 18
+    for d in range(1, 129):
+        assert exact_linalg._cyclotomic_at_2(d) == cyclotomic_poly(d)(2)
+    for d, e in zip(orders, orders[1:] + orders[:1]):
+        for g, more in [(P([1]), ()), (P([3, 1]), ()), (P([2, 0, 1]), ()),
+                        (P([5, 1, 2]), ()), (cyclotomic_poly(e) * P([2, 0, 1]), (e,))]:
+            divisions.clear()
+            boxes, _ = exact_linalg._exact_roots_of_part(cyclotomic_poly(d) * g, 0)
+            found = [b.order for b in boxes]
+            for k in (d, *more):
+                assert found.count(k) == exact_linalg.euler_phi(k)
+            if g == P([2, 0, 1]):
+                rejected = {k for k in orders if (cyclotomic_poly(k), False) in divisions}
+                assert {2, 6} & rejected - {d}
+
+
 def test_integer_roots_of_a_square_raise_after_a_bounded_search(monkeypatch):
     # (x - 3)^2 (x^2 + 1) stays a square mod every prime.  A squarefree H
     # skips only primes dividing res(H, H'), so once the primes skipped
