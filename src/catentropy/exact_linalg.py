@@ -681,6 +681,11 @@ def exterior_power(m: ExactMatrix, k: int) -> ExactMatrix:
 # ---------------------------------------------------------------------------
 
 
+def _digit_offset(wb: int, count: int) -> int:
+    """``2^(8 wb - 1)`` at each of count digits of wb bytes."""
+    return int.from_bytes((bytes(wb - 1) + b"\x80") * count, "little")
+
+
 def _packed_product(a: list[int], b: list[int], n: int, amax: int) -> list[int]:
     """Flat row-major ``A B`` for n x n int matrices, ``amax = max|A|``, by
     Kronecker substitution: row k of B becomes the int ``sum_j B[k][j]
@@ -691,7 +696,7 @@ def _packed_product(a: list[int], b: list[int], n: int, amax: int) -> list[int]:
     unpacks by one ``to_bytes`` / ``from_bytes`` pass with no carry."""
     wb = (n * amax * max(map(abs, b))).bit_length() // 8 + 1
     half, rw, frm = 1 << (8 * wb - 1), n * wb, int.from_bytes
-    off = frm((bytes(wb - 1) + b"\x80") * n, "little")  # 2^(w - 1) at each digit
+    off = _digit_offset(wb, n)
     buf = b"".join([(x + half).to_bytes(wb, "little") for x in b])
     rows = [frm(buf[s : s + rw], "little") - off for s in range(0, n * rw, rw)]
     buf = b"".join(
@@ -783,6 +788,70 @@ def min_poly(m: ExactMatrix) -> ExactPoly:
         if any(_divide(e, d)[1]):  # else d divides e: the gcd stays d
             d = poly_gcd(ExactPoly(d), ExactPoly(e)).num
     return _unscale(_divide(f, d)[0], m.den)
+
+
+#: Whether ``memoryview.cast`` reads little-endian words, so that a packed
+#: int's 8-byte digits decode in one cast (else they decode one by one).
+_LITTLE_ENDIAN = memoryview(b"\1\0").cast("H")[0] == 1
+
+
+def _abs_orbit(left: ExactMatrix, f: ExactMatrix, steps: int) -> list[list[int]]:
+    """``|L F^k|`` for k = 1..steps, each row-major as int numerators over
+    ``left.den``, for an int matrix F.
+
+    ``T_1..T_{n-1}`` are int products; after them the Cayley-Hamilton
+    recurrence ``T_{k+n} = -(c_0 T_k + ... + c_{n-1} T_{k+n-1})`` of F's
+    monic int char poly c gives each term.  A term's n^2 entries are the
+    balanced digits of one int (Kronecker substitution, as in
+    ``_packed_product``), so a step is one sum of n int products and one
+    decode.  The new digits are at most ``|c|_1 M`` with M the largest
+    window digit (``|c|_1 >= 1`` counts the leading 1, so the window's own
+    digits are covered too); before each step that bound is proven to fit
+    a digit of w = 8 wb bits with its sign, and the window is repacked at
+    least twice as wide when it does not.  8-byte digits decode in one
+    ``memoryview`` cast, wider ones by ``int.from_bytes`` per digit, both
+    from the two's-complement bytes ``(x + off) ^ off``."""
+    n, mul, frm = f.n, operator.mul, int.from_bytes
+    cols = list(zip(*f.num))
+    rows = left.num
+    window = [[x for row in rows for x in row]]
+    for _ in range(min(steps, n - 1)):
+        rows = [[sum(map(mul, row, col)) for col in cols] for row in rows]
+        window.append([x for row in rows for x in row])
+    out = [list(map(abs, t)) for t in window[1:]]
+    if steps < n:
+        return out
+    c = _from_power_sums(_power_sums(f))
+    neg, norm = [-x for x in c[:n]], sum(map(abs, c))
+    count = n * n
+
+    def digits(x: int):
+        buf = ((x + off) ^ off).to_bytes(count * wb, "little")
+        if wb == 8 and _LITTLE_ENDIAN:
+            return memoryview(buf).cast("q")
+        return [frm(buf[s : s + wb], "little", signed=True) for s in range(0, len(buf), wb)]
+
+    top = max(max(map(abs, t)) for t in window)
+    wb, limit = 4, -1  # the first packing widens to at least 8-byte digits
+    for _ in range(steps - n + 1):
+        # Every window digit is at most limit, so |c|_1 times it fits: the
+        # older terms passed this test at a width no wider than this one.
+        if top > limit:
+            if limit >= 0:
+                window = [digits(x) for x in packed]
+            wb = max(2 * wb, (norm * top).bit_length() // 8 + 1)
+            half, off = 1 << (8 * wb - 1), _digit_offset(wb, count)
+            limit = (half - 1) // norm
+            packed = [
+                frm(b"".join([(x + half).to_bytes(wb, "little") for x in t]), "little") - off
+                for t in window
+            ]
+        x = sum(map(mul, neg, packed))
+        packed = packed[1:] + [x]
+        vals = list(map(abs, digits(x)))
+        out.append(vals)
+        top = max(vals)
+    return out
 
 
 def nilpotency_index(m: ExactMatrix) -> Optional[int]:
@@ -1066,9 +1135,14 @@ def _rational_box(r: Fraction, part: int) -> _RootBox:
 @functools.cache
 def _cyclotomic_candidates(deg: int) -> list[tuple[int, int]]:
     """``(d, phi(d))`` for each d < 2 deg^2 + 2 with phi(d) <= deg, d
-    increasing: every Phi_d of degree at most deg (phi(d) >= sqrt(d / 2))."""
-    phis = [(d, euler_phi(d)) for d in range(1, 2 * deg * deg + 2)]
-    return [(d, phi) for d, phi in phis if phi <= deg]
+    increasing: every Phi_d of degree at most deg (phi(d) >= sqrt(d / 2)).
+    phi comes from a sieve: each prime p scales its multiples by 1 - 1/p."""
+    top = 2 * deg * deg + 1
+    phi = list(range(top + 1))
+    for p in range(2, top + 1):
+        if phi[p] == p:  # no smaller prime divides p
+            phi[p::p] = [x - x // p for x in phi[p::p]]
+    return [(d, phi[d]) for d in range(1, top + 1) if phi[d] <= deg]
 
 
 @functools.cache

@@ -261,15 +261,27 @@ def pairing_values(
     w: Sequence[Union[int, Fraction]],
     n_max: int,
 ) -> list[Fraction]:
-    """Exact values |v^T . gram . F^n . w| for n = 1..n_max (zeros kept)."""
+    """Exact values |v^T . gram . F^n . w| for n = 1..n_max (zeros kept).
+
+    The iteration runs on int numerators: ``v^T G`` and ``F^n w`` over the
+    common denominator ``gram.den * den(v) * den(w) * f.den^n``, and only
+    the returned values are ``Fraction``s."""
+    from .exact_linalg import _over_common_denominator  # loaded with gram
+
     if gram.n != f.n:
         raise DimensionMismatch("gram and F sizes differ")
-    left = gram.transpose().matvec(v)  # row vector v^T G as a column of G^T
+    if len(v) != f.n or len(w) != f.n:
+        raise DimensionMismatch("vector length does not match matrix size")
+    mul = operator.mul
+    vn, vden = _over_common_denominator(v)
+    cur, den = _over_common_denominator(w)
+    left = [sum(map(mul, col, vn)) for col in zip(*gram.num)]  # v^T G
+    den *= gram.den * vden
     out = []
-    cur = list(w)
     for _ in range(n_max):
-        cur = list(f.matvec(cur))
-        out.append(abs(sum(a * b for a, b in zip(left, cur))))
+        cur = [sum(map(mul, row, cur)) for row in f.num]
+        den *= f.den
+        out.append(Fraction(abs(sum(map(mul, left, cur))), den))
     return out
 
 

@@ -13,7 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from itertools import compress
+from typing import Sequence, Union
 
 from .errors import (
     AllPairingsDegenerate,
@@ -26,6 +27,7 @@ from .exact_linalg import (
     MAX_BITS,
     ExactMatrix,
     GrowthSignature,
+    _abs_orbit,
     growth_signature,
 )
 from .growth_estimator import EstimatedSignature, PositiveSequence, fit_growth
@@ -122,11 +124,21 @@ CROSSCHECK_N_MAX = 400
 _FLOAT_CEILING = 1e280
 
 
-def _safe_float(v: Fraction) -> Optional[float]:
-    if v.numerator.bit_length() - v.denominator.bit_length() > 960:
-        return None
-    x = v.numerator / v.denominator
-    return x if x <= _FLOAT_CEILING else None
+def _safe_floats(nums: Sequence[int], den: int) -> list[float]:
+    """``num / den`` as floats for the nums before the first one whose
+    value exceeds ``_FLOAT_CEILING``.  The bit-length test only keeps the
+    division from overflowing: past it the value is over 2^959 anyway, so
+    the cut depends on the values alone, not on whether num / den is in
+    lowest terms."""
+    out, bits = [], den.bit_length() + 960
+    for num in nums:
+        if num.bit_length() > bits:
+            break
+        x = num / den
+        if x > _FLOAT_CEILING:
+            break
+        out.append(x)
+    return out
 
 
 @dataclass(frozen=True)
@@ -170,30 +182,24 @@ def hereditary_report(
     if sig.rho_float > 1:
         steps = min(n_max, max(32, int(640 / math.log(sig.rho_float))))
 
-    # The pair value |e_i^T G F^k e_j| is entry (i, j) of G F^k, so one
-    # matrix product per step gives all n^2 pairs.  Each step keeps the
-    # absolute int numerators (row-major) and the common denominator.
-    steps_abs = []
-    power = lat.gram
-    for _ in range(steps):
-        power = power @ f
-        steps_abs.append(([abs(x) for row in power.num for x in row], power.den))
+    # The pair value |e_i^T G F^k e_j| is entry (i, j) of G F^k, so each
+    # step of the orbit gives all n^2 pairs, as absolute int numerators
+    # (row-major) over gram.den.
+    steps_abs = _abs_orbit(lat.gram, f, steps)
     pairs = [(i, j) for i in range(n) for j in range(n)]
-    has_zero = [not all(vals[p] for vals, _ in steps_abs) for p in range(n * n)]
+    has_zero = [not all(seq) for seq in zip(*steps_abs)]
     skipped = [pair for pair, z in zip(pairs, has_zero) if z]
     fallback = all(has_zero)
-    kept = [p for p in range(n * n) if fallback or not has_zero[p]]
-    totals = [Fraction(sum(vals[p] for p in kept), den) for vals, den in steps_abs]
-    if any(v == 0 for v in totals):
+    if fallback or not any(has_zero):
+        totals = list(map(sum, steps_abs))
+    else:
+        kept = [not z for z in has_zero]
+        totals = [sum(compress(vals, kept)) for vals in steps_abs]
+    if not all(totals):
         raise AllPairingsDegenerate(
             "summed pairing sequence vanishes; no growth crosscheck possible"
         )
-    floats = []
-    for v in totals:
-        x = _safe_float(v)
-        if x is None:
-            break
-        floats.append(x)
+    floats = _safe_floats(totals, lat.gram.den)
     if len(floats) < 16:
         raise AllPairingsDegenerate("too few finite pairing values to fit")
     est = fit_growth(PositiveSequence.from_values(floats))

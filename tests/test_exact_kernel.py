@@ -393,6 +393,85 @@ def test_power_sums_match_repeated_products_at_packing_widths(n):
         assert exact_linalg._power_sums(m) == expected
 
 
+def _orbit_by_products(left: ExactMatrix, f: ExactMatrix, steps: int) -> list:
+    """``|L F^k|``, k = 1..steps, row-major, by repeated ``@``."""
+    out, power = [], left
+    for _ in range(steps):
+        power = power @ f
+        out.append([abs(x) for row in power.rows for x in row])
+    return out
+
+
+def _orbit_widths(monkeypatch, left: ExactMatrix, f: ExactMatrix, steps: int):
+    """``|L F^k|`` from ``_abs_orbit`` as Fractions, and the digit width in
+    bytes of each packing of its n^2 digits (the power sums' products pack
+    n digits, and none at n = 1)."""
+    widths, offset = [], exact_linalg._digit_offset
+
+    def spy(wb, count):
+        if count == f.n**2:
+            widths.append(wb)
+        return offset(wb, count)
+
+    monkeypatch.setattr(exact_linalg, "_digit_offset", spy)
+    nums = exact_linalg._abs_orbit(left, f, steps)
+    monkeypatch.undo()
+    return [[Fraction(x, left.den) for x in t] for t in nums], widths
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_abs_orbit_matches_repeated_products(monkeypatch, n):
+    # Random int F in [-3, 3] grows past 8-byte digits within the steps
+    # taken; [-1, 1] mostly stays inside them.  The nilpotent shift has
+    # char poly x^n, -I has (x + 1)^n.  L is random, zero, rational
+    # (den > 1) or has entries above 2^63, which the first packing must
+    # already fit.  Every steps < n stops inside the initial products.
+    rng = random.Random(n)
+
+    def rand(draw):
+        return [[draw() for _ in range(n)] for _ in range(n)]
+
+    fs = [
+        rand(lambda: rng.randint(-3, 3)),
+        rand(lambda: rng.randint(-1, 1)),
+        [[int(j == i + 1) for j in range(n)] for i in range(n)],
+        [[-int(j == i) for j in range(n)] for i in range(n)],
+    ]
+    lefts = [
+        rand(lambda: rng.randint(-9, 9)),
+        [[0] * n for _ in range(n)],
+        rand(lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 6))),
+        rand(lambda: rng.choice((-1, 1)) * rng.randint(2**63, 2**90)),
+    ]
+    for f_rows in fs:
+        f = ExactMatrix.from_rows(f_rows)
+        for left_rows in lefts:
+            left = ExactMatrix.from_rows(left_rows)
+            for steps in [*range(n), 3 * n + 24]:
+                got, widths = _orbit_widths(monkeypatch, left, f, steps)
+                assert got == _orbit_by_products(left, f, steps), (steps, widths)
+                assert all(b >= 2 * a for a, b in zip(widths, widths[1:]))
+                assert (not widths) == (steps < n) and min(widths, default=8) >= 8
+                if widths and left_rows is lefts[-1]:
+                    assert widths[0] > 8
+
+
+def test_abs_orbit_widens_its_digits_on_hyperbolic_growth(monkeypatch):
+    # The Coxeter matrix of the 3-Kronecker quiver and [[2, 1], [1, 1]]
+    # have spectral radius about 6.85 and 2.62: over 400 steps their
+    # entries pass 2^1000 and 2^550, so the digits widen at least twice
+    # past their first 8 bytes.  A rational L (den 3) goes along.
+    for f_rows, left_rows in [
+        ([[-1, 3], [-3, 8]], [[1, -3], [0, 1]]),
+        ([[2, 1], [1, 1]], [["1/3", "-2/3"], [0, "5/3"]]),
+    ]:
+        f, left = ExactMatrix.from_rows(f_rows), ExactMatrix.from_rows(left_rows)
+        got, widths = _orbit_widths(monkeypatch, left, f, 400)
+        assert got == _orbit_by_products(left, f, 400)
+        assert widths[0] == 8 and len(widths) >= 3, widths
+        assert all(b >= 2 * a for a, b in zip(widths, widths[1:]))
+
+
 def _conjugated(d: ExactMatrix) -> ExactMatrix:
     """``U d U^-1`` for a fixed integer unitriangular U."""
     n = d.n

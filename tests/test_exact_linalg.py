@@ -563,6 +563,17 @@ def test_cyclotomic_prefilter_keeps_every_order_d_factor(monkeypatch):
                 assert {2, 6} & rejected - {d}
 
 
+def test_cyclotomic_candidates_sieve_matches_euler_phi():
+    # The sieved phi gives the list that trial division by euler_phi gives.
+    for deg in range(1, 41):
+        expected = [
+            (d, exact_linalg.euler_phi(d))
+            for d in range(1, 2 * deg * deg + 2)
+            if exact_linalg.euler_phi(d) <= deg
+        ]
+        assert exact_linalg._cyclotomic_candidates(deg) == expected
+
+
 def test_integer_roots_of_a_square_raise_after_a_bounded_search(monkeypatch):
     # (x - 3)^2 (x^2 + 1) stays a square mod every prime.  A squarefree H
     # skips only primes dividing res(H, H'), so once the primes skipped

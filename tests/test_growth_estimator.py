@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,7 @@ from catentropy.growth_estimator import (
     eval_ext_distance,
     fit_growth,
     pairing_sequence,
+    pairing_values,
 )
 
 M = ExactMatrix.from_rows
@@ -258,6 +260,30 @@ def test_pairing_sequence_fibonacci_corner():
     est = fit_growth(seq)
     assert abs(est.rho_hat - (3 + math.sqrt(5)) / 2) <= 1e-3 * est.rho_hat
     assert abs(est.s_hat) <= 0.15
+
+
+def test_pairing_values_match_fraction_reference():
+    # Rational G, F, v and w of sizes 1-4: the int iteration over one
+    # common denominator gives the values of plain Fraction arithmetic.
+    rng = random.Random(3)
+
+    def rat():
+        return Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 4)))
+
+    for n in range(1, 5):
+        for _ in range(6):
+            g = [[rat() for _ in range(n)] for _ in range(n)]
+            f = [[rat() for _ in range(n)] for _ in range(n)]
+            v = [rat() for _ in range(n)]
+            w = [rng.randint(-5, 5) for _ in range(n)]
+            left = [sum(v[i] * g[i][j] for i in range(n)) for j in range(n)]
+            expected, cur = [], w
+            for _ in range(12):
+                cur = [sum(f[i][j] * cur[j] for j in range(n)) for i in range(n)]
+                expected.append(abs(sum(a * b for a, b in zip(left, cur))))
+            got = pairing_values(M(g), M(f), v, w, 12)
+            assert got == expected
+            assert all(type(x) is Fraction for x in got)
 
 
 def test_pairing_sequence_identity_is_constant():

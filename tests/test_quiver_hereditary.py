@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -17,6 +18,7 @@ from catentropy.quiver_hereditary import (
     euler_form,
     hereditary_report,
 )
+from catentropy.jsonio import canonical_json, serialize_hereditary_report
 
 M = ExactMatrix.from_rows
 
@@ -159,3 +161,36 @@ def test_hereditary_exact_matches_crosscheck_all_a_orientations():
             rep = hereditary_report(euler_form(q), coxeter_matrix(q), n_max=240)
             assert rep.h_cat == 0.0 and rep.h_pol == 0
             assert rep.crosscheck_consistent, (n, orient)
+
+
+#: SHA-256 over the canonical JSON of ``serialize_hereditary_report``, one
+#: line per quiver, for each corpus of ``_report_corpora``.  The fitted
+#: floats come from the platform's ``math.log`` and ``math.exp``, so, as
+#: with the golden envelopes, another C library can move these digests.
+REPORT_DIGESTS = {
+    "A1-A5": "fb8a700bdcd472c9a0d5da721f8e39ff5349a5a76af7121a1c906490aebfe81f",
+    "K2-K8": "7f0783b5d360ce2b977c2cd0fcb4213cc029c2258e7fde1e7eef18763e886a7d",
+    "random": "643d45f3f85983151b49ba1bc7b5f952682120ed64571c768ef38fb70f4487d0",
+}
+
+
+def _report_corpora() -> dict:
+    """Every orientation of A1-A5 (31 quivers), the Kronecker quivers K2-K8
+    and 20 random acyclic quivers of up to 6 vertices."""
+    rng = random.Random(20)
+    return {
+        "A1-A5": [linear_quiver(n, o) for n in range(1, 6) for o in range(2 ** (n - 1))],
+        "K2-K8": [kronecker_quiver(m) for m in range(2, 9)],
+        "random": [random_acyclic_quiver(rng, max_vertices=6) for _ in range(20)],
+    }
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_DIGESTS))
+def test_hereditary_reports_keep_their_digests(name):
+    quivers = _report_corpora()[name]
+    assert len(quivers) == {"A1-A5": 31, "K2-K8": 7, "random": 20}[name]
+    digest = hashlib.sha256()
+    for q in quivers:
+        rep = hereditary_report(euler_form(q), coxeter_matrix(q))
+        digest.update(canonical_json(serialize_hereditary_report(rep)).encode() + b"\n")
+    assert digest.hexdigest() == REPORT_DIGESTS[name]
