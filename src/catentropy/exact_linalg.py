@@ -34,10 +34,11 @@ import functools
 import itertools
 import math
 import operator
+import struct
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .errors import (
     DimensionMismatch,
@@ -405,9 +406,19 @@ class ExactMatrix:
     one representation and an integer matrix is its int rows over
     ``den == 1``.  All arithmetic runs on these ints.  ``rows`` and
     ``entry`` give the ``Fraction`` view, built only when asked for.
+
+    As the right factor of a product of size at least ``_PACKED_FROM``,
+    the matrix packs each row into one int (``_product``) and keeps that
+    packing in the private slot ``_packed``: ``(max|entry|, digit width,
+    decoder, packed rows)``, filled on first use and replaced when a
+    product needs another width.  So a loop that multiplies by the same M
+    packs M once per width.  Keeping it is safe because the matrix never
+    changes: the slot holds a form of ``num`` and never a result, every
+    product is still computed in full, and equality, hashing, ``repr``
+    and pickling read only ``num`` and ``den``.
     """
 
-    __slots__ = ("num", "den", "_rows")
+    __slots__ = ("num", "den", "_rows", "_packed")
 
     def __init__(self, num: tuple[tuple[int, ...], ...], den: int = 1):
         """Wrap int rows over ``den`` (any nonzero int), normalising the
@@ -426,6 +437,7 @@ class ExactMatrix:
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "_rows", None)
+        object.__setattr__(self, "_packed", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactMatrix is immutable")
@@ -531,10 +543,7 @@ class ExactMatrix:
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         self._same_size(other)
-        cols = list(zip(*other.num))
-        mul = operator.mul
-        num = [tuple([sum(map(mul, row, col)) for col in cols]) for row in self.num]
-        return ExactMatrix(tuple(num), self.den * other.den)
+        return ExactMatrix(tuple(_product(self.num, other)), self.den * other.den)
 
     __mul__ = __matmul__
 
@@ -607,7 +616,23 @@ class ExactMatrix:
 
     def entry_abs_sum(self) -> Fraction:
         """Sum of absolute values of all entries (an exact matrix norm)."""
-        return Fraction(sum(sum(map(abs, row)) for row in self.num), self.den)
+        return Fraction(sum(map(abs, itertools.chain.from_iterable(self.num))), self.den)
+
+    def _packing(self, amax: int) -> tuple[Callable, list[int]]:
+        """For ``A @ self`` with ``max|A| = amax``: the decoder of its rows
+        and the rows of ``self`` packed at their digit width (kept in
+        ``_packed``, with ``max|self|`` and the width)."""
+        kept, n = self._packed, len(self.num)
+        bmax = kept[0] if kept else max(map(abs, itertools.chain.from_iterable(self.num)))
+        # The digits of A @ self are at most n amax bmax, and so is bmax
+        # itself unless A == 0: max(amax, 1) covers self's own digits.
+        wb = _digit_width(n * max(amax, 1) * bmax)
+        if kept is None or kept[1] != wb:
+            off = _digit_offset(wb, n)
+            flat = list(itertools.chain.from_iterable(self.num))
+            kept = (bmax, wb, _decoder(n, wb, off), _pack(flat, n, wb, off))
+            object.__setattr__(self, "_packed", kept)
+        return kept[2:]
 
     def _same_size(self, other: "ExactMatrix"):
         if self.n != other.n:
@@ -677,8 +702,19 @@ def exterior_power(m: ExactMatrix, k: int) -> ExactMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Characteristic and minimal polynomials
+# Packed int products
 # ---------------------------------------------------------------------------
+
+#: Smallest size whose products pack rows into ints: below it, n^2 dot
+#: products cost less than packing and decoding (measured in CHANGES.md).
+_PACKED_FROM = 6
+
+
+def _digit_width(bound: int) -> int:
+    """Bytes per digit that hold every int of absolute value at most bound
+    with its sign: the bit length plus a sign bit, rounded up to whole
+    bytes and to at least 8, the width ``struct`` packs and reads."""
+    return max(8, bound.bit_length() // 8 + 1)
 
 
 def _digit_offset(wb: int, count: int) -> int:
@@ -686,24 +722,56 @@ def _digit_offset(wb: int, count: int) -> int:
     return int.from_bytes((bytes(wb - 1) + b"\x80") * count, "little")
 
 
-def _packed_product(a: list[int], b: list[int], n: int, amax: int) -> list[int]:
-    """Flat row-major ``A B`` for n x n int matrices, ``amax = max|A|``, by
-    Kronecker substitution: row k of B becomes the int ``sum_j B[k][j]
-    2^(w j)``, so the int ``sum_k A[i][k] row_k(B)`` has row i of AB as
-    its digits.  They are at most ``n amax max|B|`` in size (as is B when
-    A != 0); w is that bound's bit length plus a sign bit, rounded up to
-    whole bytes, so each digit, stored as ``x + 2^(w - 1)``, packs and
-    unpacks by one ``to_bytes`` / ``from_bytes`` pass with no carry."""
-    wb = (n * amax * max(map(abs, b))).bit_length() // 8 + 1
-    half, rw, frm = 1 << (8 * wb - 1), n * wb, int.from_bytes
-    off = _digit_offset(wb, n)
-    buf = b"".join([(x + half).to_bytes(wb, "little") for x in b])
-    rows = [frm(buf[s : s + rw], "little") - off for s in range(0, n * rw, rw)]
-    buf = b"".join(
-        [(sum(map(operator.mul, a[s : s + n], rows)) + off).to_bytes(rw, "little")
-         for s in range(0, n * n, n)]
-    )
-    return [frm(buf[s : s + wb], "little") - half for s in range(0, n * rw, wb)]
+def _pack(xs: list[int], count: int, wb: int, off: int) -> list[int]:
+    """Each run of count consecutive xs as the int ``sum_j x_j 2^(8 wb j)``
+    (Kronecker substitution), for ``off = _digit_offset(wb, count)`` and
+    every ``|x| < 2^(8 wb - 1)``.  The digits' two's-complement bytes read
+    as one unsigned int U, and ``(U ^ off) - off`` restores each borrow."""
+    if wb == 8:
+        buf = struct.pack("<%dq" % len(xs), *xs)
+    else:
+        buf = b"".join([x.to_bytes(wb, "little", signed=True) for x in xs])
+    rw, frm = count * wb, int.from_bytes
+    return [(frm(buf[s : s + rw], "little") ^ off) - off for s in range(0, len(buf), rw)]
+
+
+def _decoder(count: int, wb: int, off: int) -> Callable[[int], tuple[int, ...]]:
+    """The inverse of ``_pack`` on one int of count digits, for digits
+    proven below ``2^(8 wb - 1)`` in size: ``(x + off) ^ off`` is their
+    two's-complement bytes, read by one ``struct`` unpack at 8 bytes a
+    digit and by ``int.from_bytes`` per digit when wider.  Both read
+    little-endian bytes whatever the host's byte order."""
+    rw = count * wb
+    if wb == 8:
+        unpack = struct.Struct("<%dq" % count).unpack
+        return lambda x: unpack(((x + off) ^ off).to_bytes(rw, "little"))
+    frm = int.from_bytes
+
+    def decode(x: int) -> tuple[int, ...]:
+        b = ((x + off) ^ off).to_bytes(rw, "little")
+        return tuple([frm(b[s : s + wb], "little", signed=True) for s in range(0, rw, wb)])
+
+    return decode
+
+
+def _product(a: Sequence[Sequence[int]], b: ExactMatrix) -> list[tuple[int, ...]]:
+    """The rows of the int product ``a @ b.num``, n^2 dot products below
+    ``_PACKED_FROM``.  From there on, row k of b is the packed int ``P_k =
+    sum_j b_kj 2^(w j)`` (``ExactMatrix._packing``), so row i of the
+    product is the digits of the one int ``sum_k a_ik P_k``: n int
+    products per row.  The digits are at most ``n max|a| max|b|`` in size,
+    and w holds that bound with its sign, so none carries into the next."""
+    mul = operator.mul
+    if len(a) < _PACKED_FROM:
+        cols = list(zip(*b.num))
+        return [tuple([sum(map(mul, row, col)) for col in cols]) for row in a]
+    decode, packed = b._packing(max(map(abs, itertools.chain.from_iterable(a))))
+    return [decode(sum(map(mul, row, packed))) for row in a]
+
+
+# ---------------------------------------------------------------------------
+# Characteristic and minimal polynomials
+# ---------------------------------------------------------------------------
 
 
 def _power_sums(m: ExactMatrix) -> list[int]:
@@ -712,22 +780,21 @@ def _power_sums(m: ExactMatrix) -> list[int]:
     giant steps ``N^r, N^2r, ...``, each ``tr(N^(qr) N^j)`` one entrywise
     sum (the split of Paterson and Stockmeyer, SIAM J. Comput. 2, 1973).
     Powers of N commute, so each product puts the higher power on the
-    right, where ``_packed_product`` packs it at the width of that
-    product's own entries: n int products per step, not n^2 dot products."""
-    n = m.n
-    baby = [[x for row in m.num for x in row]]
-    amax = max(map(abs, baby[0]))
+    right, where ``_product`` packs it at the width of that product's own
+    entries: n int products per row, not n dot products."""
+    n, mul, flat = m.n, operator.mul, itertools.chain.from_iterable
+    baby = [ExactMatrix(m.num)]
     for _ in range(_ceil_sqrt(n) - 1):
-        baby.append(_packed_product(baby[0], baby[-1], n, amax))
-    p = [n] + [sum(b[:: n + 1]) for b in baby]
+        baby.append(ExactMatrix(tuple(_product(m.num, baby[-1]))))
+    p = [n] + [sum(map(operator.getitem, b.num, range(n))) for b in baby]
     # N^j flattened by columns: tr(G N^j) is its dot product with G by rows.
-    cols = [[x for i in range(n) for x in b[i::n]] for b in baby]
+    cols = [list(flat(zip(*b.num))) for b in baby]
     giant = step = baby[-1]
-    smax = max(map(abs, step))
     while len(p) <= n:
-        p += [sum(map(operator.mul, giant, c)) for c in cols[: n + 1 - len(p)]]
+        by_rows = list(flat(giant.num))
+        p += [sum(map(mul, by_rows, c)) for c in cols[: n + 1 - len(p)]]
         if len(p) <= n:
-            giant = _packed_product(step, giant, n, smax)
+            giant = ExactMatrix(tuple(_product(step.num, giant)))
     return p
 
 
@@ -790,65 +857,48 @@ def min_poly(m: ExactMatrix) -> ExactPoly:
     return _unscale(_divide(f, d)[0], m.den)
 
 
-#: Whether ``memoryview.cast`` reads little-endian words, so that a packed
-#: int's 8-byte digits decode in one cast (else they decode one by one).
-_LITTLE_ENDIAN = memoryview(b"\1\0").cast("H")[0] == 1
-
-
 def _abs_orbit(left: ExactMatrix, f: ExactMatrix, steps: int) -> list[list[int]]:
     """``|L F^k|`` for k = 1..steps, each row-major as int numerators over
     ``left.den``, for an int matrix F.
 
-    ``T_1..T_{n-1}`` are int products; after them the Cayley-Hamilton
-    recurrence ``T_{k+n} = -(c_0 T_k + ... + c_{n-1} T_{k+n-1})`` of F's
-    monic int char poly c gives each term.  A term's n^2 entries are the
-    balanced digits of one int (Kronecker substitution, as in
-    ``_packed_product``), so a step is one sum of n int products and one
-    decode.  The new digits are at most ``|c|_1 M`` with M the largest
-    window digit (``|c|_1 >= 1`` counts the leading 1, so the window's own
-    digits are covered too); before each step that bound is proven to fit
-    a digit of w = 8 wb bits with its sign, and the window is repacked at
-    least twice as wide when it does not.  8-byte digits decode in one
-    ``memoryview`` cast, wider ones by ``int.from_bytes`` per digit, both
-    from the two's-complement bytes ``(x + off) ^ off``."""
-    n, mul, frm = f.n, operator.mul, int.from_bytes
-    cols = list(zip(*f.num))
+    ``T_1..T_{n-1}`` are int products (``_product``); after them the
+    Cayley-Hamilton recurrence ``T_{k+n} = -(c_0 T_k + ... + c_{n-1}
+    T_{k+n-1})`` of F's monic int char poly c gives each term.  A term's
+    n^2 entries are the digits of one int (``_pack``), so a step is one sum
+    of n int products and one decode.  The new digits are at most
+    ``|c|_1 M`` with M the largest window digit (``|c|_1 >= 1`` counts the
+    leading 1, so the window's own digits are covered too); before each
+    step that bound is proven to fit a digit of w = 8 wb bits with its
+    sign, and the window is repacked at least twice as wide when it does
+    not."""
+    n, mul, flat = f.n, operator.mul, itertools.chain.from_iterable
     rows = left.num
-    window = [[x for row in rows for x in row]]
+    window = [list(flat(rows))]
     for _ in range(min(steps, n - 1)):
-        rows = [[sum(map(mul, row, col)) for col in cols] for row in rows]
-        window.append([x for row in rows for x in row])
+        rows = _product(rows, f)
+        window.append(list(flat(rows)))
     out = [list(map(abs, t)) for t in window[1:]]
     if steps < n:
         return out
     c = _from_power_sums(_power_sums(f))
     neg, norm = [-x for x in c[:n]], sum(map(abs, c))
     count = n * n
-
-    def digits(x: int):
-        buf = ((x + off) ^ off).to_bytes(count * wb, "little")
-        if wb == 8 and _LITTLE_ENDIAN:
-            return memoryview(buf).cast("q")
-        return [frm(buf[s : s + wb], "little", signed=True) for s in range(0, len(buf), wb)]
-
     top = max(max(map(abs, t)) for t in window)
-    wb, limit = 4, -1  # the first packing widens to at least 8-byte digits
+    wb, limit = 0, -1
     for _ in range(steps - n + 1):
         # Every window digit is at most limit, so |c|_1 times it fits: the
         # older terms passed this test at a width no wider than this one.
         if top > limit:
             if limit >= 0:
-                window = [digits(x) for x in packed]
-            wb = max(2 * wb, (norm * top).bit_length() // 8 + 1)
-            half, off = 1 << (8 * wb - 1), _digit_offset(wb, count)
-            limit = (half - 1) // norm
-            packed = [
-                frm(b"".join([(x + half).to_bytes(wb, "little") for x in t]), "little") - off
-                for t in window
-            ]
+                window = list(map(decode, packed))
+            wb = max(2 * wb, _digit_width(norm * top))
+            off = _digit_offset(wb, count)
+            decode = _decoder(count, wb, off)
+            limit = ((1 << (8 * wb - 1)) - 1) // norm
+            packed = _pack(list(flat(window)), count, wb, off)
         x = sum(map(mul, neg, packed))
         packed = packed[1:] + [x]
-        vals = list(map(abs, digits(x)))
+        vals = list(map(abs, decode(x)))
         out.append(vals)
         top = max(vals)
     return out

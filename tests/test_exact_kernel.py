@@ -6,7 +6,10 @@ Every operation is compared against a reference written here on lists of
 matrices of size 1-6 and polynomials of degree at most 6; the char and
 minimal polynomials also at every size 1-17, where the power sums are
 also compared with traces of repeated ``ExactMatrix`` products on
-inputs that push the packed products' digit width.  The minimal polynomial
+inputs that push the packed products' digit width.  Matrix products
+are also compared at every size 1-10, on both sides of the size where
+they start to pack rows into ints, with digits of 8 bytes and wider and
+with one right factor reused at several widths.  The minimal polynomial
 also runs on conjugated block matrices with a repeated factor in the
 char poly, and on tensor squares against a product of root products
 built from power sums.  The example count is bounded and the
@@ -472,6 +475,127 @@ def test_abs_orbit_widens_its_digits_on_hyperbolic_growth(monkeypatch):
         assert all(b >= 2 * a for a, b in zip(widths, widths[1:]))
 
 
+# -- packed products ---------------------------------------------------------
+
+
+def _decoder_widths(monkeypatch) -> list:
+    """Record the digit width in bytes of every packed product's decoder."""
+    widths, decoder = [], exact_linalg._decoder
+
+    def spy(count, wb, off):
+        widths.append(wb)
+        return decoder(count, wb, off)
+
+    monkeypatch.setattr(exact_linalg, "_decoder", spy)
+    return widths
+
+
+def _constant(n: int, c) -> list:
+    return [[c] * n for _ in range(n)]
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_matmul_matches_dot_products_on_both_sides_of_the_cut_over(monkeypatch, n):
+    # Products of size below _PACKED_FROM take dot products and decode
+    # nothing; from there on every product is packed, and each fresh
+    # right factor (b, then a in a @ a) makes one decoder.  Entries of 10^30
+    # need digits wider than 8 bytes.  (c J)(d J) = n c d J puts every
+    # digit at the bound n |c| |d| the width is sized from: c = d = edge
+    # gives a bound just below 2^63 (8-byte digits), c = -d negative
+    # digits at it, and c = edge + 1 a bound past it (9 bytes).
+    rng = random.Random(100 + n)
+    huge, edge = 10**30, math.isqrt((2**63 - 1) // n)
+    assert n * edge**2 < 2**63 <= n * (edge + 1) ** 2
+
+    def rand(draw):
+        return [[draw() for _ in range(n)] for _ in range(n)]
+
+    mats = [
+        rand(lambda: rng.randint(-9, 9)),
+        _constant(n, 0),
+        rand(lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 6))),
+        rand(lambda: rng.choice((-huge, huge))),
+        rand(lambda: rng.randint(-huge, huge)),
+    ]
+    pairs = [(a, b) for a in mats for b in mats]
+    pairs += [
+        (_constant(n, edge), _constant(n, edge)),
+        (_constant(n, edge), _constant(n, -edge)),
+        (_constant(n, -edge - 1), _constant(n, edge + 1)),
+    ]
+    widths = _decoder_widths(monkeypatch)
+    for ra, rb in pairs:
+        a, b = ExactMatrix.from_rows(ra), ExactMatrix.from_rows(rb)
+        assert view(a @ b) == ref_matmul(ref(ra), ref(rb))
+        assert view(a @ a) == ref_matmul(ref(ra), ref(ra))
+    if n < exact_linalg._PACKED_FROM:
+        assert widths == []
+    else:
+        assert len(widths) == 2 * len(pairs)
+        assert widths[-6:] == [8, 8, 8, 8, 9, 9]
+        assert max(widths) > 9
+
+
+def test_matmul_keeps_one_packing_of_the_right_factor_per_width(monkeypatch):
+    # One 8x8 right factor against left factors whose largest entry grows
+    # from 1 to 10^40 and falls back: B is packed again exactly when the
+    # product's digit width changes, and every product is still exact.
+    n, rng = 8, random.Random(7)
+    b_rows = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+    b = ExactMatrix.from_rows(b_rows)
+    packs, pack = [], exact_linalg._pack
+
+    def spy(xs, count, wb, off):
+        packs.append(wb)
+        return pack(xs, count, wb, off)
+
+    monkeypatch.setattr(exact_linalg, "_pack", spy)
+    widths = []
+    for e in (0, 0, 10, 20, 40, 40, 20, 0, 40):
+        a_rows = [[rng.randint(-(10**e), 10**e) for _ in range(n)] for _ in range(n)]
+        assert view(ExactMatrix.from_rows(a_rows) @ b) == ref_matmul(ref(a_rows), ref(b_rows))
+        widths.append(b._packed[1])
+    assert widths[0] == 8 and widths[1:5] == sorted(widths[1:5]) and widths[4] > 16
+    assert widths[5:8] == sorted(widths[5:8], reverse=True) and widths[7] == 8
+    changes = [w for i, w in enumerate(widths) if i == 0 or w != widths[i - 1]]
+    assert packs == changes
+
+
+def test_kept_packing_changes_no_visible_property():
+    rows = [[Fraction((3 * i - j) % 7 - 3, 1 + (i + j) % 4) for j in range(8)]
+            for i in range(8)]
+    m, twin = ExactMatrix.from_rows(rows), ExactMatrix.from_rows(rows)
+    square = m @ m
+    assert m._packed is not None and twin._packed is None
+    assert m == twin and hash(m) == hash(twin) and repr(m) == repr(twin)
+    assert str(m) == str(twin) and view(m) == view(twin) == ref(rows)
+    assert pickle.dumps(m) == pickle.dumps(twin)
+    back = pickle.loads(pickle.dumps(m))
+    assert back == m and back._packed is None
+    assert back @ back == square == twin @ twin
+    with pytest.raises(AttributeError):
+        m._packed = None
+
+
+@pytest.mark.parametrize("wb", [8, 9, 16])
+def test_pack_and_decode_round_trip_the_extreme_digits(wb):
+    # Digits run over the whole balanced range [-2^(w-1), 2^(w-1)), w =
+    # 8 wb, with runs of 3 digits per packed int.
+    top, rng = 1 << (8 * wb - 1), random.Random(wb)
+    xs = [-top, top - 1, 0, -1, 1, -top, top - 1, top - 1, -top]
+    xs += [rng.randint(-top, top - 1) for _ in range(12)]
+    count, off = 3, exact_linalg._digit_offset(wb, 3)
+    packed = exact_linalg._pack(xs, count, wb, off)
+    assert packed == [
+        sum(x << (8 * wb * j) for j, x in enumerate(xs[s : s + count]))
+        for s in range(0, len(xs), count)
+    ]
+    decode = exact_linalg._decoder(count, wb, off)
+    assert [decode(x) for x in packed] == [
+        tuple(xs[s : s + count]) for s in range(0, len(xs), count)
+    ]
+
+
 def _conjugated(d: ExactMatrix) -> ExactMatrix:
     """``U d U^-1`` for a fixed integer unitriangular U."""
     n = d.n
@@ -687,6 +811,7 @@ ALLOCATION_CALLS = {
     "matvec": "m.matvec(v)",
     "neg": "-m",
     "matmul": "m @ m",
+    "matmul_packed": "m8 @ m8",
     "add": "m + m",
     "sub": "m - m",
     "scale": "m.scale(Fraction(2, 3))",
@@ -728,6 +853,8 @@ def test_constructors_keep_no_spare_tuples(call):
         "p = ExactPoly.from_coefficients(coeffs)\n"
         "q = ExactPoly.from_coefficients([Fraction(1, 3), 1])\n"
         "v = [Fraction(1, 3), Fraction(2, 7)]\n"
+        "m8 = ExactMatrix.from_rows(\n"
+        "    [[Fraction(i - j, 1 + i + j) for j in range(8)] for i in range(8)])\n"
         "before = sys.getallocatedblocks()\n"
         "for _ in range(20000):\n"
         "    %s\n"
