@@ -559,8 +559,9 @@ class ExactMatrix:
         while m:
             if m & 1:
                 out = out @ base
-            base = base @ base
             m >>= 1
+            if m:  # the square after the last bit would go unused
+                base = base @ base
         return out
 
     def matvec(self, v: Sequence[Rat]) -> tuple[Fraction, ...]:
@@ -858,8 +859,14 @@ def min_poly(m: ExactMatrix) -> ExactPoly:
 
 
 def _abs_orbit(left: ExactMatrix, f: ExactMatrix, steps: int) -> list[list[int]]:
-    """``|L F^k|`` for k = 1..steps, each row-major as int numerators over
-    ``left.den``, for an int matrix F.
+    """``|L F^k|`` for k = 1..p, each row-major as int numerators over
+    ``left.den``, for an int matrix F: p = steps, or the first p <= steps
+    with ``L F^p == L``.  The orbit stops there, since ``L F^(p+i) = L F^i``
+    for every i, whether L or F is singular or not, so the whole sequence
+    repeats the returned p terms.  The return is decided by exact equality
+    of signed terms: the int lists of ``L F^k`` and L in the products, and
+    in the recurrence the packed int of the new term and of L, packed at
+    the same width, one int comparison per step.
 
     ``T_1..T_{n-1}`` are int products (``_product``); after them the
     Cayley-Hamilton recurrence ``T_{k+n} = -(c_0 T_k + ... + c_{n-1}
@@ -870,13 +877,17 @@ def _abs_orbit(left: ExactMatrix, f: ExactMatrix, steps: int) -> list[list[int]]
     leading 1, so the window's own digits are covered too); before each
     step that bound is proven to fit a digit of w = 8 wb bits with its
     sign, and the window is repacked at least twice as wide when it does
-    not."""
+    not.  Every packing fits L's digits, which the first window holds, so
+    two terms are equal exactly when their packed ints are."""
     n, mul, flat = f.n, operator.mul, itertools.chain.from_iterable
     rows = left.num
-    window = [list(flat(rows))]
+    start = list(flat(rows))
+    window = [start]
     for _ in range(min(steps, n - 1)):
         rows = _product(rows, f)
         window.append(list(flat(rows)))
+        if window[-1] == start:
+            return [list(map(abs, t)) for t in window[1:]]
     out = [list(map(abs, t)) for t in window[1:]]
     if steps < n:
         return out
@@ -896,10 +907,13 @@ def _abs_orbit(left: ExactMatrix, f: ExactMatrix, steps: int) -> list[list[int]]
             decode = _decoder(count, wb, off)
             limit = ((1 << (8 * wb - 1)) - 1) // norm
             packed = _pack(list(flat(window)), count, wb, off)
+            home = _pack(start, count, wb, off)[0]
         x = sum(map(mul, neg, packed))
         packed = packed[1:] + [x]
         vals = list(map(abs, decode(x)))
         out.append(vals)
+        if x == home:
+            break
         top = max(vals)
     return out
 

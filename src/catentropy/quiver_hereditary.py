@@ -167,6 +167,14 @@ def hereditary_report(
     pair degenerates, the full sum (zero terms and all) is fitted instead,
     since zeros along subsequences do not change the growth class.  The fit
     must recover rho within 1e-3 relative and s within 0.15.
+
+    The pairing orbit ``|G F^k|`` stops early when it returns exactly to
+    its start, ``G F^p == G`` as signed ints (``_abs_orbit``); for an
+    invertible G, as every Euler form is, that is ``F^p = I``, as for a
+    Dynkin quiver.  Then ``G F^(p+i) = G F^i``: the zero pairs are those
+    of one period, and the pair totals of one period, repeated out to the
+    step count, are the totals every step would give, so the fit sees the
+    same values.
     """
     if not f.is_integer:
         raise DomainError("isometry must have integer entries")
@@ -195,6 +203,9 @@ def hereditary_report(
     else:
         kept = [not z for z in has_zero]
         totals = [sum(compress(vals, kept)) for vals in steps_abs]
+    period = len(steps_abs)
+    if period < steps:  # the orbit returned to G: repeat its one period
+        totals = (totals * (steps // period + 1))[:steps]
     if not all(totals):
         raise AllPairingsDegenerate(
             "summed pairing sequence vanishes; no growth crosscheck possible"

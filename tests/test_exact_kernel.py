@@ -4,9 +4,12 @@
 Every operation is compared against a reference written here on lists of
 ``Fraction`` rows or coefficients, over random integer and rational
 matrices of size 1-6 and polynomials of degree at most 6; the char and
-minimal polynomials also at every size 1-17, where the power sums are
+minimal polynomials also at every size 1-17, against a reference on
+int matrices over cleared denominators, where the power sums are
 also compared with traces of repeated ``ExactMatrix`` products on
-inputs that push the packed products' digit width.  Matrix products
+inputs that push the packed products' digit width.  The pairing orbits
+``|L F^k|`` are compared with repeated products too, and so are the
+orbits that stop where they return to L, with their period.  Matrix products
 are also compared at every size 1-10, on both sides of the size where
 they start to pack rows into ints, with digits of 8 bytes and wider and
 with one right factor reused at several widths.  The minimal polynomial
@@ -32,18 +35,21 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from catentropy import exact_linalg
+from catentropy.corpus import kronecker_quiver, linear_quiver
 from catentropy.errors import DomainError
 from catentropy.exact_linalg import (
     ExactMatrix,
     ExactPoly,
     _squared_moduli_poly,
     char_poly,
+    cyclotomic_poly,
     exterior_power,
     min_poly,
     poly_gcd,
     squarefree_decomposition,
     tensor_product,
 )
+from catentropy.quiver_hereditary import coxeter_matrix, euler_form
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -186,6 +192,80 @@ def eval_poly_at_matrix(p, a):
     return acc
 
 
+# -- int reference over cleared denominators --------------------------------
+
+
+def ref_cleared(rows):
+    """``(A, d)``: the int matrix ``A = d M`` for d the lcm of the
+    denominators of M's entries."""
+    f = ref(rows)
+    d = math.lcm(*[x.denominator for row in f for x in row])
+    return [[int(x * d) for x in row] for row in f], d
+
+
+def ref_int_matmul(a, b):
+    cols = list(zip(*b))
+    return [[sum(map(operator.mul, row, col)) for col in cols] for row in a]
+
+
+def ref_int_det(a):
+    """Fraction-free (Bareiss) elimination on an int matrix: every division
+    by the previous pivot is exact, and the last pivot is the determinant."""
+    a = [list(row) for row in a]
+    n, sign, prev = len(a), 1, 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k] != 0), None)
+        if piv is None:
+            return 0
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        p = a[k][k]
+        for i in range(k + 1, n):
+            f = a[i][k]
+            a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], a[k])]
+        prev = p
+    return sign * prev
+
+
+def ref_int_min_poly_degree(a):
+    """Rank of the flattened powers I, A, A^2, ... of an int matrix A, by
+    fraction-free elimination with each kept row divided by its content."""
+    n = len(a)
+    basis = []
+    power = [[int(i == j) for j in range(n)] for i in range(n)]
+    for k in range(n + 1):
+        vec = [x for row in power for x in row]
+        for bvec, piv in basis:
+            if vec[piv] != 0:
+                c, e = bvec[piv], vec[piv]
+                vec = [c * x - e * y for x, y in zip(vec, bvec)]
+        piv = next((i for i, x in enumerate(vec) if x != 0), None)
+        if piv is None:
+            return k
+        g = math.gcd(*vec)
+        basis.append(([x // g for x in vec], piv))
+        power = ref_int_matmul(power, a)
+    raise AssertionError("powers up to n are dependent by Cayley-Hamilton")
+
+
+def ref_int_poly_at_matrix(p, a, d):
+    """``l d^deg p(A / d)`` for an int matrix A, by Horner, with l the
+    common denominator of p's coefficients: an int matrix that is zero
+    exactly when ``p(A / d)`` is."""
+    cs = p.coefficients
+    deg, n = len(cs) - 1, len(a)
+    l = math.lcm(*[c.denominator for c in cs])
+    acc = [[0] * n for _ in range(n)]
+    for k in range(deg, -1, -1):
+        acc = ref_int_matmul(acc, a)
+        c = cs[k] * l * d ** (deg - k)
+        assert c.denominator == 1
+        for i in range(n):
+            acc[i][i] += c.numerator
+    return acc
+
+
 def view(m: ExactMatrix):
     assert all(type(x) is Fraction for row in m.rows for x in row)
     return [list(row) for row in m.rows]
@@ -284,6 +364,38 @@ def test_powers_match_fraction_reference(rows, k):
         assert view(m**-k) == expected
 
 
+def test_powers_match_repeated_products_and_square_only_while_bits_remain(monkeypatch):
+    # M**k for k in -5..70 against k-fold @ (of the inverse for k < 0), at
+    # sizes on both sides of the packed-product cut-over.  Square-and-
+    # multiply needs bit_length(k) - 1 squarings and popcount(k) products:
+    # a square after the last bit would be the largest product and unused.
+    rng = random.Random(70)
+    for n, entries in [(2, (-2, 2)), (3, (-9, 9)), (6, (-1, 1)), (8, (-1, 1))]:
+        rows = [[rng.randint(*entries) for _ in range(n)] for _ in range(n)]
+        rows[0][0] = Fraction(rng.randint(1, 9), 4)
+        m = ExactMatrix.from_rows(rows)
+        if m.det() == 0:
+            m = m + ExactMatrix.identity(n).scale(Fraction(1, 3))
+        inv, matmul = m.inverse(), ExactMatrix.__matmul__
+        expected = {0: ExactMatrix.identity(n)}
+        for k in range(1, 71):
+            expected[k] = expected[k - 1] @ m
+        for k in range(1, 6):
+            expected[-k] = expected[1 - k] @ inv
+        for k, power in sorted(expected.items()):
+            calls = []
+
+            def spy(a, b):
+                calls.append(b.n)
+                return matmul(a, b)
+
+            monkeypatch.setattr(ExactMatrix, "__matmul__", spy)
+            got = m**k
+            monkeypatch.undo()
+            assert got == power, (n, k)
+            assert len(calls) == bin(k).count("1") + max(abs(k).bit_length() - 1, 0), (n, k)
+
+
 # -- elimination and polynomials ---------------------------------------------
 
 
@@ -355,19 +467,22 @@ def test_char_and_min_poly_match_fraction_reference(rows):
 def test_char_and_min_poly_match_fraction_reference_at_each_size(n):
     # The power sums take baby steps N^1..N^r, r = ceil(sqrt n), and giant
     # steps N^r, N^2r, ...; sizes 1-17 cover each n = r^2 and n = r^2 + 1.
+    # The reference runs on A = d M over cleared denominators, all in ints:
+    # det(xI - M) = det(x d I - A) / d^n, the powers of A span the same
+    # space as those of M, and q(M) = 0 iff its cleared form at A is 0.
     rng = random.Random(n)
     for entry in (lambda: rng.randint(-9, 9),
                   lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 4))):
         rows = [[entry() for _ in range(n)] for _ in range(n)]
-        m, f = ExactMatrix.from_rows(rows), ref(rows)
+        m, (a, d) = ExactMatrix.from_rows(rows), ref_cleared(rows)
         p = char_poly(m)
         assert p.degree == n and p.leading == 1
         for x in range(n + 1):
-            shifted = [[x * (i == j) - f[i][j] for j in range(n)] for i in range(n)]
-            assert p(Fraction(x)) == ref_det(shifted)
+            shifted = [[x * d * (i == j) - a[i][j] for j in range(n)] for i in range(n)]
+            assert p(Fraction(x)) == Fraction(ref_int_det(shifted), d**n)
         q = min_poly(m)
-        assert q.leading == 1 and q.degree == ref_min_poly_degree(f)
-        assert all(x == 0 for row in eval_poly_at_matrix(q, f) for x in row)
+        assert q.leading == 1 and q.degree == ref_int_min_poly_degree(a)
+        assert all(x == 0 for row in ref_int_poly_at_matrix(q, a, d) for x in row)
 
 
 @pytest.mark.parametrize("n", range(1, 18))
@@ -405,10 +520,26 @@ def _orbit_by_products(left: ExactMatrix, f: ExactMatrix, steps: int) -> list:
     return out
 
 
+def _return_step(left: ExactMatrix, f: ExactMatrix, steps: int) -> int:
+    """The first k <= steps with ``L F^k == L`` by repeated ``@``, else steps."""
+    power = left
+    for k in range(1, steps + 1):
+        power = power @ f
+        if power == left:
+            return k
+    return steps
+
+
+def _tile(terms: list, steps: int) -> list:
+    """The terms repeated out to steps terms: a whole orbit from one period."""
+    return (terms * -(-steps // len(terms)))[:steps] if terms else []
+
+
 def _orbit_widths(monkeypatch, left: ExactMatrix, f: ExactMatrix, steps: int):
-    """``|L F^k|`` from ``_abs_orbit`` as Fractions, and the digit width in
-    bytes of each packing of its n^2 digits (the power sums' products pack
-    n digits, and none at n = 1)."""
+    """``|L F^k|``, k = 1..steps, from ``_abs_orbit`` as Fractions, its
+    terms tiled when it stops early; the digit width in bytes of each
+    packing of its n^2 digits (the power sums' products pack n digits, and
+    none at n = 1); and the number of terms it returned."""
     widths, offset = [], exact_linalg._digit_offset
 
     def spy(wb, count):
@@ -419,7 +550,8 @@ def _orbit_widths(monkeypatch, left: ExactMatrix, f: ExactMatrix, steps: int):
     monkeypatch.setattr(exact_linalg, "_digit_offset", spy)
     nums = exact_linalg._abs_orbit(left, f, steps)
     monkeypatch.undo()
-    return [[Fraction(x, left.den) for x in t] for t in nums], widths
+    got = [[Fraction(x, left.den) for x in t] for t in nums]
+    return _tile(got, steps), widths, len(nums)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -428,7 +560,9 @@ def test_abs_orbit_matches_repeated_products(monkeypatch, n):
     # taken; [-1, 1] mostly stays inside them.  The nilpotent shift has
     # char poly x^n, -I has (x + 1)^n.  L is random, zero, rational
     # (den > 1) or has entries above 2^63, which the first packing must
-    # already fit.  Every steps < n stops inside the initial products.
+    # already fit.  Every steps < n stops inside the initial products, and
+    # so does an orbit that returns to L before step n (L = 0 returns at
+    # step 1, -I at step 2); one that returns later packs and stops there.
     rng = random.Random(n)
 
     def rand(draw):
@@ -451,10 +585,11 @@ def test_abs_orbit_matches_repeated_products(monkeypatch, n):
         for left_rows in lefts:
             left = ExactMatrix.from_rows(left_rows)
             for steps in [*range(n), 3 * n + 24]:
-                got, widths = _orbit_widths(monkeypatch, left, f, steps)
+                got, widths, p = _orbit_widths(monkeypatch, left, f, steps)
                 assert got == _orbit_by_products(left, f, steps), (steps, widths)
+                assert p == _return_step(left, f, steps), (steps, p)
                 assert all(b >= 2 * a for a, b in zip(widths, widths[1:]))
-                assert (not widths) == (steps < n) and min(widths, default=8) >= 8
+                assert (not widths) == (p < n) and min(widths, default=8) >= 8
                 if widths and left_rows is lefts[-1]:
                     assert widths[0] > 8
 
@@ -469,10 +604,105 @@ def test_abs_orbit_widens_its_digits_on_hyperbolic_growth(monkeypatch):
         ([[2, 1], [1, 1]], [["1/3", "-2/3"], [0, "5/3"]]),
     ]:
         f, left = ExactMatrix.from_rows(f_rows), ExactMatrix.from_rows(left_rows)
-        got, widths = _orbit_widths(monkeypatch, left, f, 400)
+        got, widths, _ = _orbit_widths(monkeypatch, left, f, 400)
         assert got == _orbit_by_products(left, f, 400)
         assert widths[0] == 8 and len(widths) >= 3, widths
         assert all(b >= 2 * a for a, b in zip(widths, widths[1:]))
+
+
+def _unimodular_conjugate(rng: random.Random, f: ExactMatrix) -> ExactMatrix:
+    """``U F U^-1`` for U a product of random int unitriangular matrices."""
+    n = f.n
+    lower, upper = (
+        ExactMatrix.from_rows([
+            [rng.randint(-2, 2) if side(i, j) else int(i == j) for j in range(n)]
+            for i in range(n)
+        ])
+        for side in (operator.gt, operator.lt)
+    )
+    u = lower @ upper
+    return u @ f @ u.inverse()
+
+
+def _periodic_orbit_cases() -> list:
+    """``(L, F, p)`` with ``L F^p == L`` first at step p.  Every orientation
+    of A1-A6 with L its Euler form and F its Coxeter matrix, of order n + 1.
+    Companion matrices of cyclotomic polynomials Phi_d, alone (order d,
+    size phi(d) <= d) and as blocks whose order is below, at or above
+    size n, conjugated by a unimodular U so that no entry is structural.
+    Permutation matrices of one n-cycle and of two and three cycles.  And
+    singular L: ``L F^p == L`` with ``F^p != I``, and L = 0 (p = 1)."""
+    rng = random.Random(23)
+    cases = []
+    for n in range(1, 7):
+        for o in range(2 ** (n - 1)):
+            q = linear_quiver(n, o)
+            cases.append((euler_form(q).gram, coxeter_matrix(q), n + 1))
+    cyc = {d: ExactMatrix.companion(cyclotomic_poly(d)) for d in range(1, 13)}
+    for d in range(1, 13):
+        cases.append((ExactMatrix.identity(cyc[d].n), cyc[d], d))
+    for ds, p in [((2, 2, 1), 2), ((4, 1, 1, 2), 4), ((3, 3, 1, 1), 3),
+                  ((6, 3, 2, 1), 6), ((5, 1, 2), 10), ((4, 3), 12)]:
+        f = _unimodular_conjugate(rng, ExactMatrix.block_diag(*[cyc[d] for d in ds]))
+        n = f.n
+        left = ExactMatrix.from_rows([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)])
+        cases.append((left, f, p))
+    for cycles, p in [((7,), 7), ((4, 3), 12), ((3, 2, 2), 6), ((2, 2, 1, 1, 1), 2)]:
+        perm = list(range(7))
+        start = 0
+        for c in cycles:
+            block = perm[start : start + c]
+            perm[start : start + c] = block[1:] + block[:1]
+            start += c
+        f = ExactMatrix.from_rows([[int(j == perm[i]) for j in range(7)] for i in range(7)])
+        cases.append((ExactMatrix.from_rows([[i * 7 + j for j in range(7)] for i in range(7)]), f, p))
+    # F = Phi_2 + Phi_7 blocks has order 14; a rank-one L that reads only
+    # the Phi_2 block returns at 2, one that reads only Phi_7 at 7 = n.
+    f = ExactMatrix.block_diag(cyc[2], cyc[7])
+    assert f**2 != ExactMatrix.identity(7) != f**7
+    only = [[3] + [0] * 6] + [[0] * 7] * 6
+    cases.append((ExactMatrix.from_rows(only), f, 2))
+    cases.append((ExactMatrix.from_rows([[0, 1, -2, 0, 5, 0, 1]] + [[0] * 7] * 6), f, 7))
+    cases.append((ExactMatrix.zeros(4), _unimodular_conjugate(rng, cyc[5]), 1))
+    # L = c I under a dense F of order 12 whose powers F^0..F^4 reach 99
+    # and F^5..F^11 reach 135.  Its char poly (x^4 - x^2 + 1)(x - 1) has
+    # |c|_1 = 6, so c is the largest scale at which the first five terms
+    # fit 8-byte digits: the orbit widens before it returns, and the return
+    # test must compare at the new width.
+    f = _unimodular_conjugate(random.Random(1), ExactMatrix.block_diag(cyc[12], cyc[1]))
+    cases.append((ExactMatrix.identity(5).scale((2**63 - 1) // 6 // 99), f, 12))
+    return cases
+
+
+def test_abs_orbit_stops_where_the_orbit_returns_to_its_start(monkeypatch):
+    # The orbit returns at p in the initial products (p <= n - 1), at the
+    # first recurrence term (p = n) and later; steps run from 0 past p + 1.
+    # p is the first signed return: an orbit that meets |L| first at
+    # L F^k = -L (A1 at k = 1, Phi_2 and -I blocks) must not stop there.
+    # Its p terms tiled out to steps are the whole orbit.
+    seen, widened = set(), False
+    for left, f, p in _periodic_orbit_cases():
+        n = f.n
+        assert _return_step(left, f, 4 * p) == p
+        seen.add((p < n, p == n, p > n))
+        widened |= len(_orbit_widths(monkeypatch, left, f, p)[1]) > 1
+        whole = _orbit_by_products(left, f, 2 * p + 2)
+        for steps in range(2 * p + 3):
+            nums = exact_linalg._abs_orbit(left, f, steps)
+            assert len(nums) == min(p, steps), (left, f, steps)
+            got = [[Fraction(x, left.den) for x in t] for t in nums]
+            assert _tile(got, steps) == whole[:steps], (left, f, steps)
+    assert len(seen) == 3 and widened
+
+
+def test_abs_orbit_runs_every_step_on_kronecker_coxeter_matrices():
+    # Phi of K2 is unipotent and Phi of K3 hyperbolic: neither returns.
+    for m in (2, 3):
+        q = kronecker_quiver(m)
+        left, f = euler_form(q).gram, coxeter_matrix(q)
+        nums = exact_linalg._abs_orbit(left, f, 400)
+        assert len(nums) == 400
+        assert nums == [[int(x) for x in t] for t in _orbit_by_products(left, f, 400)]
 
 
 # -- packed products ---------------------------------------------------------

@@ -8,8 +8,14 @@ from fractions import Fraction
 import pytest
 
 from catentropy.corpus import kronecker_quiver, linear_quiver, random_acyclic_quiver
-from catentropy.errors import DimensionMismatch, DomainError, NotAnIsometry
+from catentropy.errors import (
+    AllPairingsDegenerate,
+    DimensionMismatch,
+    DomainError,
+    NotAnIsometry,
+)
 from catentropy.exact_linalg import ExactMatrix, growth_signature
+from catentropy import quiver_hereditary
 from catentropy.quiver_hereditary import (
     EulerLattice,
     Quiver,
@@ -161,6 +167,37 @@ def test_hereditary_exact_matches_crosscheck_all_a_orientations():
             rep = hereditary_report(euler_form(q), coxeter_matrix(q), n_max=240)
             assert rep.h_cat == 0.0 and rep.h_pol == 0
             assert rep.crosscheck_consistent, (n, orient)
+
+
+def test_hereditary_report_reads_a_periodic_orbit_from_one_period(monkeypatch):
+    # Every orientation of A1-A6 has a Coxeter matrix of order n + 1, so
+    # its pairing orbit stops after one period and the report tiles the
+    # pair totals out to the step count; the identity stops at step 1, K2
+    # and K3 never.  Each report must equal the one built from all steps
+    # by repeated products, at step counts that one period does and does
+    # not divide.
+    def every_step(left, f, steps):
+        assert left.den == 1 == f.den
+        power, out = left, []
+        for _ in range(steps):
+            power = power @ f
+            out.append([abs(x) for row in power.num for x in row])
+        return out
+
+    quivers = [linear_quiver(n, o) for n in range(1, 7) for o in range(2 ** (n - 1))]
+    quivers += [kronecker_quiver(2), kronecker_quiver(3)]
+    cases = [(euler_form(q), coxeter_matrix(q)) for q in quivers]
+    a2 = euler_form(Quiver.from_arrows(2, [(0, 1)]))
+    cases.append((a2, ExactMatrix.identity(2)))
+    for n_max in (400, 37):
+        fast = [hereditary_report(lat, f, n_max=n_max) for lat, f in cases]
+        monkeypatch.setattr(quiver_hereditary, "_abs_orbit", every_step)
+        slow = [hereditary_report(lat, f, n_max=n_max) for lat, f in cases]
+        monkeypatch.undo()
+        assert list(map(repr, fast)) == list(map(repr, slow))
+    # No steps at all leave nothing to tile or fit.
+    with pytest.raises(AllPairingsDegenerate):
+        hereditary_report(*cases[3], n_max=0)
 
 
 #: SHA-256 over the canonical JSON of ``serialize_hereditary_report``, one
