@@ -43,6 +43,7 @@ _EXPORTS = {
         "RootOfFactor",
         "char_poly",
         "cyclotomic_poly",
+        "entry_sum_sequence",
         "exterior_power",
         "growth_signature",
         "min_poly",

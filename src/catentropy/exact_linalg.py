@@ -918,6 +918,26 @@ def _abs_orbit(left: ExactMatrix, f: ExactMatrix, steps: int) -> list[list[int]]
     return out
 
 
+def entry_sum_sequence(m: ExactMatrix, steps: int) -> list[float]:
+    """The entry sums ``(M ** k).entry_abs_sum()`` as floats, k = 1..steps:
+    the brute-force growth sequence of M.
+
+    The sums are read from the orbit of I under ``N = den * M``
+    (``_abs_orbit``), so the powers come from the Cayley-Hamilton
+    recurrence rather than repeated products.  When that orbit returns to
+    I after p steps, its p sums are repeated out to ``steps``.  The k-th
+    sum of N is divided by ``den**k`` by int true division, which rounds
+    as ``float(Fraction)`` does."""
+    sums = list(map(sum, _abs_orbit(ExactMatrix.identity(m.n), ExactMatrix(m.num), steps)))
+    if len(sums) < steps:
+        sums = (sums * (steps // len(sums) + 1))[:steps]
+    out, scale = [], 1
+    for total in sums:
+        scale *= m.den
+        out.append(total / scale)
+    return out
+
+
 def nilpotency_index(m: ExactMatrix) -> Optional[int]:
     """Smallest j with M^j = 0, or None if M is not nilpotent."""
     power = m

@@ -12,6 +12,7 @@ families of graded-dimension tables into entropy estimates.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -53,15 +54,15 @@ class PositiveSequence:
                 "need at least 8 samples for a 3-parameter fit, got %d"
                 % len(self.values)
             )
-        for v in self.values:
-            if not (v > 0) or not math.isfinite(v):
-                raise NonPositiveValue(
-                    "sequence values must be strictly positive and finite"
-                )
+        v = self.values
+        if any(map(math.isnan, v)) or min(v) <= 0 or max(v) == math.inf:
+            raise NonPositiveValue(
+                "sequence values must be strictly positive and finite"
+            )
 
     @staticmethod
     def from_values(values: Sequence[float], n_start: int = 1) -> "PositiveSequence":
-        return PositiveSequence(tuple(float(v) for v in values), n_start)
+        return PositiveSequence(tuple(map(float, values)), n_start)
 
     @property
     def n_end(self) -> int:
@@ -106,7 +107,7 @@ def eval_ext_distance(table: ExtTable, t: float) -> float:
     return float(sum(v * math.exp(-k * t) for k, v in table.dims))
 
 
-def _dyadic_ints(xs: Sequence[float]) -> tuple[list[int], int]:
+def _dyadic_ints(xs: Sequence[float]) -> tuple[tuple[int, ...], int]:
     """Ints k_i and one power of two D with x_i = k_i / D exactly.
 
     A finite float x is m * 2**(e - 53) with an int m, where
@@ -117,7 +118,45 @@ def _dyadic_ints(xs: Sequence[float]) -> tuple[list[int], int]:
     """
     tiny = min(map(abs, filter(None, xs)), default=1.0)
     shift = max(0, 53 - math.frexp(tiny)[1])
-    return list(map(int, map(math.ldexp, xs, repeat(shift)))), 1 << shift
+    return tuple(map(int, map(math.ldexp, xs, repeat(shift)))), 1 << shift
+
+
+#: How many windows ``_window_design`` keeps.  Fits of one sequence length
+#: with the default head drop share one window.
+_WINDOW_CACHE_SIZE = 16
+
+
+@functools.lru_cache(maxsize=_WINDOW_CACHE_SIZE)
+def _window_design(n_lo: int, n_hi: int) -> tuple[tuple[int, ...], int, tuple, int]:
+    """The data-free part of the fit on [n_lo, n_hi]: the ints L_i of
+    ``log n_i = L_i / log_den`` (``_dyadic_ints``), ``log_den``, the
+    adjugate of the int Gram matrix of the columns (n, L, 1) and its
+    determinant.  All tuples, so a cached design cannot be changed by a
+    caller.
+
+    Raises ``DomainError`` when the determinant is 0; ``lru_cache`` keeps
+    no exception, so every call on such a window raises again.
+    """
+    ns = range(n_lo, n_hi + 1)
+    count = len(ns)
+    logs, log_den = _dyadic_ints(list(map(math.log, ns)))
+    s_n = sum(ns)
+    s_nn = sum(map(operator.mul, ns, ns))
+    s_nl = sum(map(operator.mul, ns, logs))
+    s_ll = sum(map(operator.mul, logs, logs))
+    s_l = sum(logs)
+    adj = (
+        (s_ll * count - s_l * s_l, s_l * s_n - s_nl * count, s_nl * s_l - s_ll * s_n),
+        (s_l * s_n - s_nl * count, s_nn * count - s_n * s_n, s_nl * s_n - s_nn * s_l),
+        (s_nl * s_l - s_ll * s_n, s_nl * s_n - s_nn * s_l, s_nn * s_ll - s_nl * s_nl),
+    )
+    det = s_nn * adj[0][0] + s_nl * adj[1][0] + s_n * adj[2][0]
+    if det == 0:
+        raise DomainError(
+            "the columns n, log n and 1 are linearly dependent in float on "
+            "the window [%d, %d]; no unique growth fit" % (n_lo, n_hi)
+        )
+    return logs, log_den, adj, det
 
 
 def fit_growth(
@@ -145,6 +184,14 @@ def fit_growth(
     ``math.exp``, so digits at the level of their rounding can still
     differ between C libraries.
 
+    Everything that depends on the window alone, not on the data (the
+    ``log n`` ints, the int Gram matrix of the columns, its adjugate and
+    determinant), comes from ``_window_design(n_lo, n_hi)``, which keeps
+    the ``_WINDOW_CACHE_SIZE`` most recently used windows as immutable
+    tuples; each call then only reads ``log a_n`` and forms ``A^T y`` and
+    the residual.  Every 400-term sequence fitted with the default head
+    drop has the window [101, 400], so its columns are built once.
+
     Raises ``DomainError`` when the columns n, log n and 1 are linearly
     dependent in float on the window (with a huge ``n_start`` every
     ``log n`` rounds to the same float), since no unique fit exists.
@@ -169,27 +216,9 @@ def fit_growth(
             "fit window has %d points; need at least 8" % count
         )
     ns = range(n_lo, n_hi + 1)
-    logs, log_den = _dyadic_ints(list(map(math.log, ns)))
+    logs, log_den, adj, det = _window_design(n_lo, n_hi)
     head = n_lo - seq.n_start
     ys, y_den = _dyadic_ints(list(map(math.log, seq.values[head : head + count])))
-    # The int Gram matrix of the columns (n, L, 1) with L = log_den * log n,
-    # and its adjugate.
-    s_n = sum(ns)
-    s_nn = sum(map(operator.mul, ns, ns))
-    s_nl = sum(map(operator.mul, ns, logs))
-    s_ll = sum(map(operator.mul, logs, logs))
-    s_l = sum(logs)
-    adj = (
-        (s_ll * count - s_l * s_l, s_l * s_n - s_nl * count, s_nl * s_l - s_ll * s_n),
-        (s_l * s_n - s_nl * count, s_nn * count - s_n * s_n, s_nl * s_n - s_nn * s_l),
-        (s_nl * s_l - s_ll * s_n, s_nl * s_n - s_nn * s_l, s_nn * s_ll - s_nl * s_nl),
-    )
-    det = s_nn * adj[0][0] + s_nl * adj[1][0] + s_n * adj[2][0]
-    if det == 0:
-        raise DomainError(
-            "the columns n, log n and 1 are linearly dependent in float on "
-            "the window [%d, %d]; no unique growth fit" % (n_lo, n_hi)
-        )
     # A^T y with A = (n, L, 1) and y = ys / y_den, times y_den.
     aty = (sum(map(operator.mul, ns, ys)), sum(map(operator.mul, logs, ys)), sum(ys))
     # The coefficients of (n, L, 1) are coef_num / scale; the log n

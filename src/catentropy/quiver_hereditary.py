@@ -91,14 +91,10 @@ def euler_form(q: Quiver) -> EulerLattice:
     """Euler form in the basis of vertex simples: unit diagonal,
     gram[i][j] = -(number of arrows i -> j) off the diagonal."""
     n = q.vertex_count
-    rows = [
-        [
-            Fraction(1) if i == j else Fraction(-q.arrow_count(i, j))
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    return EulerLattice(ExactMatrix.from_rows(rows))
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for i, j in q.arrows:
+        rows[i][j] -= 1
+    return EulerLattice(ExactMatrix(tuple(map(tuple, rows))))
 
 
 def coxeter_matrix(q: Quiver) -> ExactMatrix:
@@ -172,9 +168,11 @@ def hereditary_report(
     its start, ``G F^p == G`` as signed ints (``_abs_orbit``); for an
     invertible G, as every Euler form is, that is ``F^p = I``, as for a
     Dynkin quiver.  Then ``G F^(p+i) = G F^i``: the zero pairs are those
-    of one period, and the pair totals of one period, repeated out to the
-    step count, are the totals every step would give, so the fit sees the
-    same values.
+    of one period, and so are the pair totals.  Their floats are formed
+    once per period and repeated out to the step count, which gives the
+    floats of every step.  The floats are repeated only when the whole
+    period stays under ``_FLOAT_CEILING``; otherwise the cut-off falls
+    inside the first period, where every step would put it too.
     """
     if not f.is_integer:
         raise DomainError("isometry must have integer entries")
@@ -203,14 +201,16 @@ def hereditary_report(
     else:
         kept = [not z for z in has_zero]
         totals = [sum(compress(vals, kept)) for vals in steps_abs]
-    period = len(steps_abs)
-    if period < steps:  # the orbit returned to G: repeat its one period
-        totals = (totals * (steps // period + 1))[:steps]
     if not all(totals):
         raise AllPairingsDegenerate(
             "summed pairing sequence vanishes; no growth crosscheck possible"
         )
     floats = _safe_floats(totals, lat.gram.den)
+    period = len(steps_abs)
+    if period < steps and len(floats) == period:
+        # The orbit returned to G, and its one period stayed under the
+        # float ceiling: repeat its floats out to the step count.
+        floats = (floats * (steps // period + 1))[:steps]
     if len(floats) < 16:
         raise AllPairingsDegenerate("too few finite pairing values to fit")
     est = fit_growth(PositiveSequence.from_values(floats))

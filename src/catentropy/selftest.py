@@ -33,15 +33,6 @@ from .errors import CatEntropyError
 SEED = 0xC47E17
 
 
-def _entry_sum_sequence(m: xl.ExactMatrix, n_max: int) -> ge.PositiveSequence:
-    vals = []
-    power = m
-    for _ in range(n_max):
-        vals.append(float(power.entry_abs_sum()))
-        power = power @ m
-    return ge.PositiveSequence.from_values(vals)
-
-
 # --- exact_linalg ----------------------------------------------------------
 
 
@@ -67,7 +58,8 @@ def check_oracle_equivalence(corrupt: bool = False) -> list[str]:
     for i in range(15):
         sample = random_quasi_unipotent(rng)
         sig = xl.growth_signature(sample.matrix)
-        est = ge.fit_growth(_entry_sum_sequence(sample.matrix, 400))
+        seq = ge.PositiveSequence.from_values(xl.entry_sum_sequence(sample.matrix, 400))
+        est = ge.fit_growth(seq)
         if abs(est.rho_hat - sig.rho_float) > 1e-3 * sig.rho_float:
             failures.append(
                 "sample %d: rho_hat %.6f vs exact %.6f" % (i, est.rho_hat, sig.rho_float)

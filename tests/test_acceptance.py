@@ -49,11 +49,7 @@ def test_criterion_1_jordan_oracle_equivalence():
                 "matrix %d: s = %d, expected %d"
                 % (i, sig.s, sample.max_multiplicity - 1)
             )
-        vals = []
-        power = sample.matrix
-        for _ in range(400):
-            vals.append(float(power.entry_abs_sum()))
-            power = power @ sample.matrix
+        vals = xl.entry_sum_sequence(sample.matrix, 400)
         est = ge.fit_growth(ge.PositiveSequence.from_values(vals))
         if abs(est.s_hat - sig.s) > 0.15:
             failures.append(

@@ -43,6 +43,7 @@ from catentropy.exact_linalg import (
     _squared_moduli_poly,
     char_poly,
     cyclotomic_poly,
+    entry_sum_sequence,
     exterior_power,
     min_poly,
     poly_gcd,
@@ -703,6 +704,35 @@ def test_abs_orbit_runs_every_step_on_kronecker_coxeter_matrices():
         nums = exact_linalg._abs_orbit(left, f, 400)
         assert len(nums) == 400
         assert nums == [[int(x) for x in t] for t in _orbit_by_products(left, f, 400)]
+
+
+def test_entry_sum_sequence_matches_repeated_products():
+    # The float entry sums of M, M^2, ... by repeated ``@``, as the oracle
+    # loops built them, for int and rational M of size 1-8, every periodic
+    # F of the orbit tests (the sums of one period repeated), and rational
+    # M whose int orbit returns while M's powers shrink: I / 2 and a
+    # permutation over 3.  Step counts below, at and past n.
+    rng = random.Random(24)
+    mats = [f for _, f, _ in _periodic_orbit_cases()]
+    for n in range(1, 9):
+        mats.append(ExactMatrix.from_rows([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]))
+        mats.append(ExactMatrix.from_rows(
+            [[Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n)] for _ in range(n)]
+        ))
+    mats += [
+        ExactMatrix.identity(3).scale(Fraction(1, 2)),
+        ExactMatrix.from_rows([[0, Fraction(1, 3), 0], [0, 0, Fraction(1, 3)], [Fraction(1, 3), 0, 0]]),
+        ExactMatrix.zeros(2),
+    ]
+    for m in mats:
+        power, expected = m, []
+        for _ in range(40):
+            expected.append(float(power.entry_abs_sum()))
+            power = power @ m
+        for steps in (1, m.n, m.n + 1, 40):
+            got = entry_sum_sequence(m, steps)
+            assert got == expected[:steps], (m, steps)
+            assert all(type(x) is float for x in got)
 
 
 # -- packed products ---------------------------------------------------------

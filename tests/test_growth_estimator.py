@@ -15,6 +15,7 @@ from catentropy.errors import (
     WindowTooShort,
     ZeroPairingAt,
 )
+from catentropy import growth_estimator
 from catentropy.exact_linalg import ExactMatrix
 from catentropy.growth_estimator import (
     ExtTable,
@@ -55,6 +56,40 @@ def test_sequence_needs_eight_values():
 def test_sequence_rejects_nonpositive():
     with pytest.raises(NonPositiveValue):
         PositiveSequence.from_values([1.0] * 9 + [0.0])
+
+
+def _per_value_rule_rejects(values) -> bool:
+    """The rule ``PositiveSequence`` applied value by value before its
+    checks became whole-tuple passes: reject unless every value is > 0
+    and finite."""
+    return any(not (v > 0) or not math.isfinite(v) for v in values)
+
+
+@pytest.mark.parametrize("kind", [float, int, Fraction])
+def test_sequence_validation_matches_the_per_value_rule(kind):
+    # NaN, +inf, -inf, zeros and negatives at the first, a middle and the
+    # last index of positive float, int and Fraction samples, built
+    # directly and through from_values; and the same samples unharmed.
+    good = [kind(v) for v in (3, 1, 4, 1, 5, 9, 2, 6, 5)]
+    bad_values = [
+        math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, -1e-300, -math.pi,
+        0, -7, Fraction(0), Fraction(-1, 3),
+    ]
+    samples = [good]
+    for bad in bad_values:
+        for i in (0, 4, 8):
+            samples.append(good[:i] + [bad] + good[i + 1 :])
+    for values in samples:
+        for build in (lambda v: PositiveSequence(tuple(v)), PositiveSequence.from_values):
+            if _per_value_rule_rejects(values):
+                with pytest.raises(NonPositiveValue) as info:
+                    build(values)
+                assert str(info.value) == "sequence values must be strictly positive and finite"
+            else:
+                assert build(values).values == tuple(values)
+    seq = PositiveSequence.from_values(good)
+    assert all(type(v) is float for v in seq.values)
+    assert len(samples) - 1 == sum(map(_per_value_rule_rejects, samples))
 
 
 def test_fit_growth_exponential_times_linear():
@@ -129,12 +164,15 @@ def test_fit_growth_overflowing_rate_is_domain_error():
 
 def test_fit_growth_dependent_columns_is_domain_error():
     # far from n = 1 every log n rounds to the same float, so the log n
-    # column is a multiple of the constant one
+    # column is a multiple of the constant one.  The window cache keeps
+    # no exception: the error comes again on the next call.
     seq = PositiveSequence.from_values(
         [float(v) for v in range(1, 17)], n_start=10**20
     )
-    with pytest.raises(DomainError, match="linearly dependent"):
-        fit_growth(seq)
+    growth_estimator._window_design.cache_clear()
+    for _ in range(2):
+        with pytest.raises(DomainError, match="linearly dependent"):
+            fit_growth(seq)
 
 
 def test_fit_growth_recovery_grid():
@@ -210,8 +248,13 @@ def _fit_inputs(draw):
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(_fit_inputs())
 def test_fit_growth_is_the_exact_least_squares_solution_rounded_once(case):
+    # The same fit with the window's design cached (warm) and built anew
+    # (cold).
     seq, n_lo, n_hi = case
+    fit_growth(seq, n_lo, n_hi)
     est = fit_growth(seq, n_lo, n_hi)
+    growth_estimator._window_design.cache_clear()
+    assert fit_growth(seq, n_lo, n_hi) == est
     if n_lo is None:
         n_lo, n_hi = seq.n_start + len(seq.values) // 4, seq.n_end
     beta, rss = _exact_least_squares(seq, n_lo, n_hi)
@@ -219,6 +262,33 @@ def test_fit_growth_is_the_exact_least_squares_solution_rounded_once(case):
     assert est.rho_hat == math.exp(float(beta[0]))
     assert est.residual == math.sqrt(float(rss / (n_hi - n_lo + 1)))
     assert est.window == (n_lo, n_hi)
+
+
+def test_window_design_is_immutable():
+    # Only tuples and ints, so hashable: a caller cannot change a cached
+    # design in place.
+    logs, log_den, adj, det = design = growth_estimator._window_design(3, 12)
+    hash(design)
+    assert len(logs) == 10 and len(adj) == 3 and log_den > 0 and det != 0
+
+
+def test_window_cache_keys_on_both_ends():
+    # Windows of one length at different offsets (and of different
+    # lengths from one n_lo), fitted in turn on a warm cache, each twice,
+    # give the fits of a cold cache.
+    rng = random.Random(24)
+    values = [rng.uniform(1, 2) * 1.3**n * n**2 for n in range(1, 121)]
+    seq = PositiveSequence.from_values(values)
+    windows = [(1, 10), (2, 11), (50, 59), (111, 120), (1, 30), (91, 120), (1, 120), (31, 120)]
+    cold = []
+    for lo, hi in windows:
+        growth_estimator._window_design.cache_clear()
+        cold.append(fit_growth(seq, lo, hi))
+    growth_estimator._window_design.cache_clear()
+    warm = [fit_growth(seq, lo, hi) for lo, hi in windows for _ in range(2)]
+    assert warm[::2] == cold == warm[1::2]
+    assert len(set(cold)) == len(windows)
+    assert fit_growth(seq) == cold[-1]  # the default window drops 30 of 120
 
 
 def test_entropy_from_shift_tables():

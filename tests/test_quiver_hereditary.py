@@ -169,6 +169,17 @@ def test_hereditary_exact_matches_crosscheck_all_a_orientations():
             assert rep.crosscheck_consistent, (n, orient)
 
 
+def _every_step_orbit(left, f, steps):
+    """``|G F^k|`` for every k = 1..steps by repeated products, as int
+    numerators: the pairing orbit without its early stop."""
+    assert left.den == 1 == f.den
+    power, out = left, []
+    for _ in range(steps):
+        power = power @ f
+        out.append([abs(x) for row in power.num for x in row])
+    return out
+
+
 def test_hereditary_report_reads_a_periodic_orbit_from_one_period(monkeypatch):
     # Every orientation of A1-A6 has a Coxeter matrix of order n + 1, so
     # its pairing orbit stops after one period and the report tiles the
@@ -176,14 +187,6 @@ def test_hereditary_report_reads_a_periodic_orbit_from_one_period(monkeypatch):
     # and K3 never.  Each report must equal the one built from all steps
     # by repeated products, at step counts that one period does and does
     # not divide.
-    def every_step(left, f, steps):
-        assert left.den == 1 == f.den
-        power, out = left, []
-        for _ in range(steps):
-            power = power @ f
-            out.append([abs(x) for row in power.num for x in row])
-        return out
-
     quivers = [linear_quiver(n, o) for n in range(1, 7) for o in range(2 ** (n - 1))]
     quivers += [kronecker_quiver(2), kronecker_quiver(3)]
     cases = [(euler_form(q), coxeter_matrix(q)) for q in quivers]
@@ -191,13 +194,66 @@ def test_hereditary_report_reads_a_periodic_orbit_from_one_period(monkeypatch):
     cases.append((a2, ExactMatrix.identity(2)))
     for n_max in (400, 37):
         fast = [hereditary_report(lat, f, n_max=n_max) for lat, f in cases]
-        monkeypatch.setattr(quiver_hereditary, "_abs_orbit", every_step)
+        monkeypatch.setattr(quiver_hereditary, "_abs_orbit", _every_step_orbit)
         slow = [hereditary_report(lat, f, n_max=n_max) for lat, f in cases]
         monkeypatch.undo()
         assert list(map(repr, fast)) == list(map(repr, slow))
     # No steps at all leave nothing to tile or fit.
     with pytest.raises(AllPairingsDegenerate):
         hereditary_report(*cases[3], n_max=0)
+
+
+def test_a_returning_orbit_past_the_float_ceiling_fails_as_every_step_does(monkeypatch):
+    # A period whose pair totals cross _FLOAT_CEILING (1e280) is cut
+    # inside its first period, so its floats must not be repeated.  With
+    # the Euler form scaled by c, A2's Phi returns after 3 steps with
+    # totals (2, 3, 3) c and A3's after 4 with (4, 4, 5, 5) c, so one or two
+    # floats stay under the ceiling; F = I returns at once with every total
+    # about 2e300.  Each fails as the orbit of every step does.
+    def scaled(q, c):
+        return EulerLattice(euler_form(q).gram.scale(c))
+
+    a2, a3 = linear_quiver(2), linear_quiver(3)
+    cases = [
+        (scaled(a2, 4 * 10**279), coxeter_matrix(a2)),
+        (scaled(a3, 22 * 10**278), coxeter_matrix(a3)),
+        (scaled(a2, 10**300), ExactMatrix.identity(2)),
+    ]
+    for orbit in (quiver_hereditary._abs_orbit, _every_step_orbit):
+        monkeypatch.setattr(quiver_hereditary, "_abs_orbit", orbit)
+        for lat, f in cases:
+            with pytest.raises(AllPairingsDegenerate, match="too few finite pairing values"):
+                hereditary_report(lat, f)
+
+
+def _fraction_gram(q: Quiver) -> ExactMatrix:
+    """The Euler form built entry by entry from Fractions, each
+    off-diagonal entry counting its arrows, as ``euler_form`` once did."""
+    n = q.vertex_count
+    return ExactMatrix.from_rows([
+        [Fraction(1) if i == j else Fraction(-q.arrow_count(i, j)) for j in range(n)]
+        for i in range(n)
+    ])
+
+
+def test_euler_form_matches_the_fraction_built_gram():
+    # Every orientation of A1-A6, the Kronecker quivers K2-K8 and random
+    # quivers with up to 4 parallel arrows, listed in shuffled order.
+    rng = random.Random(24)
+    quivers = [linear_quiver(n, o) for n in range(1, 7) for o in range(2 ** (n - 1))]
+    quivers += [kronecker_quiver(m) for m in range(2, 9)]
+    for _ in range(40):
+        q = random_acyclic_quiver(rng, max_vertices=7, max_parallel=4)
+        arrows = list(q.arrows)
+        rng.shuffle(arrows)
+        quivers.append(Quiver.from_arrows(q.vertex_count, arrows))
+    repeated = sum(len(set(q.arrows)) < len(q.arrows) for q in quivers)
+    assert repeated >= 20
+    for q in quivers:
+        got, ref = euler_form(q).gram, _fraction_gram(q)
+        assert (got.num, got.den) == (ref.num, ref.den)
+        assert all(type(x) is int for row in got.num for x in row)
+        assert coxeter_matrix(q) == -(ref.transpose().inverse() @ ref)
 
 
 #: SHA-256 over the canonical JSON of ``serialize_hereditary_report``, one
