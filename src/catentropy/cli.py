@@ -248,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_growth(args, messages: list[str]) -> tuple[dict, object]:
+def _cmd_growth(args) -> tuple[dict, object]:
     from .exact_linalg import growth_signature
 
     m, payload = jsonio.parse_matrix_text(_read_input(args.matrix))
@@ -256,7 +256,7 @@ def _cmd_growth(args, messages: list[str]) -> tuple[dict, object]:
     return jsonio.serialize_growth(sig), payload
 
 
-def _cmd_classify(args, messages: list[str]) -> tuple[dict, object]:
+def _cmd_classify(args) -> tuple[dict, object]:
     from . import exact_linalg  # noqa: F401  first, see the module docstring
     from .sl2z_dynamics import (
         Context,
@@ -277,7 +277,7 @@ def _cmd_classify(args, messages: list[str]) -> tuple[dict, object]:
     return jsonio.serialize_trichotomy(report, crosscheck), payload
 
 
-def _cmd_endo(args, messages: list[str]) -> tuple[dict, object]:
+def _cmd_endo(args) -> tuple[dict, object]:
     from . import exact_linalg  # noqa: F401  first, see the module docstring
     from .variety_dynamics import (
         kuenneth_self_product,
@@ -287,27 +287,28 @@ def _cmd_endo(args, messages: list[str]) -> tuple[dict, object]:
 
     endo, payload = jsonio.parse_endo_text(_read_input(args.endo))
     rep = pullback_entropy_report(endo, args.tol, args.precision)
-    messages.extend(validate_geometric(rep.table))
+    for text in validate_geometric(rep.table):
+        warnings.warn(CatEntropyWarning(text))
     kuenneth = None
     if args.kuenneth:
         kuenneth = kuenneth_self_product(rep.table, args.tol, args.precision)
     return jsonio.serialize_endo_report(rep, kuenneth), payload
 
 
-def _cmd_linebundle(args, messages: list[str]) -> tuple[dict, object]:
+def _cmd_linebundle(args) -> tuple[dict, object]:
     from . import exact_linalg  # noqa: F401  first, see the module docstring
     from .variety_dynamics import line_bundle_report
 
     lb, payload = jsonio.parse_linebundle_text(_read_input(args.linebundle))
     rep = line_bundle_report(lb)
     if rep.h_pol_exact is None:
-        messages.append(
+        warnings.warn(CatEntropyWarning(
             "no positivity flag: only the bounds [nu, dim] are certified"
-        )
+        ))
     return jsonio.serialize_linebundle_report(rep), payload
 
 
-def _cmd_twist(args, messages: list[str]) -> tuple[dict, object]:
+def _cmd_twist(args) -> tuple[dict, object]:
     from .twist_zoo import (
         TwistKind,
         TwistParams,
@@ -339,7 +340,7 @@ def _cmd_twist(args, messages: list[str]) -> tuple[dict, object]:
     return jsonio.serialize_twist_report(rep, bound, rec, args.n), payload
 
 
-def _cmd_quiver(args, messages: list[str]) -> tuple[dict, object]:
+def _cmd_quiver(args) -> tuple[dict, object]:
     from . import exact_linalg  # noqa: F401  first, see the module docstring
     from .quiver_hereditary import coxeter_matrix, euler_form, hereditary_report
 
@@ -362,7 +363,7 @@ def _cmd_quiver(args, messages: list[str]) -> tuple[dict, object]:
     return results, payload
 
 
-def _cmd_estimate(args, messages: list[str]) -> tuple[dict, object]:
+def _cmd_estimate(args) -> tuple[dict, object]:
     from .growth_estimator import RESIDUAL_TRUST_THRESHOLD, fit_growth
 
     seq, payload = jsonio.parse_sequence_text(_read_input(args.sequence))
@@ -370,10 +371,10 @@ def _cmd_estimate(args, messages: list[str]) -> tuple[dict, object]:
         seq, n_lo=args.n_lo, n_hi=args.n_hi, drop_head_fraction=args.drop_head
     )
     if est.residual > RESIDUAL_TRUST_THRESHOLD:
-        messages.append(
+        warnings.warn(CatEntropyWarning(
             "residual %.3f exceeds %g: a single regression cannot separate "
             "upper from lower growth here" % (est.residual, RESIDUAL_TRUST_THRESHOLD)
-        )
+        ))
     return jsonio.serialize_estimate(est), payload
 
 
@@ -438,7 +439,7 @@ def _run_command(args, messages: list[str]) -> tuple[dict, object]:
     with warnings.catch_warnings():
         warnings.simplefilter("always", CatEntropyWarning)
         warnings.showwarning = record
-        return _COMMANDS[args.cmd](args, messages)
+        return _COMMANDS[args.cmd](args)
 
 
 if __name__ == "__main__":

@@ -355,8 +355,6 @@ def squarefree_decomposition(p: ExactPoly) -> list[tuple[ExactPoly, int]]:
         return [(p, 1)]
     g = poly_gcd(p, p.derivative())
     out = []
-    if g.degree == 0:
-        return [(p, 1)]
     c = p.exact_div(g)
     d = p.derivative().exact_div(g) - c.derivative()
     j = 1
@@ -839,26 +837,34 @@ def char_poly(m: ExactMatrix) -> ExactPoly:
 
 
 def min_poly(m: ExactMatrix) -> ExactPoly:
-    """Monic least-degree polynomial annihilating M: ``f / d_{n-1}`` for
-    f = det(xI - N) and d_{n-1} the monic gcd of the entries of
-    ``adj(xI - N)``, N = den * M (Gantmacher, *The Theory of Matrices* I,
-    ch. IV, sec. 6).  The gcd fold starts at ``gcd(f, f')``, which d_{n-1}
-    divides (f / d_{n-1} has every root of f, so each root of d_{n-1} is
-    one of f of higher multiplicity); a gcd modulo a prime (``_coprime``)
-    proves most squarefree f squarefree before Euclid would run.  It reads
-    the entries in row-major order, building each adjugate row when it
-    reaches it, and stops once the gcd is 1: a squarefree f builds no row."""
+    """Monic least-degree polynomial annihilating M: that of N = den * M
+    (``_min_poly_int``), taken back to M."""
+    return _unscale(_min_poly_int(m)[0], m.den)
+
+
+def _min_poly_int(m: ExactMatrix) -> tuple[list[int], bool]:
+    """The monic int min poly of N = den * M, lowest degree first, and
+    whether f = det(xI - N) is squarefree.  The min poly is ``f / d_{n-1}``
+    for d_{n-1} the monic gcd of the entries of ``adj(xI - N)`` (Gantmacher,
+    *The Theory of Matrices* I, ch. IV, sec. 6).  The gcd fold starts at
+    ``gcd(f, f')``, which d_{n-1} divides (f / d_{n-1} has every root of f,
+    so each root of d_{n-1} is one of f of higher multiplicity); a gcd
+    modulo a prime (``_coprime``) proves most squarefree f squarefree
+    before Euclid would run.  It reads the entries in row-major order,
+    building each adjugate row when it reaches it, and stops once the gcd
+    is 1: a squarefree f builds no row and is its own min poly."""
     f = _from_power_sums(_power_sums(m))
     df = _derivative(f)
     d = [1] if _coprime(f, df) else poly_gcd(ExactPoly(f), ExactPoly(df)).num
+    squarefree = len(d) == 1
     entries = (e for i in range(m.n) for e in _adjugate_row(m.num, f, i))
     while len(d) > 1 and (e := next(entries, None)) is not None:
         if any(_divide(e, d)[1]):  # else d divides e: the gcd stays d
             d = poly_gcd(ExactPoly(d), ExactPoly(e)).num
-    return _unscale(_divide(f, d)[0], m.den)
+    return _divide(f, d)[0], squarefree
 
 
-def _abs_orbit(left: ExactMatrix, f: ExactMatrix, steps: int) -> list[list[int]]:
+def _abs_orbit(left: ExactMatrix, f: ExactMatrix, c: list[int], steps: int) -> list[list[int]]:
     """``|L F^k|`` for k = 1..p, each row-major as int numerators over
     ``left.den``, for an int matrix F: p = steps, or the first p <= steps
     with ``L F^p == L``.  The orbit stops there, since ``L F^(p+i) = L F^i``
@@ -868,35 +874,35 @@ def _abs_orbit(left: ExactMatrix, f: ExactMatrix, steps: int) -> list[list[int]]
     in the recurrence the packed int of the new term and of L, packed at
     the same width, one int comparison per step.
 
-    ``T_1..T_{n-1}`` are int products (``_product``); after them the
-    Cayley-Hamilton recurrence ``T_{k+n} = -(c_0 T_k + ... + c_{n-1}
-    T_{k+n-1})`` of F's monic int char poly c gives each term.  A term's
+    ``T_1..T_{d-1}`` are int products (``_product``); after them the
+    recurrence ``T_{k+d} = -(c_0 T_k + ... + c_{d-1} T_{k+d-1})`` gives
+    each term, for c a monic int polynomial of degree d (lowest degree
+    first) with ``c(F) = 0``, such as F's char or min poly.  A term's
     n^2 entries are the digits of one int (``_pack``), so a step is one sum
-    of n int products and one decode.  The new digits are at most
+    of d int products and one decode.  The new digits are at most
     ``|c|_1 M`` with M the largest window digit (``|c|_1 >= 1`` counts the
     leading 1, so the window's own digits are covered too); before each
     step that bound is proven to fit a digit of w = 8 wb bits with its
     sign, and the window is repacked at least twice as wide when it does
     not.  Every packing fits L's digits, which the first window holds, so
     two terms are equal exactly when their packed ints are."""
-    n, mul, flat = f.n, operator.mul, itertools.chain.from_iterable
+    d, mul, flat = len(c) - 1, operator.mul, itertools.chain.from_iterable
     rows = left.num
     start = list(flat(rows))
     window = [start]
-    for _ in range(min(steps, n - 1)):
+    for _ in range(min(steps, d - 1)):
         rows = _product(rows, f)
         window.append(list(flat(rows)))
         if window[-1] == start:
             return [list(map(abs, t)) for t in window[1:]]
     out = [list(map(abs, t)) for t in window[1:]]
-    if steps < n:
+    if steps < d:
         return out
-    c = _from_power_sums(_power_sums(f))
-    neg, norm = [-x for x in c[:n]], sum(map(abs, c))
-    count = n * n
+    neg, norm = [-x for x in c[:d]], sum(map(abs, c))
+    count = len(start)
     top = max(max(map(abs, t)) for t in window)
     wb, limit = 0, -1
-    for _ in range(steps - n + 1):
+    for _ in range(steps - d + 1):
         # Every window digit is at most limit, so |c|_1 times it fits: the
         # older terms passed this test at a width no wider than this one.
         if top > limit:
@@ -928,7 +934,8 @@ def entry_sum_sequence(m: ExactMatrix, steps: int) -> list[float]:
     I after p steps, its p sums are repeated out to ``steps``.  The k-th
     sum of N is divided by ``den**k`` by int true division, which rounds
     as ``float(Fraction)`` does."""
-    sums = list(map(sum, _abs_orbit(ExactMatrix.identity(m.n), ExactMatrix(m.num), steps)))
+    chi = _from_power_sums(_power_sums(m))
+    sums = list(map(sum, _abs_orbit(ExactMatrix.identity(m.n), ExactMatrix(m.num), chi, steps)))
     if len(sums) < steps:
         sums = (sums * (steps // len(sums) + 1))[:steps]
     out, scale = [], 1
@@ -1624,33 +1631,34 @@ def root_moduli(
     return out
 
 
-def _quasi_unipotent_k(
-    m: ExactMatrix,
-    parts: Sequence[tuple[ExactPoly, int]],
-    exact_boxes: list[_RootBox],
-    numeric_parts: list[tuple[int, ExactPoly]],
-) -> Optional[int]:
-    """For an integer matrix whose roots all split off exactly as roots of
-    unity, the lcm of their orders; else None.  The nilpotency check is the
-    only test of k and s (= largest multiplicity - 1) off the root split."""
+def quasi_unipotent_order(m: ExactMatrix) -> Optional[int]:
+    """Smallest k with (M^k - I) nilpotent, or None."""
+    if not m.is_integer:
+        raise NonIntegerEntries("quasi-unipotence search needs integer entries")
+    return _spectrum(m)[-1]
+
+
+def _spectrum(m: ExactMatrix) -> tuple[list[int], list, list[_RootBox], list, Optional[int]]:
+    """The one analysis of M that the signature, the quasi-unipotence order
+    and the pairing orbit read: mu of ``_min_poly_int``, the squarefree
+    parts of M's min poly (by Yun only when the char poly is not
+    squarefree), their root split, and k: for an integer M whose roots all
+    split off exactly as roots of unity, the lcm of their orders, else
+    None.  The nilpotency check is the only test of k and s off the split."""
+    mu, squarefree = _min_poly_int(m)
+    p = _unscale(mu, m.den)
+    parts = [(p, 1)] if squarefree else squarefree_decomposition(p)
+    exact_boxes, numeric_parts = _split_roots(parts)
     orders = [box.order for box in exact_boxes]
     if not m.is_integer or numeric_parts or None in orders:
-        return None
+        return mu, parts, exact_boxes, numeric_parts, None
     k = math.lcm(*orders)
     idx = nilpotency_index(m**k - ExactMatrix.identity(m.n))
     if idx != max(mult for _, mult in parts):
         raise InternalInconsistency(
             "M^k - I has nilpotency index %s at k = %d, not s + 1" % (idx, k)
         )
-    return k
-
-
-def quasi_unipotent_order(m: ExactMatrix) -> Optional[int]:
-    """Smallest k with (M^k - I) nilpotent, or None."""
-    if not m.is_integer:
-        raise NonIntegerEntries("quasi-unipotence search needs integer entries")
-    parts = squarefree_decomposition(min_poly(m))
-    return _quasi_unipotent_k(m, parts, *_split_roots(parts))
+    return mu, parts, exact_boxes, numeric_parts, k
 
 
 # ---------------------------------------------------------------------------
@@ -1706,16 +1714,19 @@ def growth_signature(
     Every matrix takes this one route; the quasi-unipotence order k is read
     off the exact root split and checked by nilpotency_index(M^k - I) = s + 1.
     """
+    return _signature(m, tolerance, max_bits)[0]
+
+
+def _signature(m: ExactMatrix, tolerance, max_bits: int) -> tuple[GrowthSignature, list]:
+    """``growth_signature`` and the mu of ``_spectrum`` that it read."""
     if max_bits > MAX_PRECISION_BITS:
         raise DomainError(
             "max_bits %d exceeds the limit of %d bits" % (max_bits, MAX_PRECISION_BITS)
         )
-    p = min_poly(m)
-    parts = squarefree_decomposition(p)
+    mu, parts, exact_boxes, numeric_parts, k = _spectrum(m)
     if len(parts) == 1 and _is_power_of_x(parts[0][0]):
         raise NilpotentInput("growth data is undefined for nilpotent matrices")
 
-    exact_boxes, numeric_parts = _split_roots(parts)
     width = tolerance if isinstance(tolerance, Fraction) else Fraction(tolerance)
     classes, _ = _modulus_classes(exact_boxes, numeric_parts, width, max_bits=max_bits)
 
@@ -1751,8 +1762,8 @@ def growth_signature(
         s=s,
         dominant_factors=dom_factors,
         tied=tied,
-        quasi_unipotent_k=_quasi_unipotent_k(m, parts, exact_boxes, numeric_parts),
-    )
+        quasi_unipotent_k=k,
+    ), mu
 
 
 def _is_power_of_x(h: ExactPoly) -> bool:

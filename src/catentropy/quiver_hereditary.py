@@ -28,7 +28,7 @@ from .exact_linalg import (
     ExactMatrix,
     GrowthSignature,
     _abs_orbit,
-    growth_signature,
+    _signature,
 )
 from .growth_estimator import EstimatedSignature, PositiveSequence, fit_growth
 
@@ -178,7 +178,7 @@ def hereditary_report(
         raise DomainError("isometry must have integer entries")
     if not check_isometry(lat, f):
         raise NotAnIsometry("matrix does not preserve the Euler pairing")
-    sig = growth_signature(f, tolerance, max_bits)
+    sig, mu = _signature(f, tolerance, max_bits)
     h_cat = sig.log_rho
     h_pol = sig.s
 
@@ -191,7 +191,7 @@ def hereditary_report(
     # The pair value |e_i^T G F^k e_j| is entry (i, j) of G F^k, so each
     # step of the orbit gives all n^2 pairs, as absolute int numerators
     # (row-major) over gram.den.
-    steps_abs = _abs_orbit(lat.gram, f, steps)
+    steps_abs = _abs_orbit(lat.gram, f, mu, steps)
     pairs = [(i, j) for i in range(n) for j in range(n)]
     has_zero = [not all(seq) for seq in zip(*steps_abs)]
     skipped = [pair for pair, z in zip(pairs, has_zero) if z]

@@ -202,14 +202,15 @@ def matrix_report(
     )
 
 
+def _word_element(w: TwistWord) -> Sl2Element:
+    """The lattice element of w; the empty word acts as the identity."""
+    return word_to_matrix(w) if w.letters else Sl2Element(ExactMatrix.identity(2))
+
+
 def trichotomy_report(w: TwistWord) -> TrichotomyReport:
     """Classification with exact entropy values for a twist word; the empty
     word acts as the identity."""
-    if not w.letters:
-        g = Sl2Element(ExactMatrix.identity(2))
-    else:
-        g = word_to_matrix(w)
-    return matrix_report(g, w.context)
+    return matrix_report(_word_element(w), w.context)
 
 
 def crosscheck_with_lattice(
@@ -220,8 +221,8 @@ def crosscheck_with_lattice(
     """Compare the trichotomy values against the generic matrix growth
     machinery: requires h_cat = log(rho) to 1e-9 and h_pol = s exactly.
     An inconsistency indicates an implementation bug, not bad input."""
-    report = trichotomy_report(w)
-    g = word_to_matrix(w) if w.letters else Sl2Element(ExactMatrix.identity(2))
+    g = _word_element(w)
+    report = matrix_report(g, w.context)
     sig = growth_signature(g.m, tolerance, max_bits)
     log_rho = sig.log_rho
     consistent = (

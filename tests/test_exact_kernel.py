@@ -45,6 +45,7 @@ from catentropy.exact_linalg import (
     cyclotomic_poly,
     entry_sum_sequence,
     exterior_power,
+    growth_signature,
     min_poly,
     poly_gcd,
     squarefree_decomposition,
@@ -512,6 +513,11 @@ def test_power_sums_match_repeated_products_at_packing_widths(n):
         assert exact_linalg._power_sums(m) == expected
 
 
+def _char_int(f: ExactMatrix) -> list:
+    """The monic int char poly of the int matrix F, lowest degree first."""
+    return exact_linalg._from_power_sums(exact_linalg._power_sums(f))
+
+
 def _orbit_by_products(left: ExactMatrix, f: ExactMatrix, steps: int) -> list:
     """``|L F^k|``, k = 1..steps, row-major, by repeated ``@``."""
     out, power = [], left
@@ -548,8 +554,9 @@ def _orbit_widths(monkeypatch, left: ExactMatrix, f: ExactMatrix, steps: int):
             widths.append(wb)
         return offset(wb, count)
 
+    c = _char_int(f)
     monkeypatch.setattr(exact_linalg, "_digit_offset", spy)
-    nums = exact_linalg._abs_orbit(left, f, steps)
+    nums = exact_linalg._abs_orbit(left, f, c, steps)
     monkeypatch.undo()
     got = [[Fraction(x, left.den) for x in t] for t in nums]
     return _tile(got, steps), widths, len(nums)
@@ -689,7 +696,7 @@ def test_abs_orbit_stops_where_the_orbit_returns_to_its_start(monkeypatch):
         widened |= len(_orbit_widths(monkeypatch, left, f, p)[1]) > 1
         whole = _orbit_by_products(left, f, 2 * p + 2)
         for steps in range(2 * p + 3):
-            nums = exact_linalg._abs_orbit(left, f, steps)
+            nums = exact_linalg._abs_orbit(left, f, _char_int(f), steps)
             assert len(nums) == min(p, steps), (left, f, steps)
             got = [[Fraction(x, left.den) for x in t] for t in nums]
             assert _tile(got, steps) == whole[:steps], (left, f, steps)
@@ -701,9 +708,45 @@ def test_abs_orbit_runs_every_step_on_kronecker_coxeter_matrices():
     for m in (2, 3):
         q = kronecker_quiver(m)
         left, f = euler_form(q).gram, coxeter_matrix(q)
-        nums = exact_linalg._abs_orbit(left, f, 400)
+        nums = exact_linalg._abs_orbit(left, f, _char_int(f), 400)
         assert len(nums) == 400
         assert nums == [[int(x) for x in t] for t in _orbit_by_products(left, f, 400)]
+
+
+def test_abs_orbit_on_the_min_poly_matches_the_char_poly_orbit():
+    # The orbit recurs on any monic c with c(F) = 0; on the min poly mu its
+    # window holds deg mu terms, not n.  Derogatory F: two copies of a
+    # companion block (deg mu = 3 of n = 6), also conjugated, and a Jordan
+    # block beside a scalar one.  Scalar F = c I (deg mu = 1), where -I
+    # returns at step 2.  Finite order: C(Phi_3) twice, conjugated, returns
+    # at 3 = deg mu + 1; C(Phi_5) twice beside C(Phi_1) returns at 5 =
+    # deg mu.  Step counts run from 0, below deg mu, past the return.
+    rng = random.Random(25)
+    a = ExactMatrix.companion(ExactPoly([2, 0, 2, 1]))
+    cyc3, cyc5 = (ExactMatrix.companion(cyclotomic_poly(d)) for d in (3, 5))
+    fs = [
+        (ExactMatrix.block_diag(a, a), 3),
+        (_unimodular_conjugate(rng, ExactMatrix.block_diag(a, a)), 3),
+        (ExactMatrix.block_diag(ExactMatrix.from_rows([[2, 1], [0, 2]]),
+                                ExactMatrix.from_rows([[2]])), 2),
+        (ExactMatrix.identity(4).scale(3), 1),
+        (ExactMatrix.identity(3).scale(-1), 1),
+        (_unimodular_conjugate(rng, ExactMatrix.block_diag(cyc3, cyc3)), 2),
+        (_unimodular_conjugate(rng, ExactMatrix.block_diag(cyc5, cyc5, ExactMatrix.identity(1))), 5),
+    ]
+    for f, degree in fs:
+        n = f.n
+        mu = exact_linalg._min_poly_int(f)[0]
+        assert len(mu) - 1 == degree < n and mu[-1] == 1
+        left = ExactMatrix.from_rows([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)])
+        p = _return_step(left, f, 41)  # 41: no return within 40 steps
+        whole = _orbit_by_products(left, f, 40)
+        for steps in sorted({*range(degree + 2), min(p, 40), min(p + 1, 40), 40}):
+            got = exact_linalg._abs_orbit(left, f, mu, steps)
+            assert got == exact_linalg._abs_orbit(left, f, _char_int(f), steps)
+            assert len(got) == min(p, steps), (f, steps)
+            assert _tile(got, steps) == whole[:steps], (f, steps)
+    assert [_return_step(ExactMatrix.identity(f.n), f, 40) for f, _ in fs[4:]] == [2, 3, 5]
 
 
 def test_entry_sum_sequence_matches_repeated_products():
@@ -921,6 +964,38 @@ def test_min_poly_builds_adjugate_rows_only_while_the_gcd_can_fall(monkeypatch):
         assert (gcds > 0) == derogatory
         assert mp == expected
         assert mp.degree == ref_min_poly_degree(ref(m.rows))
+
+
+def test_growth_signature_certifies_a_squarefree_char_poly_once(monkeypatch):
+    # A squarefree char poly f is its own min poly and one squarefree part:
+    # the analysis proves gcd(f, f') = 1 once and runs no Yun split.  Int,
+    # rational and numerically isolated spectra; a derogatory input, whose
+    # min poly is split by Yun, certifies f and then its min poly.
+    certified, parts = [], []
+    coprime, yun = exact_linalg._coprime, exact_linalg.squarefree_decomposition
+
+    def coprime_spy(a, b):
+        if list(b) == exact_linalg._derivative(a):
+            certified.append(list(a))
+        return coprime(a, b)
+
+    monkeypatch.setattr(exact_linalg, "_coprime", coprime_spy)
+    monkeypatch.setattr(
+        exact_linalg, "squarefree_decomposition", lambda p: parts.append(p) or yun(p)
+    )
+    a = ExactMatrix.companion(ExactPoly([2, 0, 2, 1]))
+    for m, count in [
+        (ExactMatrix.from_rows([[2, 1], [1, 1]]), 1),
+        (ExactMatrix.from_rows([[0, -1], [1, 0]]), 1),
+        (a, 1),
+        (ExactMatrix.from_rows([["1/2", 3], [1, "-2/3"]]), 1),
+        (_conjugated(ExactMatrix.block_diag(a, a.scale(2))), 1),
+        (ExactMatrix.block_diag(a, a), 2),
+    ]:
+        certified.clear()
+        parts.clear()
+        growth_signature(m)
+        assert len(certified) == count and len(parts) == count - 1, m
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])

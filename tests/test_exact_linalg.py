@@ -96,8 +96,11 @@ def test_squarefree_square():
 
 
 def test_squarefree_already_squarefree():
-    # gcd(p, p') = 1 here, so the polynomial is its own part
+    # gcd(p, p') = 1 here, so the polynomial is its own part; x (x - q)
+    # for the coprimality certificate's prime q = 32749 is too, though its
+    # roots meet modulo q and only Yun's loop can tell
     assert squarefree_decomposition(P([1, -3, 1])) == [(P([1, -3, 1]), 1)]
+    assert squarefree_decomposition(P([0, -32749, 1])) == [(P([0, -32749, 1]), 1)]
 
 
 def test_squarefree_mixed():

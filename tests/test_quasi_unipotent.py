@@ -4,8 +4,8 @@ Matrices are ``U J U^-1`` with ``J`` block-diagonal from companion
 matrices of powers ``Phi_d^j`` of cyclotomic polynomials and ``U``
 unimodular, so the order (the lcm of the ``d``) and the growth exponent
 (the largest ``j`` minus one) are known by construction.  Sizes are at
-most 6 (7 with an extra block); the example count is bounded and the
-search derandomised.
+most 6 (7 with an extra block, 16 for a tensor product of two of size
+at most 4); the example count is bounded and the search derandomised.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from catentropy.exact_linalg import (
     growth_signature,
     nilpotency_index,
     quasi_unipotent_order,
+    tensor_product,
 )
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -32,11 +33,12 @@ ORDERS = [d for d in range(1, 2 * MAX_SIZE * MAX_SIZE + 1) if euler_phi(d) <= MA
 
 
 @st.composite
-def cyclotomic_blocks(draw):
-    """(d, j) pairs whose companion blocks C(Phi_d^j) fill at most MAX_SIZE."""
+def cyclotomic_blocks(draw, size=MAX_SIZE):
+    """(d, j) pairs whose companion blocks C(Phi_d^j) fill at most size."""
     blocks: list[tuple[int, int]] = []
-    budget = MAX_SIZE
-    wanted = st.tuples(st.sampled_from(ORDERS), st.integers(1, 3))
+    budget = size
+    orders = [d for d in ORDERS if euler_phi(d) <= size]
+    wanted = st.tuples(st.sampled_from(orders), st.integers(1, 3))
     for d, j in draw(st.lists(wanted, min_size=1, max_size=4)):
         j = min(j, budget // euler_phi(d))
         if j:
@@ -66,9 +68,9 @@ def companion_blocks(*blocks):
 
 
 @st.composite
-def quasi_unipotent(draw):
-    """(M, blocks) with M = U J U^-1 integer."""
-    blocks = draw(cyclotomic_blocks())
+def quasi_unipotent(draw, size=MAX_SIZE):
+    """(M, blocks) with M = U J U^-1 integer, of size at most size."""
+    blocks = draw(cyclotomic_blocks(size))
     j_mat, _ = companion_blocks(*blocks)
     u = draw(unimodular(j_mat.n))
     return u @ j_mat @ u.inverse(), blocks
@@ -124,3 +126,17 @@ def test_rational_conjugate_keeps_growth_without_order(case, offset, den):
     sig, sig_q = growth_signature(m), growth_signature(conj)
     assert (sig_q.rho_exact, sig_q.s) == (sig.rho_exact, sig.s)
     assert sig_q.quasi_unipotent_k is None
+
+
+@given(quasi_unipotent(size=4), quasi_unipotent(size=4))
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+def test_tensor_product_adds_growth_exponents(case_a, case_b):
+    # The eigenvalues of A (x) B are the products of those of A and B, all
+    # roots of unity, and a Jordan block pair of sizes a and b gives a
+    # largest block of size a + b - 1: s(A (x) B) = s(A) + s(B).  Both
+    # sides of at most 4, so the product is at most 16 x 16.
+    (a, blocks_a), (b, blocks_b) = case_a, case_b
+    sig = growth_signature(tensor_product(a, b))
+    expected = max(j for _, j in blocks_a) + max(j for _, j in blocks_b) - 2
+    assert sig.s == growth_signature(a).s + growth_signature(b).s == expected
+    assert sig.rho_exact == 1 and sig.quasi_unipotent_k is not None

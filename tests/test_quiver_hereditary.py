@@ -15,7 +15,7 @@ from catentropy.errors import (
     NotAnIsometry,
 )
 from catentropy.exact_linalg import ExactMatrix, growth_signature
-from catentropy import quiver_hereditary
+from catentropy import exact_linalg, quiver_hereditary
 from catentropy.quiver_hereditary import (
     EulerLattice,
     Quiver,
@@ -169,10 +169,21 @@ def test_hereditary_exact_matches_crosscheck_all_a_orientations():
             assert rep.crosscheck_consistent, (n, orient)
 
 
-def _every_step_orbit(left, f, steps):
+#: Quivers on 4 vertices whose Coxeter matrix has a min poly of degree 3:
+#: one arrow beside two free vertices (Phi of order 6), and a hyperbolic
+#: one with a triple arrow.
+DEROGATORY = [
+    Quiver.from_arrows(4, [(1, 3)]),
+    Quiver.from_arrows(4, [(1, 3), (3, 0), (3, 0), (3, 0), (3, 2)]),
+]
+
+
+def _every_step_orbit(left, f, c, steps):
     """``|G F^k|`` for every k = 1..steps by repeated products, as int
-    numerators: the pairing orbit without its early stop."""
+    numerators: the pairing orbit without its early stop.  c, the monic
+    int polynomial that the report hands the orbit, must annihilate F."""
     assert left.den == 1 == f.den
+    assert c[-1] == 1 and _poly_at(c, f).is_zero
     power, out = left, []
     for _ in range(steps):
         power = power @ f
@@ -180,15 +191,25 @@ def _every_step_orbit(left, f, steps):
     return out
 
 
+def _poly_at(c, f):
+    """``c(F)`` by Horner, for int coefficients c, lowest degree first."""
+    out = ExactMatrix.zeros(f.n)
+    for x in reversed(c):
+        out = out @ f + ExactMatrix.identity(f.n).scale(x)
+    return out
+
+
 def test_hereditary_report_reads_a_periodic_orbit_from_one_period(monkeypatch):
     # Every orientation of A1-A6 has a Coxeter matrix of order n + 1, so
     # its pairing orbit stops after one period and the report tiles the
     # pair totals out to the step count; the identity stops at step 1, K2
-    # and K3 never.  Each report must equal the one built from all steps
+    # and K3 never.  Two quivers with a derogatory Phi recur on a min poly
+    # of degree 3 < n: one returns at step 6, inside the recurrence, and
+    # one never does.  Each report must equal the one built from all steps
     # by repeated products, at step counts that one period does and does
     # not divide.
     quivers = [linear_quiver(n, o) for n in range(1, 7) for o in range(2 ** (n - 1))]
-    quivers += [kronecker_quiver(2), kronecker_quiver(3)]
+    quivers += [kronecker_quiver(2), kronecker_quiver(3), *DEROGATORY]
     cases = [(euler_form(q), coxeter_matrix(q)) for q in quivers]
     a2 = euler_form(Quiver.from_arrows(2, [(0, 1)]))
     cases.append((a2, ExactMatrix.identity(2)))
@@ -201,6 +222,30 @@ def test_hereditary_report_reads_a_periodic_orbit_from_one_period(monkeypatch):
     # No steps at all leave nothing to tile or fit.
     with pytest.raises(AllPairingsDegenerate):
         hereditary_report(*cases[3], n_max=0)
+
+
+def test_hereditary_report_forms_the_power_sums_once(monkeypatch):
+    # The orbit recurs on the min poly from the signature's own analysis,
+    # so one report forms tr(Phi^k) once: for A4 (Phi of order 5 > n,
+    # returning in the recurrence), K3 (hyperbolic) and derogatory Phi,
+    # whose min poly is shorter than the char poly.
+    calls, polys = [], []
+    power_sums, orbit = exact_linalg._power_sums, quiver_hereditary._abs_orbit
+    monkeypatch.setattr(
+        exact_linalg, "_power_sums", lambda m: calls.append(m) or power_sums(m)
+    )
+    monkeypatch.setattr(
+        quiver_hereditary, "_abs_orbit", lambda l, f, c, k: polys.append(c) or orbit(l, f, c, k)
+    )
+    quivers = [linear_quiver(4), kronecker_quiver(3), *DEROGATORY]
+    for q in quivers:
+        f = coxeter_matrix(q)
+        calls.clear()
+        hereditary_report(euler_form(q), f)
+        assert calls == [f], q
+    monkeypatch.undo()
+    assert polys == [exact_linalg._min_poly_int(coxeter_matrix(q))[0] for q in quivers]
+    assert [len(c) - 1 for c in polys] == [4, 2, 3, 3]
 
 
 def test_a_returning_orbit_past_the_float_ceiling_fails_as_every_step_does(monkeypatch):
