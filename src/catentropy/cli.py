@@ -258,17 +258,11 @@ def _cmd_growth(args) -> tuple[dict, object]:
 
 def _cmd_classify(args) -> tuple[dict, object]:
     from . import exact_linalg  # noqa: F401  first, see the module docstring
-    from .sl2z_dynamics import (
-        Context,
-        crosscheck_with_lattice,
-        parse_word,
-        trichotomy_report,
-    )
+    from .sl2z_dynamics import Context, _checked_report, parse_word
 
     context = Context(args.context)
     word = parse_word(args.tokens, context)
-    report = trichotomy_report(word)
-    crosscheck = crosscheck_with_lattice(word, args.tol, args.precision)
+    report, crosscheck = _checked_report(word, args.tol, args.precision)
     if not crosscheck["consistent"]:
         raise InternalInconsistency(
             "trichotomy values disagree with the lattice growth data"

@@ -1177,7 +1177,9 @@ def _integer_roots(h: ExactPoly) -> list[Fraction]:
 @dataclass
 class _ModClass:
     """A set of roots sharing one modulus (known exactly, proven equal by
-    ``_prove_tie``, or merged pessimistically at the precision cap)."""
+    ``_prove_tie``, or merged pessimistically at the precision cap); or,
+    as a signature's top class, roots of one part whose largest modulus
+    lies in the bracket."""
 
     exact_sq: Optional[Fraction]
     lo: Fraction
@@ -1447,8 +1449,9 @@ def _sign_changes(chain: list[list[int]], num: int, shift: int) -> int:
     return sum(x != y for x, y in zip(signs, signs[1:]))
 
 
-#: Largest degree of the squared-moduli polynomial T for which a modulus
-#: tie is proven exactly; over it, ties merge at the precision cap.
+#: Largest degree of the squared-moduli polynomial of the product of the
+#: tied parts for which a modulus tie is proven exactly; over it, ties
+#: merge at the precision cap.
 TIE_PROOF_MAX_DEGREE = 55
 
 
@@ -1457,25 +1460,32 @@ def _prove_tie(
 ) -> bool:
     """Whether the moduli of two overlapping classes are provably equal.
 
-    Both squared moduli are roots of T: the squared-moduli polynomial of
+    A squared modulus ``|b|**2 = b * conj(b)`` is a root of the squared-
+    moduli polynomial of b's own part, which holds conj(b).  So both
+    squared moduli are roots of T: the product of those polynomials over
     the numeric parts of the classes, times ``(x - exact_sq)`` for an exact
     class.  J is the hull of both squared brackets, rounded outward to the
     grid ``2**-bits``.  If a Sturm count finds exactly one distinct root of
-    T in J, the two squared moduli are that root.
+    T in J, the two squared moduli are that root.  The degree cap counts
+    the squared-moduli polynomial of the parts' product, of degree
+    ``n(n + 1) / 2`` for their n roots together.
     """
     exact = ca.exact_sq if ca.exact_sq is not None else cb.exact_sq
     idx = sorted({i for c in (ca, cb) if c.exact_sq is None for i in c.parts})
-    n = sum(rests[i].degree for i in idx)
+    hs = [rests[i] for i in idx]
+    n = sum(h.degree for h in hs)
     if n * (n + 1) // 2 + (exact is not None) > TIE_PROOF_MAX_DEGREE:
         return False
-    h = ExactPoly.one()
-    for i in idx:
-        h = h * rests[i]
-    # g(y) = d**n * h(y / d) is monic in Z[y]; its roots are d times those
-    # of the monic h.
-    d = h.den
-    g = [c * d ** (n - 1 - k) for k, c in enumerate(h.num[:-1])] + [1]
-    t = _squared_moduli_poly(g)
+    # d is the denominator of the monic product, whose d**n * prod(y / d)
+    # is monic in Z[y]: its roots, d times the parts' roots, are algebraic
+    # integers.  So each part's g(y) = d**deg * h(y / d) is monic in Z[y].
+    d = functools.reduce(operator.mul, hs).den
+    t = list(functools.reduce(operator.mul, [
+        ExactPoly(_squared_moduli_poly(
+            [c * d ** (h.degree - k) // h.den for k, c in enumerate(h.num)]
+        ))
+        for h in hs
+    ]).num)
     if exact is not None:
         # times (den * y - num) for exact * d**2 = num / den
         q = exact * d * d
@@ -1544,21 +1554,84 @@ def _split_roots(
     return exact_boxes, numeric_parts
 
 
+def _top_cluster(classes: list[_ModClass]) -> list[_ModClass]:
+    """The classes that may hold the largest modulus: those whose bracket
+    reaches the largest lower end, a point that all of them contain."""
+    lo = max(c.lo for c in classes)
+    return [c for c in classes if c.hi >= lo]
+
+
+def _top_class(
+    classes: list[_ModClass], width: Fraction, tie, last: bool
+) -> Optional[_ModClass]:
+    """The signature's stop test: the class of the largest modulus, or None
+    to climb a level.  Only the top cluster is decided.
+
+    Numeric classes of a single squarefree part need no proof: s depends
+    only on that part, and rho is its largest modulus, in the hull
+    ``[max lo, max hi]`` of the cluster.  Any other cluster, with several
+    parts or with an exact modulus that a proof would make rho's, merges
+    the ties that ``tie`` proves.  While it holds more than one class it
+    climbs, and at the cap it merges them pessimistically
+    (``merged_at_cap``).  The class found climbs while it is numeric and
+    wider than ``width``.
+    """
+    cluster = _top_cluster(classes)
+    parts = set().union(*[c.parts for c in cluster])
+    if len(parts) == 1 and all(c.exact_sq is None for c in cluster):
+        lo, hi = max(c.lo for c in cluster), max(c.hi for c in cluster)
+        positions = [z for c in cluster for z in c.positions]
+        top = _ModClass(None, lo, hi, parts, positions)
+    else:
+        cluster = _top_cluster(_merge_pairs(cluster, tie))
+        if len(cluster) > 1 and not last:
+            return None
+        top = functools.reduce(_merge_at_cap, cluster)
+    if top.exact_sq is None and top.hi - top.lo > width and not last:
+        return None
+    return top
+
+
+def _separated(
+    classes: list[_ModClass], width: Fraction, tie, last: bool
+) -> Optional[list[_ModClass]]:
+    """``root_moduli``'s stop test: all classes, after merging the ties that
+    ``tie`` proves, pairwise disjoint and each exact or at most ``width``
+    wide; None to climb a level.  At the cap, raises PrecisionExhausted
+    with the overlapping classes merged pessimistically."""
+    classes = _merge_pairs(classes, tie)
+    pairs = itertools.combinations(classes, 2)
+    unresolved = any(ca.overlaps(cb) for ca, cb in pairs)
+    too_wide = any(c.exact_sq is None and c.hi - c.lo > width for c in classes)
+    if not unresolved and not too_wide:
+        return classes
+    if last:
+        raise PrecisionExhausted(
+            "root moduli could not be separated at the escalation cap",
+            classes=_merge_pairs(classes, _merge_at_cap),
+        )
+    return None
+
+
 def _modulus_classes(
     exact_boxes: list[_RootBox],
     numeric_parts: list[tuple[int, ExactPoly]],
     width: Fraction,
     start_bits: int = START_BITS,
     max_bits: int = MAX_BITS,
-) -> tuple[list[_ModClass], bool]:
-    """Group the roots split by ``_split_roots`` into classes of equal
-    modulus with certified rational intervals, pairwise disjoint.
+    settle=_top_class,
+):
+    """Climb the precision ladder over the roots split by ``_split_roots``
+    until ``settle`` decides, and return its answer.
 
-    The exact classes are built once; each precision level isolates the
-    numeric roots anew and adds their classes.  At every level,
-    overlapping classes whose tie ``_prove_tie`` proves are merged.
-    Returns (classes, hit_cap).  When the escalation cap is reached,
-    still-overlapping classes are merged pessimistically and flagged.
+    The classes of equal modulus carry certified rational brackets.  The
+    exact classes are built once; each level isolates the numeric roots
+    anew and adds their classes.  ``settle(classes, width, tie, last)``
+    then gets ``tie(ca, cb)``, the class ``_merge_if_tied`` makes of two
+    overlapping classes at this level's bits, and ``last``, whether this
+    level is the cap.  It returns None to climb.  The default is the
+    signature's top-cluster test, ``_top_class``; ``root_moduli`` passes
+    ``_separated``, which separates every class.
     """
     neg_pairs_poly = ExactPoly.one()
     if numeric_parts:
@@ -1585,16 +1658,14 @@ def _modulus_classes(
                 )
             bits *= 2
             continue
-        classes = _merge_pairs(
-            exact + numeric, lambda ca, cb: _merge_if_tied(ca, cb, rests, bits)
+        out = settle(
+            exact + numeric,
+            width,
+            lambda ca, cb: _merge_if_tied(ca, cb, rests, bits),
+            bits >= max_bits,
         )
-        pairs = itertools.combinations(classes, 2)
-        unresolved = any(ca.overlaps(cb) for ca, cb in pairs)
-        too_wide = any(c.exact_sq is None and c.hi - c.lo > width for c in classes)
-        if not unresolved and not too_wide:
-            return classes, False
-        if bits >= max_bits:
-            return _merge_pairs(classes, _merge_at_cap), True
+        if out is not None:
+            return out
         bits *= 2
 
 
@@ -1618,14 +1689,8 @@ def root_moduli(
         raise DomainError("root isolation requires a squarefree polynomial")
     width = Fraction(1, 2**precision)
     start = max(START_BITS, precision + 48)
-    classes, hit_cap = _modulus_classes(
-        *_split_roots([(h, 1)]), width, start, max(MAX_BITS, start * 2)
-    )
-    if hit_cap:
-        raise PrecisionExhausted(
-            "root moduli could not be separated at the escalation cap",
-            classes=classes,
-        )
+    bits = max(MAX_BITS, start * 2)
+    classes = _modulus_classes(*_split_roots([(h, 1)]), width, start, bits, _separated)
     out = [(z, (cls.lo, cls.hi)) for cls in classes for z in cls.positions]
     out.sort(key=lambda item: (item[1][0], item[0].real, item[0].imag))
     return out
@@ -1681,10 +1746,11 @@ class GrowthSignature:
 
     ``s + 1`` equals the largest multiplicity among ``dominant_factors``,
     the squarefree parts of the minimal polynomial having a root of
-    modulus rho.  ``tied`` is set when moduli stayed inseparable at the
-    precision cap and their tie was not provable under the degree cap of
-    the exact tie proof; the conservative (larger) s was then reported.
-    A tie the proof settles merges the classes and leaves ``tied`` unset.
+    modulus rho.  ``tied`` is set only when the top moduli span several
+    parts (or an exact modulus) and stayed inseparable at the precision
+    cap, their tie not provable under the degree cap of the exact tie
+    proof; the conservative (larger) s was then reported.  A tie the
+    proof settles, or one within a single part, leaves ``tied`` unset.
     ``rho_float`` lies inside ``rho_interval`` unless it is farther than the
     tolerance from its midpoint (a huge rho, or a tolerance below an ulp).
     """
@@ -1728,9 +1794,7 @@ def _signature(m: ExactMatrix, tolerance, max_bits: int) -> tuple[GrowthSignatur
         raise NilpotentInput("growth data is undefined for nilpotent matrices")
 
     width = tolerance if isinstance(tolerance, Fraction) else Fraction(tolerance)
-    classes, _ = _modulus_classes(exact_boxes, numeric_parts, width, max_bits=max_bits)
-
-    top = max(classes, key=lambda c: c.lo)
+    top = _modulus_classes(exact_boxes, numeric_parts, width, max_bits=max_bits)
     tied = top.merged_at_cap
     if tied:
         warnings.warn(

@@ -221,6 +221,14 @@ def crosscheck_with_lattice(
     """Compare the trichotomy values against the generic matrix growth
     machinery: requires h_cat = log(rho) to 1e-9 and h_pol = s exactly.
     An inconsistency indicates an implementation bug, not bad input."""
+    return _checked_report(w, tolerance, max_bits)[1]
+
+
+def _checked_report(
+    w: TwistWord, tolerance: Union[Fraction, float], max_bits: int
+) -> tuple[TrichotomyReport, dict]:
+    """``trichotomy_report(w)`` and ``crosscheck_with_lattice(w)``, both
+    read off one lattice element."""
     g = _word_element(w)
     report = matrix_report(g, w.context)
     sig = growth_signature(g.m, tolerance, max_bits)
@@ -228,7 +236,7 @@ def crosscheck_with_lattice(
     consistent = (
         abs(report.h_cat_float - log_rho) <= 1e-9 and report.h_pol == sig.s
     )
-    return {
+    return report, {
         "consistent": consistent,
         "details": {
             "h_cat_float": report.h_cat_float,

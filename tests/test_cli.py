@@ -442,6 +442,26 @@ def test_classify_hyperbolic_word():
     assert doc["results"]["pseudo_anosov"] is True
 
 
+@pytest.mark.parametrize(
+    "tokens", [["--context", "a2cy3", "T1", "T2^-1"], ["--context", "elliptic", "S"]]
+)
+def test_classify_builds_its_word_once(monkeypatch, tokens):
+    from catentropy import sl2z_dynamics
+
+    calls = []
+    build = sl2z_dynamics.word_to_matrix
+
+    def spy(w):
+        calls.append(w)
+        return build(w)
+
+    monkeypatch.setattr(sl2z_dynamics, "word_to_matrix", spy)
+    code, out = run_inproc(["--json", "classify", *tokens])
+    assert code == 0
+    assert json.loads(out)["results"]["crosscheck"]["consistent"] is True
+    assert len(calls) == 1
+
+
 def test_classify_elliptic_context():
     code, out = run_inproc(["--json", "classify", "--context", "elliptic", "S"])
     doc = json.loads(out)

@@ -28,21 +28,24 @@ TIED_ACTION = [
     [0, 0, 1, 0, 0, 0], [0, 0, 0, 1, 0, -6], [0, 0, 0, 0, 1, 0],
 ]
 
-#: C(x^2 - 2x - 1) + C((x^4 + 6x^2 + 1)(x^5 - x - 1)): the same tie, but
-#: with 11 roots in the one squarefree part, the squared-moduli polynomial
-#: (degree 66) is over the tie proof's degree cap.
+#: C((x^2 - 2x - 1)^2) + C((x^4 + 6x^2 + 1)(x^5 - x - 1)): the same tie,
+#: between two squarefree parts of different multiplicity, so it decides
+#: s.  Their 11 roots put the squared-moduli polynomial of their product
+#: (degree 66) over the tie proof's degree cap.
 OVER_CAP_TIE_ACTION = [
-    [0, 1] + [0] * 9,
-    [1, 2] + [0] * 9,
-    [0] * 10 + [1],
-    [0, 0, 1] + [0] * 7 + [1],
-    [0, 0, 0, 1] + [0] * 6 + [6],
-    [0] * 4 + [1] + [0] * 5 + [6],
-    [0] * 5 + [1] + [0] * 4 + [1],
-    [0] * 6 + [1] + [0] * 4,
-    [0] * 7 + [1] + [0] * 3,
-    [0] * 8 + [1, 0, -6],
-    [0] * 9 + [1, 0],
+    [0, 0, 0, -1] + [0] * 9,
+    [1, 0, 0, -4] + [0] * 9,
+    [0, 1, 0, -2] + [0] * 9,
+    [0, 0, 1, 4] + [0] * 9,
+    [0] * 12 + [1],
+    [0] * 4 + [1] + [0] * 7 + [1],
+    [0] * 5 + [1] + [0] * 6 + [6],
+    [0] * 6 + [1] + [0] * 5 + [6],
+    [0] * 7 + [1] + [0] * 4 + [1],
+    [0] * 8 + [1] + [0] * 4,
+    [0] * 9 + [1] + [0] * 3,
+    [0] * 10 + [1, 0, -6],
+    [0] * 11 + [1, 0],
 ]
 
 CASES = [

@@ -379,10 +379,15 @@ def test_growth_signature_proves_cross_part_tie(monkeypatch):
 
 
 def test_exact_classes_are_built_once_per_ladder(monkeypatch):
-    # The quadratic part climbs two precision levels beside the exact
-    # root 3; the exact class is bracketed once, not once per level.
+    # The top cluster climbs two precision levels: at 64 bits the near tie
+    # between x^2 - x - 1 (squared) and x^2 - x - (1 + 2^-70) is neither
+    # proven nor separated.  The exact root 1 is bracketed once, not once
+    # per level.
+    near = P([-(1 + Fraction(1, 2**70)), -1, 1])
     m = ExactMatrix.block_diag(
-        ExactMatrix.companion(P([-(2**121), 1, 2**120])), M([[3]])
+        ExactMatrix.companion(P([-1, -1, 1]) ** 2),
+        ExactMatrix.companion(near),
+        M([[1]]),
     )
     levels, brackets = [], []
     build, bracket = exact_linalg._numeric_classes, exact_linalg._sqrt_interval
@@ -400,7 +405,8 @@ def test_exact_classes_are_built_once_per_ladder(monkeypatch):
     sig = growth_signature(m)
     assert levels == [64, 128]
     assert len(brackets) == 1
-    assert sig.rho_exact == 3
+    assert sig.s == 0
+    assert sig.dominant_factors == ((P([-1, 1]) * near, 1),)
 
 
 def test_growth_signature_proves_tie_with_exact_modulus():
@@ -451,6 +457,169 @@ def test_growth_signature_unprovable_tie_is_conservative():
     assert sig.s == 1
     assert sig.tied
     assert any(issubclass(w.category, TiedModuli) for w in caught)
+
+
+def _tie_pair(a: int) -> tuple[ExactPoly, ExactPoly]:
+    """p = x^2 - ax - 1 and q = p(ix) p(-ix): q's roots +-i rho tie with
+    the root rho of p, and +-i / rho with -1 / rho."""
+    return P([-1, -a, 1]), P([1, 0, a * a + 2, 0, 1])
+
+
+@pytest.mark.parametrize("a", [1, 2, 3])
+def test_one_part_top_tie_needs_no_proof(proofs, a):
+    # C(p) + C(q) has the squarefree min poly p q: the tied roots lie in one
+    # part, so s = 0 whatever the tie, and rho is that part's largest
+    # modulus.
+    p, q = _tie_pair(a)
+    m = ExactMatrix.block_diag(ExactMatrix.companion(p), ExactMatrix.companion(q))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", TiedModuli)
+        sig = growth_signature(m)
+    assert proofs == []
+    assert sig.s == 0
+    assert not sig.tied
+    assert sig.dominant_factors == ((p * q, 1),)
+    assert sig.rho_exact == exact_linalg.RootOfFactor(p * q, 0)
+    lo, hi = sig.rho_interval
+    assert 0 < lo and p(lo) <= 0 <= p(hi)
+
+
+def test_one_part_top_bracket_climbs_to_the_tolerance(monkeypatch):
+    # The hull of the tied classes is about 2^-64 wide at the first level,
+    # over a tolerance of 2^-100, so the ladder climbs one level.
+    p, q = _tie_pair(2)
+    m = ExactMatrix.block_diag(ExactMatrix.companion(p), ExactMatrix.companion(q))
+    levels = []
+    build = exact_linalg._numeric_classes
+
+    def spy(*args):
+        levels.append(args[2])
+        return build(*args)
+
+    monkeypatch.setattr(exact_linalg, "_numeric_classes", spy)
+    sig = growth_signature(m, tolerance=Fraction(1, 2**100))
+    assert levels == [64, 128]
+    lo, hi = sig.rho_interval
+    assert 0 < hi - lo <= Fraction(1, 2**100)
+    assert p(lo) <= 0 <= p(hi)
+
+
+def test_one_part_top_tie_with_an_exact_modulus_is_proven(proofs):
+    # (x - 2)(x^4 + 16): the integer root 2 splits off exactly, and the
+    # numeric roots of x^4 + 16 share its modulus.  s needs no proof, but
+    # the proof makes rho exact.
+    h = P([-2, 1]) * P([16, 0, 0, 0, 1])
+    sig = growth_signature(ExactMatrix.companion(h))
+    assert proofs == [True]
+    assert (sig.s, sig.tied) == (0, False)
+    assert sig.rho_exact == 2
+    assert sig.rho_interval == (2, 2)
+
+
+@pytest.mark.parametrize("a", [1, 2, 3])
+def test_two_part_top_tie_is_proven_once(proofs, a):
+    # C(p^2) + C(q): the top tie is between parts of multiplicity 2 and 1,
+    # so it is proven; the tie of the smaller moduli 1 / rho is not.
+    p, q = _tie_pair(a)
+    m = ExactMatrix.block_diag(ExactMatrix.companion(p**2), ExactMatrix.companion(q))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", TiedModuli)
+        sig = growth_signature(m)
+    assert proofs == [True]
+    assert sig.s == 1
+    assert not sig.tied
+    assert sig.dominant_factors == ((q, 1), (p, 2))
+    assert sig.rho_exact is None
+    lo, hi = sig.rho_interval
+    assert 0 < lo and p(lo) <= 0 <= p(hi)
+
+
+def test_tensor_square_top_tie_is_decided_in_one_part():
+    # A's top roots are a complex pair l, conj(l).  In A (x) A the roots
+    # l^2, conj(l)^2 and |l|^2 share the top modulus in one squarefree part
+    # of degree 15, whose tie is over the proof's degree cap.  s = 0 needs
+    # no proof.
+    import numpy as np
+
+    rng = random.Random(3)
+    rows = [[rng.randint(-3, 3) for _ in range(5)] for _ in range(5)]
+    top = max(np.linalg.eigvals(np.array(rows, float)), key=abs)
+    assert abs(top.imag) > 0.1
+    a = M(rows)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", TiedModuli)
+        sig = growth_signature(tensor_product(a, a))
+    assert sig.s == 0
+    assert not sig.tied
+    ((part, mult),) = sig.dominant_factors
+    assert (part.degree, mult) == (15, 1)
+    assert sig.rho_exact == exact_linalg.RootOfFactor(part, 0)
+    lo, hi = sig.rho_interval
+    assert lo <= abs(top) ** 2 * (1 + 1e-12) and abs(top) ** 2 * (1 - 1e-12) <= hi
+
+
+def _product_tie_proof(ca, cb, rests, bits):
+    """The tie proof on the squared-moduli polynomial of the product of the
+    parts, which also has the cross products of roots of different parts
+    as roots; the per-part proof must decide as this one does."""
+    exact = ca.exact_sq if ca.exact_sq is not None else cb.exact_sq
+    h = ExactPoly.one()
+    for i in sorted({i for c in (ca, cb) if c.exact_sq is None for i in c.parts}):
+        h = h * rests[i]
+    n, d = h.degree, h.den
+    if n * (n + 1) // 2 + (exact is not None) > exact_linalg.TIE_PROOF_MAX_DEGREE:
+        return False
+    g = [c * d ** (n - 1 - k) for k, c in enumerate(h.num[:-1])] + [1]
+    t = exact_linalg._squared_moduli_poly(g)
+    if exact is not None:
+        q = exact * d * d
+        t = [y * q.denominator - x * q.numerator for x, y in zip(t + [0], [0] + t)]
+    chain = exact_linalg._sturm_chain(t)
+    scale = d * d * 2**bits
+    a = math.floor(min(ca.lo, cb.lo) ** 2 * scale) - 1
+    b = math.ceil(max(ca.hi, cb.hi) ** 2 * scale) + 1
+    value, changes = exact_linalg._dyadic_value, exact_linalg._sign_changes
+    if not value(t, a, bits) or not value(t, b, bits):
+        return False
+    return changes(chain, a, bits) - changes(chain, b, bits) == 1
+
+
+tie_family = st.builds(
+    lambda a, j: (_tie_pair(a)[0] ** j, _tie_pair(a)[1]),
+    st.integers(1, 6),
+    st.sampled_from((1, 2)),
+)
+near_tie_family = st.builds(
+    lambda gap: (P([-1, -1, 1]) ** 2, P([-(1 + Fraction(1, 2**gap)), -1, 1])),
+    st.integers(70, 200),
+)
+
+
+@settings(max_examples=16, deadline=None, derandomize=True, database=None)
+@given(st.one_of(tie_family, near_tie_family))
+def test_per_part_tie_proof_decides_as_the_product_proof(blocks):
+    # Every overlapping pair of classes, as root_moduli separates them,
+    # over the squarefree parts of C(f) + C(g): the Sturm counts on the
+    # product of the parts' squared-moduli polynomials and on the
+    # product's own squared-moduli polynomial agree.
+    seen = []
+    prove = exact_linalg._prove_tie
+
+    def both(ca, cb, rests, bits):
+        seen.append(prove(ca, cb, rests, bits))
+        assert seen[-1] == _product_tie_proof(ca, cb, rests, bits)
+        return seen[-1]
+
+    m = ExactMatrix.block_diag(*[ExactMatrix.companion(f) for f in blocks])
+    _, _, exact_boxes, numeric_parts, _ = exact_linalg._spectrum(m)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(exact_linalg, "_prove_tie", both)
+        classes = exact_linalg._modulus_classes(
+            exact_boxes, numeric_parts, exact_linalg.DEFAULT_TOLERANCE,
+            settle=exact_linalg._separated,
+        )
+    assert seen
+    assert len(classes) == 4 - seen.count(True)
 
 
 def test_precision_cap_is_bounded():
