@@ -551,15 +551,21 @@ class ExactMatrix:
         return ExactMatrix(num, self.den * c.denominator)
 
     def __pow__(self, m: int) -> "ExactMatrix":
-        base = self if m >= 0 else self.inverse()
+        if not m:
+            return ExactMatrix.identity(self.n)
+        base = self if m > 0 else self.inverse()
         m = abs(m)
-        out = ExactMatrix.identity(self.n)
-        while m:
+        while not m & 1:
+            base = base @ base
+            m >>= 1
+        # out starts as the lowest set bit's power and squares are taken only
+        # while bits remain: bit_length - 1 squares, popcount - 1 products.
+        out = base
+        while m > 1:
+            m >>= 1
+            base = base @ base
             if m & 1:
                 out = out @ base
-            m >>= 1
-            if m:  # the square after the last bit would go unused
-                base = base @ base
         return out
 
     def matvec(self, v: Sequence[Rat]) -> tuple[Fraction, ...]:

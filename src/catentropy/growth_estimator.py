@@ -39,6 +39,12 @@ DEFAULT_T_GRID = (-1.0, -0.5, 0.0, 0.5, 1.0)
 DEFAULT_DROP_HEAD_FRACTION = 0.25
 
 
+def _check_positive(v: Sequence[float]) -> None:
+    """Raise ``NonPositiveValue`` unless every value is > 0 and finite."""
+    if any(map(math.isnan, v)) or min(v) <= 0 or max(v) == math.inf:
+        raise NonPositiveValue("sequence values must be strictly positive and finite")
+
+
 @dataclass(frozen=True)
 class PositiveSequence:
     """Strictly positive samples a_n for n = n_start, n_start + 1, ..."""
@@ -54,11 +60,7 @@ class PositiveSequence:
                 "need at least 8 samples for a 3-parameter fit, got %d"
                 % len(self.values)
             )
-        v = self.values
-        if any(map(math.isnan, v)) or min(v) <= 0 or max(v) == math.inf:
-            raise NonPositiveValue(
-                "sequence values must be strictly positive and finite"
-            )
+        _check_positive(self.values)
 
     @staticmethod
     def from_values(values: Sequence[float], n_start: int = 1) -> "PositiveSequence":
@@ -190,42 +192,101 @@ def fit_growth(
     the ``_WINDOW_CACHE_SIZE`` most recently used windows as immutable
     tuples; each call then only reads ``log a_n`` and forms ``A^T y`` and
     the residual.  Every 400-term sequence fitted with the default head
-    drop has the window [101, 400], so its columns are built once.
+    drop has the window [101, 400], so its columns are built once.  The
+    fit itself is ``_fit_period``, which takes the whole tuple as one
+    period here and also fits a periodic sequence (the quiver crosscheck
+    of a returning orbit) from the values of one period.
 
     Raises ``DomainError`` when the columns n, log n and 1 are linearly
     dependent in float on the window (with a huge ``n_start`` every
     ``log n`` rounds to the same float), since no unique fit exists.
     """
+    return _fit_period(
+        seq.values, len(seq.values), seq.n_start, n_lo, n_hi, drop_head_fraction
+    )
+
+
+def _fit_window(
+    length: int,
+    n_start: int,
+    n_lo: Optional[int],
+    n_hi: Optional[int],
+    drop_head_fraction: Optional[float],
+) -> tuple[int, int]:
+    """The window [n_lo, n_hi] that ``fit_growth`` fits on a sequence of
+    ``length`` terms from ``n_start``."""
+    n_end = n_start + length - 1
     if n_hi is None:
-        n_hi = seq.n_end
+        n_hi = n_end
     if n_lo is None:
         if drop_head_fraction is None:
-            head = int(len(seq.values) * DEFAULT_DROP_HEAD_FRACTION)
-            head = max(0, min(head, n_hi - seq.n_start + 1 - 8))
+            head = int(length * DEFAULT_DROP_HEAD_FRACTION)
+            head = max(0, min(head, n_hi - n_start + 1 - 8))
         else:
-            head = int(len(seq.values) * drop_head_fraction)
-        n_lo = seq.n_start + head
-    if n_lo < seq.n_start or n_hi > seq.n_end:
+            head = int(length * drop_head_fraction)
+        n_lo = n_start + head
+    if n_lo < n_start or n_hi > n_end:
         raise WindowTooShort(
             "window [%d, %d] exceeds the sequence range [%d, %d]"
-            % (n_lo, n_hi, seq.n_start, seq.n_end)
+            % (n_lo, n_hi, n_start, n_end)
         )
-    count = n_hi - n_lo + 1
-    if count < 8:
+    if n_hi - n_lo + 1 < 8:
         raise WindowTooShort(
-            "fit window has %d points; need at least 8" % count
+            "fit window has %d points; need at least 8" % (n_hi - n_lo + 1)
         )
-    ns = range(n_lo, n_hi + 1)
+    return n_lo, n_hi
+
+
+def _fit_period(
+    period: Sequence[float],
+    length: int,
+    n_start: int = 1,
+    n_lo: Optional[int] = None,
+    n_hi: Optional[int] = None,
+    drop_head_fraction: Optional[float] = None,
+) -> EstimatedSignature:
+    """``fit_growth`` of the ``length`` terms from ``n_start`` of the
+    sequence ``a_n = period[(n - n_start) % p]``, p = len(period), read
+    from its p values.  Every value of the period is checked as
+    ``PositiveSequence`` checks its values.
+
+    A window longer than p holds every residue mod p, so its ``log a_n``
+    ints are those of the p values, over the same power of two, and
+    ``A^T y`` and ``y.y`` are per-residue sums: ``sum_r Y_r * S_r`` with
+    S_r the sum of n, of the ``log n`` ints or the count of the window's
+    terms of residue r.  These are the same ints as the sums over every
+    term, so the fit equals that of the tiled sequence to the last bit.
+    A window of at most p terms is read term by term.
+    """
+    _check_positive(period)
+    n_lo, n_hi = _fit_window(length, n_start, n_lo, n_hi, drop_head_fraction)
+    count = n_hi - n_lo + 1
+    p = len(period)
     logs, log_den, adj, det = _window_design(n_lo, n_hi)
-    head = n_lo - seq.n_start
-    ys, y_den = _dyadic_ints(list(map(math.log, seq.values[head : head + count])))
+    k = (n_lo - n_start) % p
+    mul = operator.mul
     # A^T y with A = (n, L, 1) and y = ys / y_den, times y_den.
-    aty = (sum(map(operator.mul, ns, ys)), sum(map(operator.mul, logs, ys)), sum(ys))
+    if count > p:
+        # ys[r] is y at the window's terms r, r + p, ...
+        ys, y_den = _dyadic_ints(list(map(math.log, period[k:] + period[:k])))
+        counts = [len(range(r, count, p)) for r in range(p)]
+        aty = (
+            sum(y * sum(range(n_lo + r, n_hi + 1, p)) for r, y in enumerate(ys)),
+            sum(y * sum(logs[r::p]) for r, y in enumerate(ys)),
+            sum(map(mul, ys, counts)),
+        )
+        yy = sum(map(mul, map(mul, ys, ys), counts))
+    else:
+        window = period[k : k + count]
+        window += period[: count - len(window)]
+        ys, y_den = _dyadic_ints(list(map(math.log, window)))
+        aty = (sum(map(mul, range(n_lo, n_hi + 1), ys)), sum(map(mul, logs, ys)), sum(ys))
+        yy = sum(map(mul, ys, ys))
     # The coefficients of (n, L, 1) are coef_num / scale; the log n
     # coefficient is log_den times the one of L.
-    coef_num = [sum(map(operator.mul, row, aty)) for row in adj]
+    coef_num = [sum(map(mul, row, aty)) for row in adj]
     scale = det * y_den
-    rss_num = det * sum(map(operator.mul, ys, ys)) - sum(map(operator.mul, coef_num, aty))
+    rss_num = det * yy - sum(map(mul, coef_num, aty))
     try:
         rho_hat = math.exp(coef_num[0] / scale)
     except OverflowError:

@@ -30,7 +30,7 @@ from .exact_linalg import (
     _abs_orbit,
     _signature,
 )
-from .growth_estimator import EstimatedSignature, PositiveSequence, fit_growth
+from .growth_estimator import EstimatedSignature, _fit_period
 
 
 @dataclass(frozen=True)
@@ -169,10 +169,12 @@ def hereditary_report(
     invertible G, as every Euler form is, that is ``F^p = I``, as for a
     Dynkin quiver.  Then ``G F^(p+i) = G F^i``: the zero pairs are those
     of one period, and so are the pair totals.  Their floats are formed
-    once per period and repeated out to the step count, which gives the
-    floats of every step.  The floats are repeated only when the whole
-    period stays under ``_FLOAT_CEILING``; otherwise the cut-off falls
-    inside the first period, where every step would put it too.
+    once per period, and the fit reads the sequence of every step from
+    them (``_fit_period``: p logs and per-residue sums), with the same
+    result as a fit of the period's floats repeated out to the step
+    count.  The period stands for every step only when it stays whole
+    under ``_FLOAT_CEILING``; otherwise the cut-off falls inside the
+    first period, where every step would put it too.
     """
     if not f.is_integer:
         raise DomainError("isometry must have integer entries")
@@ -206,14 +208,14 @@ def hereditary_report(
             "summed pairing sequence vanishes; no growth crosscheck possible"
         )
     floats = _safe_floats(totals, lat.gram.den)
-    period = len(steps_abs)
-    if period < steps and len(floats) == period:
+    length = len(floats)
+    if len(steps_abs) < steps and length == len(steps_abs):
         # The orbit returned to G, and its one period stayed under the
-        # float ceiling: repeat its floats out to the step count.
-        floats = (floats * (steps // period + 1))[:steps]
-    if len(floats) < 16:
+        # float ceiling: the floats of every step repeat that period.
+        length = steps
+    if length < 16:
         raise AllPairingsDegenerate("too few finite pairing values to fit")
-    est = fit_growth(PositiveSequence.from_values(floats))
+    est = _fit_period(floats, length)
     consistent = (
         abs(est.rho_hat - sig.rho_float) <= 1e-3 * sig.rho_float
         and abs(est.s_hat - h_pol) <= 0.15

@@ -369,7 +369,8 @@ def test_powers_match_fraction_reference(rows, k):
 def test_powers_match_repeated_products_and_square_only_while_bits_remain(monkeypatch):
     # M**k for k in -5..70 against k-fold @ (of the inverse for k < 0), at
     # sizes on both sides of the packed-product cut-over.  Square-and-
-    # multiply needs bit_length(k) - 1 squarings and popcount(k) products:
+    # multiply needs bit_length(k) - 1 squarings and popcount(k) - 1
+    # products: it starts from the lowest set bit's power, not from I, and
     # a square after the last bit would be the largest product and unused.
     rng = random.Random(70)
     for n, entries in [(2, (-2, 2)), (3, (-9, 9)), (6, (-1, 1)), (8, (-1, 1))]:
@@ -395,7 +396,8 @@ def test_powers_match_repeated_products_and_square_only_while_bits_remain(monkey
             got = m**k
             monkeypatch.undo()
             assert got == power, (n, k)
-            assert len(calls) == bin(k).count("1") + max(abs(k).bit_length() - 1, 0), (n, k)
+            products = max(abs(k).bit_length() - 1, 0) + max(bin(k).count("1") - 1, 0)
+            assert len(calls) == products, (n, k)
 
 
 # -- elimination and polynomials ---------------------------------------------

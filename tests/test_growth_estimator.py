@@ -264,6 +264,58 @@ def test_fit_growth_is_the_exact_least_squares_solution_rounded_once(case):
     assert est.window == (n_lo, n_hi)
 
 
+@st.composite
+def _periodic_inputs(draw):
+    """One period of 1-12 floats (at times one of them zero, negative, NaN
+    or infinite), a sequence length of 8-400 terms, at least the period,
+    from ``n_start`` 1-40 (at times 1e20, where every window is
+    dependent), and a window: the default, an explicit head drop,
+    explicit ends, which may start mid-period, or explicit ends shorter
+    than the period."""
+    kind = draw(st.sampled_from(["default", "fraction", "ends", "short"]))
+    p = draw(st.integers(9, 12) if kind == "short" else st.integers(1, 12))
+    period = draw(st.lists(st.floats(1e-8, 1e8) | st.just(1.0), min_size=p, max_size=p))
+    if draw(st.integers(0, 7)) == 0:
+        bad = draw(st.sampled_from([0.0, -0.0, -2.5, math.nan, math.inf, -math.inf]))
+        period[draw(st.integers(0, p - 1))] = bad
+    n_start = 10**20 if draw(st.integers(0, 15)) == 0 else draw(st.integers(1, 40))
+    length = draw(st.integers(max(8, p), 400))
+    if kind == "default":
+        return period, length, n_start, None, None, None
+    if kind == "fraction":
+        return period, length, n_start, None, None, draw(st.floats(0.0, 0.95))
+    n_end = n_start + length - 1
+    n_lo = draw(st.integers(n_start, n_end - 7))
+    top = min(p - 1, n_end - n_lo + 1) if kind == "short" else n_end - n_lo + 1
+    return period, length, n_start, n_lo, n_lo + draw(st.integers(8, top)) - 1, None
+
+
+def _fit_or_error(fit):
+    try:
+        return fit()
+    except DomainError as exc:
+        return type(exc)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_periodic_inputs())
+def test_one_period_fit_is_the_fit_of_the_tiled_sequence(case):
+    # The fit of a sequence given as one period equals fit_growth of the
+    # period repeated out to the length, to the last bit, or fails with
+    # the same error type (bad values anywhere in the period, or a
+    # dependent window far from n = 1), on a tuple period as on a list.
+    period, length, n_start, n_lo, n_hi, drop = case
+    tiled = (period * (length // len(period) + 1))[:length]
+    want = _fit_or_error(
+        lambda: fit_growth(PositiveSequence.from_values(tiled, n_start), n_lo, n_hi, drop)
+    )
+    for values in (period, tuple(period)):
+        got = _fit_or_error(
+            lambda: growth_estimator._fit_period(values, length, n_start, n_lo, n_hi, drop)
+        )
+        assert got == want and repr(got) == repr(want)
+
+
 def test_window_design_is_immutable():
     # Only tuples and ints, so hashable: a caller cannot change a cached
     # design in place.

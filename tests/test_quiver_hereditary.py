@@ -201,8 +201,8 @@ def _poly_at(c, f):
 
 def test_hereditary_report_reads_a_periodic_orbit_from_one_period(monkeypatch):
     # Every orientation of A1-A6 has a Coxeter matrix of order n + 1, so
-    # its pairing orbit stops after one period and the report tiles the
-    # pair totals out to the step count; the identity stops at step 1, K2
+    # its pairing orbit stops after one period and the report fits that
+    # period's pair totals as the sequence of every step; the identity stops at step 1, K2
     # and K3 never.  Two quivers with a derogatory Phi recur on a min poly
     # of degree 3 < n: one returns at step 6, inside the recurrence, and
     # one never does.  Each report must equal the one built from all steps
@@ -222,6 +222,45 @@ def test_hereditary_report_reads_a_periodic_orbit_from_one_period(monkeypatch):
     # No steps at all leave nothing to tile or fit.
     with pytest.raises(AllPairingsDegenerate):
         hereditary_report(*cases[3], n_max=0)
+
+
+class _CountingMath:
+    """``math`` with a count of the float arguments that ``log`` reads."""
+
+    def __init__(self):
+        self.floats = 0
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+    def log(self, x):
+        self.floats += isinstance(x, float)
+        return math.log(x)
+
+
+def test_hereditary_report_fits_a_returning_orbit_from_one_period(monkeypatch):
+    # Every orientation of A1-A6 returns after p = order(Phi) steps, and
+    # its fit takes the log of at most p floats, not of every step; K2
+    # and K3 never return, and their fits read every step of the window.
+    from catentropy import growth_estimator
+
+    spy = _CountingMath()
+    monkeypatch.setattr(growth_estimator, "math", spy)
+    for n in range(1, 7):
+        for orient in range(2 ** (n - 1)):
+            q = linear_quiver(n, orient)
+            f = coxeter_matrix(q)
+            order = next(k for k in range(1, 20) if f**k == ExactMatrix.identity(n))
+            spy.floats = 0
+            rep = hereditary_report(euler_form(q), f)
+            assert rep.crosscheck.window[1] == 400
+            assert 0 < spy.floats <= order, (n, orient)
+    for m in (2, 3):
+        q = kronecker_quiver(m)
+        spy.floats = 0
+        rep = hereditary_report(euler_form(q), coxeter_matrix(q))
+        lo, hi = rep.crosscheck.window
+        assert spy.floats == hi - lo + 1 >= 200, m
 
 
 def test_hereditary_report_forms_the_power_sums_once(monkeypatch):
