@@ -871,14 +871,9 @@ def _min_poly_int(m: ExactMatrix) -> tuple[list[int], bool]:
 
 
 def _abs_orbit(left: ExactMatrix, f: ExactMatrix, c: list[int], steps: int) -> list[list[int]]:
-    """``|L F^k|`` for k = 1..p, each row-major as int numerators over
-    ``left.den``, for an int matrix F: p = steps, or the first p <= steps
-    with ``L F^p == L``.  The orbit stops there, since ``L F^(p+i) = L F^i``
-    for every i, whether L or F is singular or not, so the whole sequence
-    repeats the returned p terms.  The return is decided by exact equality
-    of signed terms: the int lists of ``L F^k`` and L in the products, and
-    in the recurrence the packed int of the new term and of L, packed at
-    the same width, one int comparison per step.
+    """``|L F^k|`` for k = 1..steps, each row-major as int numerators over
+    ``left.den``, for an int matrix F.  A caller that knows the orbit's
+    period, such as ``F^k = I``, asks for that many terms only.
 
     ``T_1..T_{d-1}`` are int products (``_product``); after them the
     recurrence ``T_{k+d} = -(c_0 T_k + ... + c_{d-1} T_{k+d-1})`` gives
@@ -890,22 +885,18 @@ def _abs_orbit(left: ExactMatrix, f: ExactMatrix, c: list[int], steps: int) -> l
     leading 1, so the window's own digits are covered too); before each
     step that bound is proven to fit a digit of w = 8 wb bits with its
     sign, and the window is repacked at least twice as wide when it does
-    not.  Every packing fits L's digits, which the first window holds, so
-    two terms are equal exactly when their packed ints are."""
+    not."""
     d, mul, flat = len(c) - 1, operator.mul, itertools.chain.from_iterable
     rows = left.num
-    start = list(flat(rows))
-    window = [start]
+    window = [list(flat(rows))]
     for _ in range(min(steps, d - 1)):
         rows = _product(rows, f)
         window.append(list(flat(rows)))
-        if window[-1] == start:
-            return [list(map(abs, t)) for t in window[1:]]
     out = [list(map(abs, t)) for t in window[1:]]
     if steps < d:
         return out
     neg, norm = [-x for x in c[:d]], sum(map(abs, c))
-    count = len(start)
+    count = len(window[0])
     top = max(max(map(abs, t)) for t in window)
     wb, limit = 0, -1
     for _ in range(steps - d + 1):
@@ -919,13 +910,10 @@ def _abs_orbit(left: ExactMatrix, f: ExactMatrix, c: list[int], steps: int) -> l
             decode = _decoder(count, wb, off)
             limit = ((1 << (8 * wb - 1)) - 1) // norm
             packed = _pack(list(flat(window)), count, wb, off)
-            home = _pack(start, count, wb, off)[0]
         x = sum(map(mul, neg, packed))
         packed = packed[1:] + [x]
         vals = list(map(abs, decode(x)))
         out.append(vals)
-        if x == home:
-            break
         top = max(vals)
     return out
 
@@ -936,16 +924,12 @@ def entry_sum_sequence(m: ExactMatrix, steps: int) -> list[float]:
 
     The sums are read from the orbit of I under ``N = den * M``
     (``_abs_orbit``), so the powers come from the Cayley-Hamilton
-    recurrence rather than repeated products.  When that orbit returns to
-    I after p steps, its p sums are repeated out to ``steps``.  The k-th
-    sum of N is divided by ``den**k`` by int true division, which rounds
-    as ``float(Fraction)`` does."""
+    recurrence rather than repeated products.  The k-th sum of N is
+    divided by ``den**k`` by int true division, which rounds as
+    ``float(Fraction)`` does."""
     chi = _from_power_sums(_power_sums(m))
-    sums = list(map(sum, _abs_orbit(ExactMatrix.identity(m.n), ExactMatrix(m.num), chi, steps)))
-    if len(sums) < steps:
-        sums = (sums * (steps // len(sums) + 1))[:steps]
     out, scale = [], 1
-    for total in sums:
+    for total in map(sum, _abs_orbit(ExactMatrix.identity(m.n), ExactMatrix(m.num), chi, steps)):
         scale *= m.den
         out.append(total / scale)
     return out

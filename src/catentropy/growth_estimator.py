@@ -247,8 +247,8 @@ def _fit_period(
 ) -> EstimatedSignature:
     """``fit_growth`` of the ``length`` terms from ``n_start`` of the
     sequence ``a_n = period[(n - n_start) % p]``, p = len(period), read
-    from its p values.  Every value of the period is checked as
-    ``PositiveSequence`` checks its values.
+    from its p values, which the caller has checked as ``PositiveSequence``
+    checks its values.
 
     A window longer than p holds every residue mod p, so its ``log a_n``
     ints are those of the p values, over the same power of two, and
@@ -258,7 +258,6 @@ def _fit_period(
     term, so the fit equals that of the tiled sequence to the last bit.
     A window of at most p terms is read term by term.
     """
-    _check_positive(period)
     n_lo, n_hi = _fit_window(length, n_start, n_lo, n_hi, drop_head_fraction)
     count = n_hi - n_lo + 1
     p = len(period)

@@ -30,7 +30,7 @@ from .exact_linalg import (
     _abs_orbit,
     _signature,
 )
-from .growth_estimator import EstimatedSignature, _fit_period
+from .growth_estimator import EstimatedSignature, _check_positive, _fit_period
 
 
 @dataclass(frozen=True)
@@ -164,17 +164,16 @@ def hereditary_report(
     since zeros along subsequences do not change the growth class.  The fit
     must recover rho within 1e-3 relative and s within 0.15.
 
-    The pairing orbit ``|G F^k|`` stops early when it returns exactly to
-    its start, ``G F^p == G`` as signed ints (``_abs_orbit``); for an
-    invertible G, as every Euler form is, that is ``F^p = I``, as for a
-    Dynkin quiver.  Then ``G F^(p+i) = G F^i``: the zero pairs are those
-    of one period, and so are the pair totals.  Their floats are formed
-    once per period, and the fit reads the sequence of every step from
-    them (``_fit_period``: p logs and per-residue sums), with the same
-    result as a fit of the period's floats repeated out to the step
-    count.  The period stands for every step only when it stays whole
-    under ``_FLOAT_CEILING``; otherwise the cut-off falls inside the
-    first period, where every step would put it too.
+    When the signature proves ``F^k = I`` (``s == 0`` and a quasi-unipotence
+    order k), as for a Dynkin quiver, ``G F^(k+i) = G F^i`` for any G: the
+    orbit ``|G F^k|`` (``_abs_orbit``) is taken for k terms, whose zero
+    pairs and pair totals are those of every step.  Their floats are
+    formed once, and the fit reads the sequence of every step from them
+    (``_fit_period``: k logs and per-residue sums), with the same result
+    as a fit of the floats repeated out to the step count.  The k terms
+    stand for every step only when they stay whole under
+    ``_FLOAT_CEILING``; otherwise the cut-off falls inside them, where
+    every step would put it too.
     """
     if not f.is_integer:
         raise DomainError("isometry must have integer entries")
@@ -192,8 +191,10 @@ def hereditary_report(
 
     # The pair value |e_i^T G F^k e_j| is entry (i, j) of G F^k, so each
     # step of the orbit gives all n^2 pairs, as absolute int numerators
-    # (row-major) over gram.den.
-    steps_abs = _abs_orbit(lat.gram, f, mu, steps)
+    # (row-major) over gram.den.  F^k = I makes k terms one period.
+    k = sig.quasi_unipotent_k
+    period = min(steps, k) if k is not None and h_pol == 0 else steps
+    steps_abs = _abs_orbit(lat.gram, f, mu, period)
     pairs = [(i, j) for i in range(n) for j in range(n)]
     has_zero = [not all(seq) for seq in zip(*steps_abs)]
     skipped = [pair for pair, z in zip(pairs, has_zero) if z]
@@ -209,12 +210,12 @@ def hereditary_report(
         )
     floats = _safe_floats(totals, lat.gram.den)
     length = len(floats)
-    if len(steps_abs) < steps and length == len(steps_abs):
-        # The orbit returned to G, and its one period stayed under the
-        # float ceiling: the floats of every step repeat that period.
+    if length == period:
+        # The period stayed under the float ceiling: every step repeats it.
         length = steps
     if length < 16:
         raise AllPairingsDegenerate("too few finite pairing values to fit")
+    _check_positive(floats)
     est = _fit_period(floats, length)
     consistent = (
         abs(est.rho_hat - sig.rho_float) <= 1e-3 * sig.rho_float

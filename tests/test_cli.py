@@ -545,6 +545,39 @@ def test_quiver_command():
     assert doc["results"]["report"]["crosscheck_consistent"] is True
 
 
+def test_quiver_command_with_an_isometry(tmp_path, capsys):
+    # A3 with Phi^2, of order 2, as the isometry: the envelope holds its
+    # rows, in the results and in the hashed input, and the report of the
+    # library call.  A shear that moves the Euler pairing exits 3.
+    from catentropy.jsonio import inputs_digest, parse_quiver_text, serialize_hereditary_report
+    from catentropy.quiver_hereditary import coxeter_matrix, euler_form, hereditary_report
+
+    quiver_text = '{"vertices": 3, "arrows": [[1, 2], [2, 3]]}'
+    quiver, quiver_payload = parse_quiver_text(quiver_text)
+    phi2 = coxeter_matrix(quiver) ** 2
+    assert phi2 != ExactMatrix.identity(3) and phi2**2 == ExactMatrix.identity(3)
+    rows = [[str(x) for x in row] for row in phi2.rows]
+    (tmp_path / "q.json").write_text(quiver_text)
+    (tmp_path / "iso.json").write_text(json.dumps({"rows": rows}))
+    code, out = run_inproc(
+        ["--json", "quiver", str(tmp_path / "q.json"), "--isometry", str(tmp_path / "iso.json")]
+    )
+    assert code == 0
+    doc = json.loads(out)
+    payload = {"quiver": quiver_payload, "isometry": {"rows": rows}}
+    assert doc["inputs_digest"] == inputs_digest("quiver", payload)
+    assert doc["results"]["isometry"] == rows
+    rep = hereditary_report(euler_form(quiver), phi2)
+    assert doc["results"]["report"] == json.loads(canonical_json(serialize_hereditary_report(rep)))
+
+    (tmp_path / "shear.json").write_text('{"rows": [[1, 1, 0], [0, 1, 0], [0, 0, 1]]}')
+    code, out = run_inproc(
+        ["--json", "quiver", str(tmp_path / "q.json"), "--isometry", str(tmp_path / "shear.json")]
+    )
+    assert code == 3 and out == ""
+    assert "does not preserve the Euler pairing" in capsys.readouterr().err
+
+
 def test_quiver_rejects_cycle():
     proc = run_cli(
         ["quiver", "-"],

@@ -8,8 +8,8 @@ minimal polynomials also at every size 1-17, against a reference on
 int matrices over cleared denominators, where the power sums are
 also compared with traces of repeated ``ExactMatrix`` products on
 inputs that push the packed products' digit width.  The pairing orbits
-``|L F^k|`` are compared with repeated products too, and so are the
-orbits that stop where they return to L, with their period.  Matrix products
+``|L F^k|`` are compared with repeated products too, also on orbits
+that return to L, at step counts past the return.  Matrix products
 are also compared at every size 1-10, on both sides of the size where
 they start to pack rows into ints, with digits of 8 bytes and wider and
 with one right factor reused at several widths.  The minimal polynomial
@@ -539,16 +539,10 @@ def _return_step(left: ExactMatrix, f: ExactMatrix, steps: int) -> int:
     return steps
 
 
-def _tile(terms: list, steps: int) -> list:
-    """The terms repeated out to steps terms: a whole orbit from one period."""
-    return (terms * -(-steps // len(terms)))[:steps] if terms else []
-
-
 def _orbit_widths(monkeypatch, left: ExactMatrix, f: ExactMatrix, steps: int):
-    """``|L F^k|``, k = 1..steps, from ``_abs_orbit`` as Fractions, its
-    terms tiled when it stops early; the digit width in bytes of each
-    packing of its n^2 digits (the power sums' products pack n digits, and
-    none at n = 1); and the number of terms it returned."""
+    """``|L F^k|``, k = 1..steps, from ``_abs_orbit`` as Fractions, and the
+    digit width in bytes of each packing of its n^2 digits (the power sums'
+    products pack n digits, and none at n = 1)."""
     widths, offset = [], exact_linalg._digit_offset
 
     def spy(wb, count):
@@ -560,8 +554,7 @@ def _orbit_widths(monkeypatch, left: ExactMatrix, f: ExactMatrix, steps: int):
     monkeypatch.setattr(exact_linalg, "_digit_offset", spy)
     nums = exact_linalg._abs_orbit(left, f, c, steps)
     monkeypatch.undo()
-    got = [[Fraction(x, left.den) for x in t] for t in nums]
-    return _tile(got, steps), widths, len(nums)
+    return [[Fraction(x, left.den) for x in t] for t in nums], widths
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -570,9 +563,9 @@ def test_abs_orbit_matches_repeated_products(monkeypatch, n):
     # taken; [-1, 1] mostly stays inside them.  The nilpotent shift has
     # char poly x^n, -I has (x + 1)^n.  L is random, zero, rational
     # (den > 1) or has entries above 2^63, which the first packing must
-    # already fit.  Every steps < n stops inside the initial products, and
-    # so does an orbit that returns to L before step n (L = 0 returns at
-    # step 1, -I at step 2); one that returns later packs and stops there.
+    # already fit.  Every steps < n stops inside the initial products; the
+    # orbit of steps >= n packs, whether it returns to L (L = 0 at step 1,
+    # -I at step 2) or not, and runs every step.
     rng = random.Random(n)
 
     def rand(draw):
@@ -595,11 +588,10 @@ def test_abs_orbit_matches_repeated_products(monkeypatch, n):
         for left_rows in lefts:
             left = ExactMatrix.from_rows(left_rows)
             for steps in [*range(n), 3 * n + 24]:
-                got, widths, p = _orbit_widths(monkeypatch, left, f, steps)
+                got, widths = _orbit_widths(monkeypatch, left, f, steps)
                 assert got == _orbit_by_products(left, f, steps), (steps, widths)
-                assert p == _return_step(left, f, steps), (steps, p)
                 assert all(b >= 2 * a for a, b in zip(widths, widths[1:]))
-                assert (not widths) == (p < n) and min(widths, default=8) >= 8
+                assert (not widths) == (steps < n) and min(widths, default=8) >= 8
                 if widths and left_rows is lefts[-1]:
                     assert widths[0] > 8
 
@@ -614,7 +606,7 @@ def test_abs_orbit_widens_its_digits_on_hyperbolic_growth(monkeypatch):
         ([[2, 1], [1, 1]], [["1/3", "-2/3"], [0, "5/3"]]),
     ]:
         f, left = ExactMatrix.from_rows(f_rows), ExactMatrix.from_rows(left_rows)
-        got, widths, _ = _orbit_widths(monkeypatch, left, f, 400)
+        got, widths = _orbit_widths(monkeypatch, left, f, 400)
         assert got == _orbit_by_products(left, f, 400)
         assert widths[0] == 8 and len(widths) >= 3, widths
         assert all(b >= 2 * a for a, b in zip(widths, widths[1:]))
@@ -677,19 +669,17 @@ def _periodic_orbit_cases() -> list:
     # L = c I under a dense F of order 12 whose powers F^0..F^4 reach 99
     # and F^5..F^11 reach 135.  Its char poly (x^4 - x^2 + 1)(x - 1) has
     # |c|_1 = 6, so c is the largest scale at which the first five terms
-    # fit 8-byte digits: the orbit widens before it returns, and the return
-    # test must compare at the new width.
+    # fit 8-byte digits: the orbit widens before it returns, and its terms
+    # past the widening must still be those of the products.
     f = _unimodular_conjugate(random.Random(1), ExactMatrix.block_diag(cyc[12], cyc[1]))
     cases.append((ExactMatrix.identity(5).scale((2**63 - 1) // 6 // 99), f, 12))
     return cases
 
 
-def test_abs_orbit_stops_where_the_orbit_returns_to_its_start(monkeypatch):
+def test_abs_orbit_runs_every_step_past_the_orbit_return(monkeypatch):
     # The orbit returns at p in the initial products (p <= n - 1), at the
-    # first recurrence term (p = n) and later; steps run from 0 past p + 1.
-    # p is the first signed return: an orbit that meets |L| first at
-    # L F^k = -L (A1 at k = 1, Phi_2 and -I blocks) must not stop there.
-    # Its p terms tiled out to steps are the whole orbit.
+    # first recurrence term (p = n) and later; steps run from 0 past p + 1,
+    # and every term is that of the products, also past the widening.
     seen, widened = set(), False
     for left, f, p in _periodic_orbit_cases():
         n = f.n
@@ -699,9 +689,8 @@ def test_abs_orbit_stops_where_the_orbit_returns_to_its_start(monkeypatch):
         whole = _orbit_by_products(left, f, 2 * p + 2)
         for steps in range(2 * p + 3):
             nums = exact_linalg._abs_orbit(left, f, _char_int(f), steps)
-            assert len(nums) == min(p, steps), (left, f, steps)
             got = [[Fraction(x, left.den) for x in t] for t in nums]
-            assert _tile(got, steps) == whole[:steps], (left, f, steps)
+            assert got == whole[:steps], (left, f, steps)
     assert len(seen) == 3 and widened
 
 
@@ -746,17 +735,16 @@ def test_abs_orbit_on_the_min_poly_matches_the_char_poly_orbit():
         for steps in sorted({*range(degree + 2), min(p, 40), min(p + 1, 40), 40}):
             got = exact_linalg._abs_orbit(left, f, mu, steps)
             assert got == exact_linalg._abs_orbit(left, f, _char_int(f), steps)
-            assert len(got) == min(p, steps), (f, steps)
-            assert _tile(got, steps) == whole[:steps], (f, steps)
+            assert got == whole[:steps], (f, steps)
     assert [_return_step(ExactMatrix.identity(f.n), f, 40) for f, _ in fs[4:]] == [2, 3, 5]
 
 
 def test_entry_sum_sequence_matches_repeated_products():
     # The float entry sums of M, M^2, ... by repeated ``@``, as the oracle
     # loops built them, for int and rational M of size 1-8, every periodic
-    # F of the orbit tests (the sums of one period repeated), and rational
-    # M whose int orbit returns while M's powers shrink: I / 2 and a
-    # permutation over 3.  Step counts below, at and past n.
+    # F of the orbit tests, and rational M whose int orbit returns while
+    # M's powers shrink: I / 2 and a permutation over 3.  Step counts
+    # below, at and past n.
     rng = random.Random(24)
     mats = [f for _, f, _ in _periodic_orbit_cases()]
     for n in range(1, 9):

@@ -231,6 +231,21 @@ def test_near_tie_is_separated_not_merged(proofs, gap_bits):
     assert near(lo) <= 0 <= near(hi)  # rho is the larger root of near
 
 
+def test_distinct_exact_moduli_shrink_apart():
+    # (x^2 + 2)(x^2 + 2 + 10^-20)^2: both parts split off exactly, with
+    # moduli squared 2 and 2 + 10^-20, closer than the default bracket.
+    # The exact classes shrink until they separate, so the squared part is
+    # the only dominant one and no tie is reported.
+    near = P([2 + Fraction(1, 10**20), 0, 1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", TiedModuli)
+        sig = growth_signature(ExactMatrix.companion(P([2, 0, 1]) * near**2))
+    assert sig.s == 1 and not sig.tied
+    assert sig.dominant_factors == ((near, 2),)
+    lo, hi = sig.rho_interval
+    assert 2 < lo * lo <= hi * hi
+
+
 def test_root_moduli_carries_certified_roots_up_the_ladder(monkeypatch):
     # 2^120 x^2 + x - 2^121 has real roots near +-sqrt(2) whose moduli
     # differ by exactly 2^-120: the position disks certify at the first

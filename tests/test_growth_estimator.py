@@ -302,10 +302,16 @@ def _fit_or_error(fit):
 def test_one_period_fit_is_the_fit_of_the_tiled_sequence(case):
     # The fit of a sequence given as one period equals fit_growth of the
     # period repeated out to the length, to the last bit, or fails with
-    # the same error type (bad values anywhere in the period, or a
-    # dependent window far from n = 1), on a tuple period as on a list.
+    # the same error type (a dependent window far from n = 1), on a tuple
+    # period as on a list.  The core reads values its callers have
+    # checked: a bad value anywhere in the period is refused when the
+    # sequence is built.
     period, length, n_start, n_lo, n_hi, drop = case
     tiled = (period * (length // len(period) + 1))[:length]
+    if not all(0 < v < math.inf for v in period):
+        with pytest.raises(NonPositiveValue):
+            PositiveSequence.from_values(tiled, n_start)
+        return
     want = _fit_or_error(
         lambda: fit_growth(PositiveSequence.from_values(tiled, n_start), n_lo, n_hi, drop)
     )
@@ -360,6 +366,16 @@ def test_entropy_from_constant_tables():
     for t, entry in rep.items():
         assert abs(entry["h_t_hat"]) < 1e-9
         assert abs(entry["h_pol_t_hat"]) < 1e-6
+
+
+def test_entropy_from_oscillating_tables_sets_the_limit_warning():
+    # Tables 2^n at even n and 1 at odd n: upper and lower growth differ,
+    # and at t = 0 the one regression misses by a residual far above the
+    # trust threshold.
+    tables = [ExtTable.from_dict({0: 2**n if n % 2 == 0 else 1}) for n in range(1, 41)]
+    entry = entropy_from_ext_sequence(tables, t_grid=(0.0,))[0.0]
+    assert entry["limit_warning"] == 1.0
+    assert 9 < entry["residual"] < 10
 
 
 def test_entropy_needs_eight_tables():

@@ -12,6 +12,7 @@ from catentropy.errors import (
     AllPairingsDegenerate,
     DimensionMismatch,
     DomainError,
+    NonPositiveValue,
     NotAnIsometry,
 )
 from catentropy.exact_linalg import ExactMatrix, growth_signature
@@ -180,7 +181,7 @@ DEROGATORY = [
 
 def _every_step_orbit(left, f, c, steps):
     """``|G F^k|`` for every k = 1..steps by repeated products, as int
-    numerators: the pairing orbit without its early stop.  c, the monic
+    numerators: the pairing orbit without the recurrence.  c, the monic
     int polynomial that the report hands the orbit, must annihilate F."""
     assert left.den == 1 == f.den
     assert c[-1] == 1 and _poly_at(c, f).is_zero
@@ -201,13 +202,13 @@ def _poly_at(c, f):
 
 def test_hereditary_report_reads_a_periodic_orbit_from_one_period(monkeypatch):
     # Every orientation of A1-A6 has a Coxeter matrix of order n + 1, so
-    # its pairing orbit stops after one period and the report fits that
-    # period's pair totals as the sequence of every step; the identity stops at step 1, K2
-    # and K3 never.  Two quivers with a derogatory Phi recur on a min poly
-    # of degree 3 < n: one returns at step 6, inside the recurrence, and
-    # one never does.  Each report must equal the one built from all steps
-    # by repeated products, at step counts that one period does and does
-    # not divide.
+    # its pairing orbit is taken for one period and the report fits that
+    # period's pair totals as the sequence of every step; the identity has
+    # a period of 1, K2 and K3 none.  Two quivers with a derogatory Phi
+    # recur on a min poly of degree 3 < n: one has order 6, inside the
+    # recurrence, and one infinite order.  Each report must equal the one
+    # built from its orbit by repeated products, at step counts that one
+    # period does and does not divide.
     quivers = [linear_quiver(n, o) for n in range(1, 7) for o in range(2 ** (n - 1))]
     quivers += [kronecker_quiver(2), kronecker_quiver(3), *DEROGATORY]
     cases = [(euler_form(q), coxeter_matrix(q)) for q in quivers]
@@ -222,6 +223,39 @@ def test_hereditary_report_reads_a_periodic_orbit_from_one_period(monkeypatch):
     # No steps at all leave nothing to tile or fit.
     with pytest.raises(AllPairingsDegenerate):
         hereditary_report(*cases[3], n_max=0)
+
+
+def _order(f: ExactMatrix, bound: int = 30):
+    """The least k <= bound with F^k = I by repeated products, else None."""
+    power, ident = f, ExactMatrix.identity(f.n)
+    for k in range(1, bound + 1):
+        if power == ident:
+            return k
+        power = power @ f
+    return None
+
+
+def test_hereditary_report_asks_the_orbit_for_one_period_of_a_finite_order(monkeypatch):
+    # A Phi of finite order (every orientation of A1-A6, the identity, and
+    # the derogatory A2 + A1 + A1 of order 6) is asked for ord(Phi) terms;
+    # K2 (unipotent), K3 and the hyperbolic derogatory Phi for every step:
+    # 400, or int(640 / log rho) when rho > 1, so that no float overflows.
+    asked, orbit = [], quiver_hereditary._abs_orbit
+    monkeypatch.setattr(
+        quiver_hereditary, "_abs_orbit", lambda l, f, c, k: asked.append(k) or orbit(l, f, c, k)
+    )
+    quivers = [linear_quiver(n, o) for n in range(1, 7) for o in range(2 ** (n - 1))]
+    quivers += [kronecker_quiver(2), kronecker_quiver(3), *DEROGATORY]
+    cases = [(euler_form(q), coxeter_matrix(q)) for q in quivers]
+    cases.append((euler_form(Quiver.from_arrows(2, [(0, 1)])), ExactMatrix.identity(2)))
+    orders = [_order(f) for _, f in cases]
+    assert orders[:63] == [n + 1 for n in range(1, 7) for _ in range(2 ** (n - 1))]
+    assert orders[63:] == [None, None, 6, None, 1]
+    steps = iter([400, 332, 292])
+    for (lat, f), order in zip(cases, orders):
+        asked.clear()
+        hereditary_report(lat, f)
+        assert asked == [order or next(steps)], (f, order)
 
 
 class _CountingMath:
@@ -239,9 +273,9 @@ class _CountingMath:
 
 
 def test_hereditary_report_fits_a_returning_orbit_from_one_period(monkeypatch):
-    # Every orientation of A1-A6 returns after p = order(Phi) steps, and
-    # its fit takes the log of at most p floats, not of every step; K2
-    # and K3 never return, and their fits read every step of the window.
+    # Every orientation of A1-A6 has period p = order(Phi), and its fit
+    # takes the log of at most p floats, not of every step; K2 and K3
+    # never return, and their fits read every step of the window.
     from catentropy import growth_estimator
 
     spy = _CountingMath()
@@ -308,6 +342,15 @@ def test_a_returning_orbit_past_the_float_ceiling_fails_as_every_step_does(monke
         for lat, f in cases:
             with pytest.raises(AllPairingsDegenerate, match="too few finite pairing values"):
                 hereditary_report(lat, f)
+
+
+def test_pairing_floats_that_underflow_to_zero_are_refused():
+    # A Gram matrix I / 10^400 makes every pair total a float 0.0: the
+    # report checks its floats as a PositiveSequence checks its values.
+    lat = EulerLattice(ExactMatrix.identity(3).scale(Fraction(1, 10**400)))
+    cycle = M([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+    with pytest.raises(NonPositiveValue, match="strictly positive and finite"):
+        hereditary_report(lat, cycle)
 
 
 def _fraction_gram(q: Quiver) -> ExactMatrix:

@@ -86,6 +86,22 @@ def test_validate_geometric_flags_log_concavity():
     assert any("p = 2" in w for w in warnings)
 
 
+def test_validate_geometric_flags_plateau_concavity():
+    # Degrees all 1, so the plateau is every p; s_p = (0, 0, 1, 0) is not
+    # concave at p = 1.
+    crafted = EndoAction.from_matrices(
+        [M([[1]]), ExactMatrix.identity(2), M([[1, 1], [0, 1]]), M([[1]])]
+    )
+    warnings = validate_geometric(degree_table(crafted))
+    assert "concavity of the polynomial degrees fails on the plateau at p = 1" in warnings
+
+
+def test_validate_geometric_flags_a_split_plateau():
+    crafted = EndoAction.from_matrices([M([[1]]), M([[2]]), M([[1]]), M([[2]])])
+    warnings = validate_geometric(degree_table(crafted))
+    assert "maximal degree is not attained on a contiguous range" in warnings
+
+
 def test_pullback_entropy_power_maps():
     for k in (2, 3):
         for d in (1, 2, 3):
