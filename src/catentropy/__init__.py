@@ -49,7 +49,6 @@ _EXPORTS = {
         "min_poly",
         "nilpotency_index",
         "quasi_unipotent_order",
-        "root_moduli",
         "squarefree_decomposition",
         "tensor_product",
     ),

@@ -26,11 +26,7 @@ class NonIntegerEntries(DomainError):
 
 
 class PrecisionExhausted(DomainError):
-    """Root moduli could not be separated within the precision escalation cap."""
-
-    def __init__(self, message, classes=None):
-        super().__init__(message)
-        self.classes = classes
+    """Root positions could not be certified within the precision escalation cap."""
 
 
 class CatEntropyWarning(UserWarning):

@@ -6,7 +6,9 @@ square matrices.  The growth data of ``M**n`` (asymptotically
 multiplicity of a squarefree part of the minimal polynomial equals the
 largest Jordan block size among that part's roots, so ``rho`` and ``s``
 can be read off from the squarefree structure plus certified root-modulus
-comparisons.
+comparisons.  Only the roots of largest modulus need them: one precision
+ladder climbs until that cluster's parts, and a bracket of rho, are
+certified.
 
 Arithmetic is exact.  An ``ExactMatrix`` is one int numerator matrix, and
 an ``ExactPoly`` one tuple of int numerators, over one positive common
@@ -52,8 +54,9 @@ from .errors import (
 
 Rat = Union[int, Fraction, str]
 
-#: Escalation schedule for root-modulus separation: root disks on the grid
-#: ``2**-START_BITS``, the bits doubling at each level up to ``MAX_BITS``.
+#: Escalation schedule of the signature's precision ladder: root disks on
+#: the grid ``2**-START_BITS``, the bits doubling at each level up to
+#: ``MAX_BITS``.
 START_BITS = 64
 MAX_BITS = 1024
 #: Largest escalation cap a caller may ask for: with a true tie over the
@@ -101,17 +104,26 @@ class ExactPoly:
 
     def __init__(self, num: Sequence[int], den: int = 1):
         """Wrap int numerators (lowest degree first) over ``den`` (any nonzero
-        int), dropping trailing zeros and normalising sign and common factor."""
+        int), dropping trailing zeros and normalising sign and common factor.
+        Raises DomainError for an entry that is not an int: rational
+        coefficients go through ``from_coefficients``."""
         num = list(num)
         while num and not num[-1]:
             num.pop()
-        if den != 1:
+        try:
+            # math.gcd refuses a non-int entry; once its result is 1 (always,
+            # for den == 1), it only checks the rest.
             g = math.gcd(den, *num)
-            if den < 0:
-                g = -g
-            if g != 1:
-                num = [x // g for x in num]
-                den //= g
+        except TypeError:
+            raise DomainError(
+                "ExactPoly takes int numerators over an int denominator; "
+                "use ExactPoly.from_coefficients for rational coefficients"
+            ) from None
+        if den < 0:
+            g = -g
+        if g != 1:
+            num = [x // g for x in num]
+            den //= g
         object.__setattr__(self, "num", tuple(num))
         object.__setattr__(self, "den", den)
 
@@ -567,14 +579,6 @@ class ExactMatrix:
             if m & 1:
                 out = out @ base
         return out
-
-    def matvec(self, v: Sequence[Rat]) -> tuple[Fraction, ...]:
-        if len(v) != self.n:
-            raise DimensionMismatch("vector length does not match matrix size")
-        vn, vden = _over_common_denominator(v)
-        den = self.den * vden
-        mul = operator.mul
-        return tuple([Fraction(sum(map(mul, row, vn)), den) for row in self.num])
 
     def transpose(self) -> "ExactMatrix":
         return ExactMatrix(tuple(list(zip(*self.num))), self.den)
@@ -1554,8 +1558,9 @@ def _top_cluster(classes: list[_ModClass]) -> list[_ModClass]:
 def _top_class(
     classes: list[_ModClass], width: Fraction, tie, last: bool
 ) -> Optional[_ModClass]:
-    """The signature's stop test: the class of the largest modulus, or None
-    to climb a level.  Only the top cluster is decided.
+    """The ladder's one stop test: the class of the largest modulus, or
+    None to climb a level.  Only the top cluster is decided, since rho and
+    s depend only on the roots of largest modulus and their parts.
 
     Numeric classes of a single squarefree part need no proof: s depends
     only on that part, and rho is its largest modulus, in the hull
@@ -1582,46 +1587,25 @@ def _top_class(
     return top
 
 
-def _separated(
-    classes: list[_ModClass], width: Fraction, tie, last: bool
-) -> Optional[list[_ModClass]]:
-    """``root_moduli``'s stop test: all classes, after merging the ties that
-    ``tie`` proves, pairwise disjoint and each exact or at most ``width``
-    wide; None to climb a level.  At the cap, raises PrecisionExhausted
-    with the overlapping classes merged pessimistically."""
-    classes = _merge_pairs(classes, tie)
-    pairs = itertools.combinations(classes, 2)
-    unresolved = any(ca.overlaps(cb) for ca, cb in pairs)
-    too_wide = any(c.exact_sq is None and c.hi - c.lo > width for c in classes)
-    if not unresolved and not too_wide:
-        return classes
-    if last:
-        raise PrecisionExhausted(
-            "root moduli could not be separated at the escalation cap",
-            classes=_merge_pairs(classes, _merge_at_cap),
-        )
-    return None
-
-
 def _modulus_classes(
     exact_boxes: list[_RootBox],
     numeric_parts: list[tuple[int, ExactPoly]],
     width: Fraction,
-    start_bits: int = START_BITS,
     max_bits: int = MAX_BITS,
-    settle=_top_class,
-):
-    """Climb the precision ladder over the roots split by ``_split_roots``
-    until ``settle`` decides, and return its answer.
+) -> _ModClass:
+    """The signature's class of the largest root modulus: climb the
+    precision ladder over the roots split by ``_split_roots``, from
+    ``START_BITS`` doubling up to ``max_bits``, until ``_top_class``
+    decides.
 
     The classes of equal modulus carry certified rational brackets.  The
     exact classes are built once; each level isolates the numeric roots
-    anew and adds their classes.  ``settle(classes, width, tie, last)``
-    then gets ``tie(ca, cb)``, the class ``_merge_if_tied`` makes of two
-    overlapping classes at this level's bits, and ``last``, whether this
-    level is the cap.  It returns None to climb.  The default is the
-    signature's top-cluster test, ``_top_class``; ``root_moduli`` passes
-    ``_separated``, which separates every class.
+    anew, starting from the centres the previous level converged to, and
+    adds their classes.  ``_top_class`` then gets ``tie(ca, cb)``, the
+    class ``_merge_if_tied`` makes of two overlapping classes at this
+    level's bits, and whether this level is the cap.  Raises
+    PrecisionExhausted when the root positions cannot be certified at the
+    cap.
     """
     neg_pairs_poly = ExactPoly.one()
     if numeric_parts:
@@ -1631,13 +1615,13 @@ def _modulus_classes(
         if not _coprime(radical.num, radical.reflect().num):
             neg_pairs_poly = poly_gcd(radical, radical.reflect())
     starts = [
-        _dyadic_points(_machine_roots(h), start_bits)
+        _dyadic_points(_machine_roots(h), START_BITS)
         for h in [h for _, h in numeric_parts] + [neg_pairs_poly]
     ]
     rests = dict(numeric_parts)
     exact = _exact_classes(exact_boxes, width)
 
-    bits = start_bits
+    bits = START_BITS
     while True:
         try:
             numeric = _numeric_classes(numeric_parts, neg_pairs_poly, bits, starts)
@@ -1648,42 +1632,15 @@ def _modulus_classes(
                 )
             bits *= 2
             continue
-        out = settle(
+        top = _top_class(
             exact + numeric,
             width,
             lambda ca, cb: _merge_if_tied(ca, cb, rests, bits),
             bits >= max_bits,
         )
-        if out is not None:
-            return out
+        if top is not None:
+            return top
         bits *= 2
-
-
-def root_moduli(
-    h: ExactPoly, precision: int = 53
-) -> list[tuple[complex, tuple[Fraction, Fraction]]]:
-    """All complex roots of a squarefree polynomial, approximated, with
-    certified modulus intervals of width <= 2**-precision; intervals of
-    distinct moduli are refined until disjoint, and roots whose moduli are
-    proven equal share one interval.  ``precision`` is at most
-    MAX_PRECISION_BITS.  Raises PrecisionExhausted when moduli stay
-    inseparable at the escalation cap and their tie is over the degree cap
-    of the exact tie proof."""
-    if not 1 <= precision <= MAX_PRECISION_BITS:
-        raise DomainError(
-            "precision must be between 1 and %d bits" % MAX_PRECISION_BITS
-        )
-    if h.is_zero or h.degree < 1:
-        raise DomainError("root isolation needs a nonzero polynomial of degree >= 1")
-    if not _coprime(h.num, _derivative(h.num)) and poly_gcd(h, h.derivative()).degree:
-        raise DomainError("root isolation requires a squarefree polynomial")
-    width = Fraction(1, 2**precision)
-    start = max(START_BITS, precision + 48)
-    bits = max(MAX_BITS, start * 2)
-    classes = _modulus_classes(*_split_roots([(h, 1)]), width, start, bits, _separated)
-    out = [(z, (cls.lo, cls.hi)) for cls in classes for z in cls.positions]
-    out.sort(key=lambda item: (item[1][0], item[0].real, item[0].imag))
-    return out
 
 
 def quasi_unipotent_order(m: ExactMatrix) -> Optional[int]:

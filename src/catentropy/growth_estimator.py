@@ -70,9 +70,6 @@ class PositiveSequence:
     def n_end(self) -> int:
         return self.n_start + len(self.values) - 1
 
-    def value_at(self, n: int) -> float:
-        return self.values[n - self.n_start]
-
 
 @dataclass(frozen=True)
 class ExtTable:

@@ -232,14 +232,13 @@ def test_precision_flags_do_not_outlive_the_call(tmp_path):
 
 
 def _spy_modulus_classes(monkeypatch) -> list:
-    """Record (width, max_bits) of every root-modulus separation."""
+    """Record (width, max_bits) of every precision ladder a signature climbs."""
     calls = []
-    separate = exact_linalg._modulus_classes
+    climb = exact_linalg._modulus_classes
 
-    def spy(exact_boxes, numeric_parts, width, start_bits=exact_linalg.START_BITS,
-            max_bits=exact_linalg.MAX_BITS):
+    def spy(exact_boxes, numeric_parts, width, max_bits=exact_linalg.MAX_BITS):
         calls.append((width, max_bits))
-        return separate(exact_boxes, numeric_parts, width, start_bits, max_bits)
+        return climb(exact_boxes, numeric_parts, width, max_bits)
 
     monkeypatch.setattr(exact_linalg, "_modulus_classes", spy)
     return calls

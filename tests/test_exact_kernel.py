@@ -331,21 +331,16 @@ def test_binary_operations_match_fraction_reference(pair):
 
 
 @SETTINGS
-@given(matrices(), rationals, st.lists(st.one_of(ints, rationals), min_size=6))
-def test_unary_operations_match_fraction_reference(rows, c, vec):
+@given(matrices(), rationals)
+def test_unary_operations_match_fraction_reference(rows, c):
     m = ExactMatrix.from_rows(rows)
     f = ref(rows)
     n = m.n
-    v = vec[:n]
     assert view(-m) == [[-x for x in row] for row in f]
     assert view(m.scale(c)) == [[c * x for x in row] for row in f]
     assert view(m.transpose()) == [list(col) for col in zip(*f)]
     assert m.trace() == sum(f[i][i] for i in range(n))
     assert m.entry_abs_sum() == sum(abs(x) for row in f for x in row)
-    assert m.matvec(v) == tuple(
-        sum(x * Fraction(y) for x, y in zip(row, v)) for row in f
-    )
-    assert all(type(x) is Fraction for x in m.matvec(v))
     for result in (m.trace(), m.entry_abs_sum()):
         assert type(result) is Fraction
 
@@ -1133,7 +1128,6 @@ ALLOCATION_CALLS = {
     "init": "ExactMatrix(((2, 4), (6, 8)), -6)",
     "from_rows": "ExactMatrix.from_rows(rows)",
     "block_diag": "ExactMatrix.block_diag(m, m)",
-    "matvec": "m.matvec(v)",
     "neg": "-m",
     "matmul": "m @ m",
     "matmul_packed": "m8 @ m8",
@@ -1177,7 +1171,6 @@ def test_constructors_keep_no_spare_tuples(call):
         "coeffs = [Fraction(1, 2), 3, Fraction(2, 5)]\n"
         "p = ExactPoly.from_coefficients(coeffs)\n"
         "q = ExactPoly.from_coefficients([Fraction(1, 3), 1])\n"
-        "v = [Fraction(1, 3), Fraction(2, 7)]\n"
         "m8 = ExactMatrix.from_rows(\n"
         "    [[Fraction(i - j, 1 + i + j) for j in range(8)] for i in range(8)])\n"
         "before = sys.getallocatedblocks()\n"

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import warnings
@@ -16,7 +17,6 @@ from catentropy.errors import (
     InternalInconsistency,
     NilpotentInput,
     NonIntegerEntries,
-    PrecisionExhausted,
     TiedModuli,
 )
 from catentropy.exact_linalg import (
@@ -30,7 +30,6 @@ from catentropy.exact_linalg import (
     nilpotency_index,
     poly_gcd,
     quasi_unipotent_order,
-    root_moduli,
     squarefree_decomposition,
     tensor_product,
 )
@@ -126,11 +125,20 @@ def test_squarefree_rejects_zero():
         squarefree_decomposition(ExactPoly.zero())
 
 
-def test_root_moduli_golden_quadratic():
+def _moduli(first_level, h: ExactPoly) -> list:
+    """``(z, (lo, hi))`` for each root of the squarefree h, ordered by
+    bracket: the brackets of the classes that the signature of C(h) builds
+    at its first certified level, with exact brackets at most 2^-40 wide."""
+    classes, _ = first_level(ExactMatrix.companion(h), Fraction(1, 2**40))
+    out = [(z, (c.lo, c.hi)) for c in classes for z in c.positions]
+    return sorted(out, key=lambda item: (item[1][0], item[0].real, item[0].imag))
+
+
+def test_root_moduli_golden_quadratic(first_level):
     # roots of x^2 - 3x + 1 are (3 +- sqrt(5))/2 by the quadratic formula
     big = (3 + math.sqrt(5)) / 2
     small = (3 - math.sqrt(5)) / 2
-    out = root_moduli(P([1, -3, 1]), precision=40)
+    out = _moduli(first_level, P([1, -3, 1]))
     assert len(out) == 2
     (z1, (lo1, hi1)), (z2, (lo2, hi2)) = out
     assert lo1 <= Fraction(small).limit_denominator(10**12) <= hi1 or abs(z1 - small) < 1e-9
@@ -139,26 +147,17 @@ def test_root_moduli_golden_quadratic():
     assert float(hi2 - lo2) <= 2**-40
 
 
-def test_root_moduli_unit_circle_pair():
-    out = root_moduli(P([1, 0, 1]), precision=40)
+def test_root_moduli_unit_circle_pair(first_level):
+    out = _moduli(first_level, P([1, 0, 1]))
     assert len(out) == 2
     for z, (lo, hi) in out:
         assert lo == hi == 1
         assert abs(abs(z) - 1) < 1e-12
 
 
-def test_root_moduli_linear():
-    out = root_moduli(P([-2, 1]), precision=40)
+def test_root_moduli_linear(first_level):
+    out = _moduli(first_level, P([-2, 1]))
     assert out == [(complex(2.0, 0.0), (Fraction(2), Fraction(2)))]
-
-
-def test_root_moduli_rejects_non_squarefree():
-    with pytest.raises(DomainError):
-        root_moduli(P([1, -2, 1]))
-    with pytest.raises(DomainError):
-        root_moduli(P([1, 1]), precision=0)
-    with pytest.raises(DomainError):
-        root_moduli(P([1, 1]), precision=exact_linalg.MAX_PRECISION_BITS + 1)
 
 
 @pytest.fixture
@@ -181,34 +180,6 @@ def proofs(monkeypatch):
 OVER_CAP = P([-1, -1, 0, 0, 0, 1])
 
 
-def test_root_moduli_proves_true_tie(proofs):
-    # (x^2 - 2x - 1)(x^4 + 6x^2 + 1): the real root 1 + sqrt(2) of the
-    # quadratic ties with the modulus of the imaginary pair i(1 + sqrt(2))
-    # of the quartic, and 1 - sqrt(2) with i(1 - sqrt(2)).  Neither tie is
-    # a conjugate or +- pair; the Sturm count proves both, and the tied
-    # roots share one bracket.
-    h = P([-1, -2, 1]) * P([1, 0, 6, 0, 1])
-    out = root_moduli(h, precision=40)
-    assert proofs == [True, True]
-    brackets = sorted({bracket for _, bracket in out})
-    assert len(brackets) == 2
-    squares = P([1, -6, 1])  # has the roots 3 -+ 2 sqrt(2), the squared moduli
-    for (lo, hi), target in zip(brackets, (math.sqrt(2) - 1, math.sqrt(2) + 1)):
-        assert [abs(z) for z, b in out if b == (lo, hi)] == pytest.approx([target] * 3)
-        assert 0 < hi - lo <= Fraction(1, 2**40)
-        assert squares(lo * lo) * squares(hi * hi) < 0
-
-
-def test_root_moduli_precision_exhausted_on_true_tie():
-    # The same tie with x^5 - x - 1 in the polynomial: the squared-moduli
-    # polynomial has degree 66, over the proof's cap, so the tie stays
-    # unproven and the caller is told the moduli stayed inseparable.
-    h = P([-1, -2, 1]) * P([1, 0, 6, 0, 1]) * OVER_CAP
-    with pytest.raises(PrecisionExhausted) as err:
-        root_moduli(h, precision=40)
-    assert err.value.classes  # partial data is attached for the caller
-
-
 @pytest.mark.parametrize("gap_bits", [70, 200])
 def test_near_tie_is_separated_not_merged(proofs, gap_bits):
     # x^2 - x - 1 beside x^2 - x - (1 + 2^-gap): the largest moduli differ
@@ -217,8 +188,6 @@ def test_near_tie_is_separated_not_merged(proofs, gap_bits):
     # count finds two roots there and proves nothing, and a later level
     # separates them.  A merge would report s = 1.
     near = P([-(1 + Fraction(1, 2**gap_bits)), -1, 1])
-    assert len({bracket for _, bracket in root_moduli(P([-1, -1, 1]) * near)}) == 4
-    proofs.clear()
     m = ExactMatrix.block_diag(
         ExactMatrix.companion(P([-1, -1, 1]) ** 2), ExactMatrix.companion(near)
     )
@@ -248,9 +217,11 @@ def test_distinct_exact_moduli_shrink_apart():
 
 def test_root_moduli_carries_certified_roots_up_the_ladder(monkeypatch):
     # 2^120 x^2 + x - 2^121 has real roots near +-sqrt(2) whose moduli
-    # differ by exactly 2^-120: the position disks certify at the first
-    # level, the modulus intervals separate only at a later one, and each
-    # later level starts from the centres the previous one certified.
+    # differ by exactly 2^-120: the position disks certify at 64 bits, but
+    # the top bracket is wider than the tolerance 2^-100 there, so the
+    # ladder climbs to 128 bits, where the bracket separates the two
+    # moduli.  Each later level starts from the centres the previous one
+    # certified.
     h = P([-(2**121), 1, 2**120])
     calls = []
     iterate = exact_linalg._durand_kerner
@@ -261,16 +232,18 @@ def test_root_moduli_carries_certified_roots_up_the_ladder(monkeypatch):
         return centres
 
     monkeypatch.setattr(exact_linalg, "_durand_kerner", spy)
-    out = root_moduli(h)
-    assert len(calls) >= 2
+    sig = growth_signature(ExactMatrix.companion(h), tolerance=Fraction(1, 2**100))
+    assert [e for e, _, _ in calls] == [64, 128]
     for (e, _, before), (e_next, start, _) in zip(calls, calls[1:]):
         assert e_next > e
         shift = e_next - e
         assert start == [(x << shift, y << shift) for x, y in before]
-    (z_small, (lo_small, hi_small)), (z_large, (lo_large, hi_large)) = out
-    assert z_small.real > 0 > z_large.real
-    assert lo_small <= hi_small < lo_large <= hi_large
-    assert lo_large - hi_small < Fraction(1, 2**120)
+    # rho is the modulus of the negative root, so a root of h(-x); the
+    # bracket lies above the positive root, the smaller modulus.
+    lo, hi = sig.rho_interval
+    assert h(-lo) <= 0 <= h(-hi)
+    assert h(lo) > 0
+    assert hi - lo < Fraction(1, 2**120)
 
 
 def test_growth_signature_ignores_uncertified_start_points(monkeypatch):
@@ -600,41 +573,38 @@ def _product_tie_proof(ca, cb, rests, bits):
 
 
 tie_family = st.builds(
-    lambda a, j: (_tie_pair(a)[0] ** j, _tie_pair(a)[1]),
+    lambda a, j: (True, (_tie_pair(a)[0] ** j, _tie_pair(a)[1])),
     st.integers(1, 6),
     st.sampled_from((1, 2)),
 )
 near_tie_family = st.builds(
-    lambda gap: (P([-1, -1, 1]) ** 2, P([-(1 + Fraction(1, 2**gap)), -1, 1])),
+    lambda gap: (False, (P([-1, -1, 1]) ** 2, P([-(1 + Fraction(1, 2**gap)), -1, 1]))),
     st.integers(70, 200),
 )
 
 
 @settings(max_examples=16, deadline=None, derandomize=True, database=None)
 @given(st.one_of(tie_family, near_tie_family))
-def test_per_part_tie_proof_decides_as_the_product_proof(blocks):
-    # Every overlapping pair of classes, as root_moduli separates them,
-    # over the squarefree parts of C(f) + C(g): the Sturm counts on the
-    # product of the parts' squared-moduli polynomials and on the
-    # product's own squared-moduli polynomial agree.
-    seen = []
-    prove = exact_linalg._prove_tie
-
-    def both(ca, cb, rests, bits):
-        seen.append(prove(ca, cb, rests, bits))
-        assert seen[-1] == _product_tie_proof(ca, cb, rests, bits)
-        return seen[-1]
-
+# (x^2 - 2x - 1)(x^4 + 6x^2 + 1): 1 + sqrt(2) and 1 - sqrt(2) each tie
+# with the modulus of an imaginary pair, neither as a conjugate or +- pair.
+@example((True, _tie_pair(2)))
+def test_per_part_tie_proof_decides_as_the_product_proof(first_level, case):
+    # Every overlapping pair of the classes that the signature of
+    # C(f) + C(g) builds at its first certified level: the Sturm counts on
+    # the product of the parts' squared-moduli polynomials and on the
+    # product's own squared-moduli polynomial agree, and they prove the
+    # true ties and no near tie.
+    tied, blocks = case
     m = ExactMatrix.block_diag(*[ExactMatrix.companion(f) for f in blocks])
-    _, _, exact_boxes, numeric_parts, _ = exact_linalg._spectrum(m)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(exact_linalg, "_prove_tie", both)
-        classes = exact_linalg._modulus_classes(
-            exact_boxes, numeric_parts, exact_linalg.DEFAULT_TOLERANCE,
-            settle=exact_linalg._separated,
-        )
+    rests = dict(exact_linalg._spectrum(m)[3])
+    classes, bits = first_level(m)
+    seen = []
+    for ca, cb in itertools.combinations(classes, 2):
+        if ca.overlaps(cb):
+            seen.append(exact_linalg._prove_tie(ca, cb, rests, bits))
+            assert seen[-1] == _product_tie_proof(ca, cb, rests, bits)
     assert seen
-    assert len(classes) == 4 - seen.count(True)
+    assert seen == [tied] * len(seen)
 
 
 def test_precision_cap_is_bounded():
@@ -792,16 +762,16 @@ def test_integer_roots_are_the_planted_roots(roots, c, lead):
     assert exact_linalg._integer_roots(h.monic()) == sorted(roots)
 
 
-def test_root_moduli_rational_part_below_the_leading_numerator():
+def test_root_moduli_rational_part_below_the_leading_numerator(first_level):
     # x^2 - 1/4 is stored as (-1, 0, 4) / 4: every coefficient below the
     # top is smaller than the leading numerator, and there is no integer
     # root; (x - 3)(x + 1/2)(x - 1/3) has one beside two rational roots.
     h = P([Fraction(-1, 4), 0, 1])
     assert (h.num, h.den) == ((-1, 0, 4), 4)
-    out = root_moduli(h)
+    out = _moduli(first_level, h)
     half = (Fraction(1, 2), Fraction(1, 2))
     assert out == [(complex(-0.5, 0.0), half), (complex(0.5, 0.0), half)]
-    out = root_moduli(P([-3, 1]) * P([Fraction(1, 2), 1]) * P([Fraction(-1, 3), 1]))
+    out = _moduli(first_level, P([-3, 1]) * P([Fraction(1, 2), 1]) * P([Fraction(-1, 3), 1]))
     (z1, (lo1, hi1)), (z2, (lo2, hi2)), (z3, exact) = out
     assert lo1 <= Fraction(1, 3) <= hi1 < lo2 <= Fraction(1, 2) <= hi2
     assert (z3, exact) == (complex(3.0, 0.0), (Fraction(3), Fraction(3)))
@@ -995,7 +965,7 @@ def test_growth_signature_repeated_complex_pair():
     assert lo * lo <= 2 <= hi * hi
 
 
-def test_root_moduli_product_brackets_constant_term():
+def test_root_moduli_product_brackets_constant_term(first_level):
     # the product of all root moduli equals |a0 / leading|
     rng = random.Random(23)
     for _ in range(60):
@@ -1006,15 +976,31 @@ def test_root_moduli_product_brackets_constant_term():
             continue
         if poly_gcd(h, h.derivative()).degree != 0:
             continue
-        try:
-            out = root_moduli(h, precision=40)
-        except PrecisionExhausted:
-            continue
+        out = _moduli(first_level, h)
         prod_lo = math.prod(float(lo) for _, (lo, _) in out)
         prod_hi = math.prod(float(hi) for _, (_, hi) in out)
         target = abs(float(h[0]))
         assert prod_lo <= target * (1 + 1e-9)
         assert prod_hi >= target * (1 - 1e-9)
+
+
+def test_poly_rejects_non_int_numerators():
+    # ExactPoly wraps int numerators over an int denominator.  A rational
+    # or float among them is refused at once: before, the companion of
+    # x^2 + 2 + 10^-20 built this way ended in InternalInconsistency
+    # ("power sum not divisible by 2"), an exit 4 for a caller's mistake.
+    bad = [
+        ([2 + Fraction(1, 10**20), 0, 1], 1),
+        ([2.0, 0, 1], 1),
+        ([2, 0, 1], Fraction(1)),
+        ([2, 0, 1], 2.0),
+    ]
+    for num, den in bad:
+        with pytest.raises(DomainError, match="from_coefficients"):
+            ExactPoly(num, den)
+    near = P([2 + Fraction(1, 10**20), 0, 1])
+    assert (near.num, near.den) == ((2 * 10**20 + 1, 0, 10**20), 10**20)
+    assert growth_signature(ExactMatrix.companion(near)).s == 0
 
 
 def test_matrix_rejects_float_entries():

@@ -198,7 +198,7 @@ def _exact_least_squares(seq, n_lo, n_hi):
     """(coefficients, residual sum of squares) of the least-squares fit of
     log a_n on (n, log n, 1), solved over Fraction from the float data."""
     rows = [[Fraction(n), Fraction(math.log(n)), Fraction(1)] for n in range(n_lo, n_hi + 1)]
-    ys = [Fraction(math.log(seq.value_at(n))) for n in range(n_lo, n_hi + 1)]
+    ys = [Fraction(math.log(y)) for y in seq.values[n_lo - seq.n_start : n_hi - seq.n_start + 1]]
     # Gauss-Jordan on the augmented normal equations [A^T A | A^T y].
     aug = [
         [sum(r[i] * r[j] for r in rows) for j in range(3)]

@@ -17,7 +17,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from catentropy.corpus import random_unimodular
-from catentropy.errors import NilpotentInput, PrecisionExhausted, TiedModuli
+from catentropy.errors import NilpotentInput, TiedModuli
 from catentropy.exact_linalg import (
     ExactMatrix,
     ExactPoly,
@@ -26,7 +26,6 @@ from catentropy.exact_linalg import (
     growth_signature,
     min_poly,
     poly_gcd,
-    root_moduli,
 )
 
 SETTINGS = settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -72,14 +71,13 @@ def squarefree_polys(draw):
 @SETTINGS
 @given(squarefree_polys())
 @example(P([-2] + [0] * 11 + [1]))  # twelve equal moduli: the tie is over the cap
-def test_root_moduli_brackets_contain_oracle_moduli(h):
+def test_root_moduli_brackets_contain_oracle_moduli(first_level, h):
+    # The classes of the signature's ladder at its first level that
+    # certifies: each root's bracket must hold its modulus, also where a
+    # tie is over the proof's degree cap.
     assume(h.degree >= 1)
-    try:
-        out = root_moduli(h, precision=40)
-    except PrecisionExhausted as exc:
-        # A tie over the proof's degree cap: the merged brackets must
-        # still hold every modulus.
-        out = [(z, (c.lo, c.hi)) for c in exc.classes for z in c.positions]
+    classes, _ = first_level(ExactMatrix.companion(h), Fraction(1, 2**40))
+    out = [(z, (c.lo, c.hi)) for c in classes for z in c.positions]
     assert len(out) == h.degree
     slack = Fraction(1, 2**200)
     with mpmath.workprec(256):
